@@ -24,7 +24,7 @@ examples:
 	python examples/day_in_the_life.py
 	python examples/controller_tuning.py
 
-# wall-clock demos (take real seconds, use threads/sockets)
+# wall-clock demos (take real seconds, use asyncio/sockets)
 examples-realtime:
 	python examples/realtime_demo.py
 	python examples/socket_offload.py

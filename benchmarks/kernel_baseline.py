@@ -269,36 +269,6 @@ BENCHES: Dict[str, Callable[[], float]] = {
 }
 
 
-def measured_calendar_comparison() -> Dict[str, object]:
-    """Paired heap vs calendar-queue throughput (prototype comparison).
-
-    Re-runs two representative benches with ``REPRO_SIM_CALENDAR=1`` so
-    :class:`~repro.sim.core.Environment` constructs the bucketed
-    calendar queue (``repro/sim/calendar.py``) instead of the binary
-    heap.  Back-to-back on the same host, so the ratio is the
-    structure's cost directly.  Informational, not gated: the calendar
-    is an opt-in prototype and the default kernel keeps whichever
-    structure this comparison favors (see docs/performance.md).
-    """
-    import os
-
-    out: Dict[str, object] = {}
-    for name in ("event_throughput", "offload_round_trip"):
-        fn = BENCHES[name]
-        heap = fn()
-        os.environ["REPRO_SIM_CALENDAR"] = "1"
-        try:
-            calendar = fn()
-        finally:
-            os.environ.pop("REPRO_SIM_CALENDAR", None)
-        out[name] = {
-            "heap": round(heap, 1),
-            "calendar": round(calendar, 1),
-            "ratio": round(calendar / heap, 3) if heap > 0 else 0.0,
-        }
-    return out
-
-
 def measured_hybrid_speedup(pairs: int = 2) -> Dict[str, float]:
     """Paired exact-vs-hybrid frames/sec on the steady-state sweep.
 
@@ -380,7 +350,6 @@ def run_all() -> Dict[str, object]:
     return {
         "calibration_heapq_ops_per_sec": round(calibration_score(), 1),
         "benches_events_per_sec": results,
-        "calendar_queue_prototype": measured_calendar_comparison(),
         "hybrid_steady_state": measured_hybrid_speedup(),
         "machine": {
             "python": platform.python_version(),

@@ -2,44 +2,51 @@
 """The same FrameFeedback controller, running in wall-clock time.
 
 Everything else in this repository runs in simulated time; this demo
-drives the identical controller object with real threads, a CPU-bound
-local "inference" kernel, and a fake remote whose conditions degrade
+drives the identical controller object on an asyncio event loop with a
+cooperative local pipeline and a fake remote whose conditions degrade
 mid-run — a miniature of the paper's actual Pi deployment.
 
-Takes ~20 real seconds.  Run:  python examples/realtime_demo.py
+Takes ~10 real seconds.  Run:  python examples/realtime_demo.py
 """
 
-import threading
-import time
+import asyncio
 
 from repro.control.framefeedback import FrameFeedbackController
-from repro.realtime import FakeRemote, RealTimeLoop
-from repro.realtime.fakework import RemoteConditions
+from repro.realtime import AsyncFakeRemote, AsyncRealTimeLoop, RemoteConditions
 
+DURATION, DEGRADE_AT = 10.0, 5.0
 GOOD = RemoteConditions(latency=0.04, jitter=0.01, failure_probability=0.0)
 BAD = RemoteConditions(latency=0.18, jitter=0.08, failure_probability=0.25)
 
 
-def main() -> None:
-    remote = FakeRemote(seed=0)
-    remote.set_conditions(GOOD)
+async def run():
+    remote = AsyncFakeRemote(seed=0)
+    remote.conditions = GOOD
 
-    def degrade_later() -> None:
-        time.sleep(10.0)
+    async def degrade_later() -> None:
+        await asyncio.sleep(DEGRADE_AT)
         print("--- injecting degradation (latency x4.5, 25% failures) ---")
-        remote.set_conditions(BAD)
+        remote.conditions = BAD
 
-    threading.Thread(target=degrade_later, daemon=True).start()
-
-    loop = RealTimeLoop(
+    loop = AsyncRealTimeLoop(
         FrameFeedbackController(30.0),
-        remote=remote,
+        remote.submit,
         frame_rate=30.0,
         deadline=0.25,
         local_latency=0.05,  # a fast local model: ~20 fps locally
     )
-    print("running 20 s wall-clock (degradation at t=10 s)...")
-    result = loop.run(duration=20.0)
+    print(
+        f"running {DURATION:.0f} s wall-clock "
+        f"(degradation at t={DEGRADE_AT:.0f} s)..."
+    )
+    degrade = asyncio.create_task(degrade_later())
+    result = await loop.run(duration=DURATION)
+    await degrade
+    return result
+
+
+def main() -> None:
+    result = asyncio.run(run())
 
     print(f"\n{'t':>4s}  {'P_o target':>10s}  {'P':>6s}  {'T':>5s}")
     for t, po, p, timeout in zip(

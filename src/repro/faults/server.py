@@ -8,8 +8,8 @@ still answers, just late — which is what actually produces
 deadline-*constrained* degradation rather than a clean blackout.
 
 The legacy :class:`OutageSchedule` API lives here too (re-exported
-from :mod:`repro.workloads.faults` for backward compatibility), now
-with mid-simulation installation fixed: windows already in the past
+from :mod:`repro.workloads` for backward compatibility), now with
+mid-simulation installation fixed: windows already in the past
 are skipped and a straddling window pauses only for its remainder.
 """
 

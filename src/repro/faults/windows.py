@@ -11,6 +11,7 @@ clipped to its remaining duration).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
@@ -139,7 +140,12 @@ class FaultTimeline:
             if w.end <= now:
                 continue  # entirely in the past
             if w.start < now:
-                remaining.append(FaultWindow(now, w.end - now))
+                # ``now + (end - now)`` can round one ulp past ``end`` and
+                # overlap a window that starts exactly there
+                duration = w.end - now
+                while now + duration > w.end:
+                    duration = math.nextafter(duration, 0.0)
+                remaining.append(FaultWindow(now, duration))
             else:
                 remaining.append(w)
         return FaultTimeline(remaining)

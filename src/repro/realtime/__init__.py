@@ -1,54 +1,43 @@
 """Wall-clock runtime: the controller outside the simulator.
 
-The paper's system runs on real threads and sockets.  This package
-provides the real-time harnesses — a frame ticker, a CPU-bound local
-worker, a thread-pool "offload" path with injectable latency and loss,
-and a 1 Hz measurement loop — that drive the *same*
-:class:`~repro.control.base.Controller` objects as the simulator.  It
-exists to demonstrate (and test) that nothing in the control layer
-depends on virtual time.
+The paper's system runs on real devices and sockets.  This package
+drives the *same* :class:`~repro.control.base.Controller` objects as
+the simulator, in wall-clock time on one asyncio event loop, which
+shows that nothing in the control layer depends on virtual time:
 
-Two serving tiers:
-
-* :mod:`~repro.realtime.netserver` — the v1 threaded demo server
-  (minimal wire protocol, no admission control);
-* :mod:`~repro.realtime.gateway` — the asyncio gateway (wire protocol
-  v2, per-tenant admission, deadline-aware shedding, chaos knobs) with
-  its resilient client (:mod:`~repro.realtime.client`), async load
-  generator (:mod:`~repro.realtime.loadgen`), wall-clock fault
-  injection (:mod:`~repro.realtime.chaos`) and sim-twin validation
-  (:mod:`~repro.realtime.twin`).  See ``docs/realtime.md``.
+* :mod:`~repro.realtime.aio` — the device loop (frame ticker, local
+  pipeline, offload path, 1 Hz measurement step) and an in-process
+  fake remote with injectable conditions;
+* :mod:`~repro.realtime.gateway` — the inference gateway (wire
+  protocol v2, per-tenant admission, deadline-aware shedding, chaos
+  knobs) with its resilient client (:mod:`~repro.realtime.client`),
+  async load generator (:mod:`~repro.realtime.loadgen`), wall-clock
+  fault injection (:mod:`~repro.realtime.chaos`) and sim-twin
+  validation (:mod:`~repro.realtime.twin`).  See ``docs/realtime.md``.
 """
 
-from repro.realtime.aio import AsyncFakeRemote, AsyncLoopResult, AsyncRealTimeLoop
+from repro.realtime.aio import (
+    AsyncFakeRemote,
+    AsyncLoopResult,
+    AsyncRealTimeLoop,
+    RemoteConditions,
+)
 from repro.realtime.client import (
     AsyncSocketRemote,
     FrameOutcome,
     ResilientSocketRemote,
 )
-from repro.realtime.fakework import FakeRemote, RemoteConditions, calibrated_spin
 from repro.realtime.gateway import GatewayConfig, GatewayStats, InferenceGateway
-from repro.realtime.netserver import InferenceServer, SocketRemote
-from repro.realtime.runtime import RealTimeLoop, RealTimeResult
-from repro.realtime.schedule import RemotePhase, RemoteSchedule
 
 __all__ = [
     "AsyncFakeRemote",
     "AsyncLoopResult",
     "AsyncRealTimeLoop",
     "AsyncSocketRemote",
-    "FakeRemote",
     "FrameOutcome",
     "GatewayConfig",
     "GatewayStats",
     "InferenceGateway",
-    "InferenceServer",
-    "RealTimeLoop",
-    "RealTimeResult",
     "RemoteConditions",
-    "RemotePhase",
-    "RemoteSchedule",
     "ResilientSocketRemote",
-    "SocketRemote",
-    "calibrated_spin",
 ]

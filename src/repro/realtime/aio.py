@@ -1,16 +1,18 @@
 """Asyncio runtime: the closed loop on a cooperative event loop.
 
-Third runtime in the family (deterministic simulator, thread-based
-wall clock, and now asyncio) — all three drive the *same*
-:class:`~repro.control.base.Controller` objects through the same
-:class:`~repro.control.base.Measurement` seam.  The asyncio variant is
-the natural shape for an edge device whose "offloading" is an HTTP/2
-or WebSocket client: one event loop, no thread pools, thousands of
-in-flight requests for free.
+The wall-clock twin of the deterministic simulator: both drive the
+*same* :class:`~repro.control.base.Controller` objects through the same
+:class:`~repro.control.base.Measurement` seam.  Asyncio is the natural
+shape for an edge device whose "offloading" is an HTTP/2 or WebSocket
+client: one event loop, no thread pools, thousands of in-flight
+requests for free.
 
 The remote side is pluggable: any ``async def submit() -> bool``
-callable works.  :class:`AsyncFakeRemote` mirrors
-:class:`~repro.realtime.fakework.FakeRemote` with ``asyncio.sleep``.
+callable works, or a resilient socket client passed as ``remote=``
+(:class:`~repro.realtime.client.ResilientSocketRemote`).
+:class:`AsyncFakeRemote` is an in-process stand-in whose latency,
+jitter and failure probability (:class:`RemoteConditions`) can be
+swapped mid-run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,15 @@ import numpy as np
 from repro.control.base import Controller, Measurement
 from repro.device.splitter import TokenBucketSplitter
 from repro.metrics.counters import WindowedRate
-from repro.realtime.fakework import RemoteConditions
+
+
+@dataclass
+class RemoteConditions:
+    """Injectable offload-path behaviour (the NetEm analogue)."""
+
+    latency: float = 0.06
+    jitter: float = 0.01
+    failure_probability: float = 0.0
 
 
 class AsyncFakeRemote:

@@ -1,12 +1,10 @@
 """The asyncio inference gateway: the deployable wall-clock surface.
 
-:class:`~repro.realtime.netserver.InferenceServer` is a demo — a
-threaded TCP server with no admission control, no deadline awareness
-and no shutdown story.  This module is the enforcement point the
-ROADMAP asks for ("make the realtime path a real service under load"),
-following the deadline-constrained-offloading shape of Sedlak et al.
-(arXiv:2510.01885) and the token-bucket admission discipline of
-Chakrabarti et al. (arXiv:2010.13737):
+The edge server of the paper's topology as a real service under
+load: an enforcement point with admission control, deadline awareness
+and a shutdown story, following the deadline-constrained-offloading
+shape of Sedlak et al. (arXiv:2510.01885) and the token-bucket
+admission discipline of Chakrabarti et al. (arXiv:2010.13737):
 
 * **asyncio-native** — one event loop, every connection a coroutine,
   thousands of concurrent clients without a thread per socket;
@@ -27,10 +25,10 @@ Chakrabarti et al. (arXiv:2010.13737):
   REJECTED) and an aborted one (connections reset, which the client
   classifies itself).
 
-The "GPU" stays the calibrated affine sleep of the v1 server so the
-simulator's server model and the gateway agree by construction — that
-shared calibration is what makes the sim-vs-wall-clock twin test
-(:mod:`repro.realtime.twin`) meaningful.
+The "GPU" is a calibrated affine sleep (``base_latency + per_item *
+batch_size``), so the simulator's server model and the gateway agree
+by construction — that shared calibration is what makes the
+sim-vs-wall-clock twin test (:mod:`repro.realtime.twin`) meaningful.
 """
 
 from __future__ import annotations

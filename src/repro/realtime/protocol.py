@@ -1,11 +1,11 @@
 """Wire protocol v2 for the asyncio inference gateway.
 
-The v1 protocol (:mod:`repro.realtime.netserver`) is a bare 4-byte
-length prefix and a one-byte verdict — enough for a demo, not for an
-enforcement point: the server cannot tell tenants apart (so it cannot
-meter them), cannot tell the client *why* a frame was shed, and cannot
-schedule the client's comeback.  v2 closes those gaps while keeping
-the length-prefixed-frames-over-TCP shape:
+The earlier v1 protocol was a bare 4-byte length prefix and a
+one-byte verdict — enough for a demo, not for an enforcement point:
+the server cannot tell tenants apart (so it cannot meter them), cannot
+tell the client *why* a frame was shed, and cannot schedule the
+client's comeback.  v2 closes those gaps while keeping the
+length-prefixed-frames-over-TCP shape:
 
 request (one frame)::
 

@@ -52,11 +52,9 @@ class EmptySchedule(Exception):
 class EnvStats:
     """Opt-in kernel counters (``Environment(stats=True)``).
 
-    Every field is maintained by the kernel itself — unlike
-    :class:`~repro.sim.debug.KernelProbe`, which monkey-wraps ``step``
-    from the outside — so cancellation and lazy-deletion bookkeeping
-    (``events_cancelled``/``events_skipped``/``heap_compactions``) are
-    exact.  ``events_by_process`` attributes each scheduled event to the
+    Every field is maintained by the kernel itself, so cancellation and
+    lazy-deletion bookkeeping (``events_cancelled``/``events_skipped``/
+    ``heap_compactions``) are exact.  ``events_by_process`` attributes each scheduled event to the
     process that was active when it was scheduled, which is the first
     thing to read when one component floods the heap.
     """
@@ -136,17 +134,6 @@ class Environment:
     seconds).  Events at equal timestamps are ordered by
     ``(priority, insertion sequence)`` so runs are fully deterministic.
     """
-
-    def __new__(cls, *args, **kwargs):
-        # ``REPRO_SIM_CALENDAR=1`` swaps the binary heap for the
-        # bucketed calendar-queue prototype without touching any of the
-        # hot-path code below (see repro/sim/calendar.py and the bench
-        # comparison in docs/performance.md).
-        if cls is Environment and os.environ.get("REPRO_SIM_CALENDAR"):
-            from repro.sim.calendar import CalendarEnvironment
-
-            return super().__new__(CalendarEnvironment)
-        return super().__new__(cls)
 
     def __init__(self, initial_time: float = 0.0, stats: bool = False) -> None:
         self._now = float(initial_time)

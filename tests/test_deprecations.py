@@ -1,32 +1,12 @@
-"""The repro.workloads.faults shim must warn — and only the shim."""
+"""Importing the workloads package must not emit deprecation warnings."""
 
 import importlib
 import sys
 import warnings
 
 
-def _fresh_import(name):
-    sys.modules.pop(name, None)
-    return importlib.import_module(name)
-
-
-def test_workloads_faults_shim_emits_deprecation_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim = _fresh_import("repro.workloads.faults")
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert dep, "importing the shim produced no DeprecationWarning"
-    assert "repro.faults" in str(dep[0].message)
-    # the shim still re-exports the real classes
-    from repro.faults import FaultTimeline, OutageSchedule
-
-    assert shim.OutageSchedule is OutageSchedule
-    assert shim.FaultTimeline is FaultTimeline
-
-
 def test_workloads_package_itself_does_not_warn():
-    """``import repro.workloads`` must stay warning-free: only the
-    legacy submodule path pays the deprecation toll."""
+    """``import repro.workloads`` must stay warning-free."""
     for name in [m for m in sys.modules if m.startswith("repro.workloads")]:
         sys.modules.pop(name)
     with warnings.catch_warnings():

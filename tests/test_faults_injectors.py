@@ -299,9 +299,3 @@ def test_outage_schedule_legacy_surface():
     with pytest.raises(ValueError):
         OutageSchedule.from_rows([(0, 10), (5, 10)])
 
-
-def test_workloads_faults_shim_reexports():
-    from repro.workloads import faults as shim
-
-    assert shim.OutageSchedule is OutageSchedule
-    assert shim.FaultWindow is FaultWindow

@@ -109,6 +109,16 @@ def test_clipped_from_preserves_future_activity(windows, now):
     assert clipped.total_active <= tl.total_active + 1e-9
 
 
+def test_clipped_from_never_rounds_into_the_next_window():
+    # 2.605 + (6.63 - 2.605) == 6.630000000000001: a naively clipped
+    # window would end one ulp past the start of the next one
+    tl = FaultTimeline.from_rows([(1.0, 5.63), (6.63, 1.0)])
+    clipped = tl.clipped_from(2.605)
+    first, second = clipped.windows
+    assert first.start == 2.605 and first.end <= second.start == 6.63
+    assert second.duration == 1.0
+
+
 @given(windows=disjoint_windows())
 @settings(max_examples=50, deadline=None)
 def test_next_transition_walks_every_boundary(windows):

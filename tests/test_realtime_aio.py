@@ -6,9 +6,8 @@ import pytest
 
 from repro.control.base import Controller
 from repro.control.framefeedback import FrameFeedbackController
-from repro.realtime.aio import AsyncFakeRemote, AsyncRealTimeLoop
+from repro.realtime.aio import AsyncFakeRemote, AsyncRealTimeLoop, RemoteConditions
 from repro.realtime.client import FrameOutcome
-from repro.realtime.fakework import RemoteConditions
 
 
 def run(coro):
