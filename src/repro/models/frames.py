@@ -18,6 +18,7 @@ matching typical compressed ImageNet thumbnails.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,14 @@ def jpeg_bits_per_pixel(quality: float) -> float:
     return float(np.interp(quality, _QUALITY_ANCHORS, _BPP_ANCHORS))
 
 
+@functools.lru_cache(maxsize=256)
 def frame_bytes(resolution: int = 224, quality: float = 85.0) -> int:
-    """Bytes on the wire for one offloaded frame."""
+    """Bytes on the wire for one offloaded frame.
+
+    Memoized: devices ask once per captured frame, but the capture
+    quality only moves at a controller tick.  Invalid arguments raise
+    every time (exceptions are never cached).
+    """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     pixels = resolution * resolution

@@ -36,7 +36,11 @@ from typing import Any, Callable, Deque, Optional, Tuple
 import numpy as np
 
 from repro.netem.loss import GilbertElliottChain, GilbertElliottParams
-from repro.netem.packet import PACKET_OVERHEAD_BYTES, packets_for
+from repro.netem.packet import (
+    PACKET_OVERHEAD_BYTES,
+    PACKET_PAYLOAD_BYTES,
+    packets_for,
+)
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -89,8 +93,8 @@ class ConditionBox:
     """Mutable holder sharing one set of conditions between links.
 
     The NetEm schedule mutates the box; the uplink and downlink read it
-    on every transmission, so a condition change takes effect for the
-    next packet (like re-running ``tc qdisc change``).
+    when a frame starts serializing, so a condition change takes
+    effect from the next frame (like re-running ``tc qdisc change``).
     """
 
     def __init__(self, conditions: LinkConditions) -> None:
@@ -112,7 +116,14 @@ class ConditionBox:
 
 @dataclass
 class LinkStats:
-    """Counters exposed for tests and reports."""
+    """Counters exposed for tests and reports.
+
+    ``packets_sent`` (every transmission attempt) and ``retransmissions``
+    are credited when a frame *starts* serializing, since the serializer
+    resolves all of a frame's attempts at once: a run cut mid-frame
+    already counts that frame's attempts.  The frame outcome counters
+    move at the instant the frame finishes or is abandoned.
+    """
 
     frames_sent: int = 0
     frames_delivered: int = 0
@@ -219,47 +230,37 @@ class Link:
 
     # ------------------------------------------------------------------
     def _serializer(self):
-        """The link process: transmit queued payloads one at a time."""
+        """The link process: transmit queued payloads one at a time.
+
+        Each frame costs one wakeup: :meth:`_transmit` resolves all of
+        its packet attempts at the frame's start and the process sleeps
+        to the exact instant the last attempt ends.
+        """
         env = self.env
+        stats = self.stats
+        queue = self._queue
         while True:
-            if not self._queue:
+            if not queue:
                 self._wakeup = env.event()
                 yield self._wakeup
                 self._wakeup = None
                 continue
 
-            nbytes, payload, deliver = self._queue.popleft()
+            nbytes, payload, deliver = queue.popleft()
             self._queued_bytes -= nbytes
 
             cond = self.box.conditions
-            abandoned = False
-            for pkt_payload in self._packet_sizes(nbytes):
-                pkt_time = cond.packet_time(pkt_payload)
-                attempts = 1
-                while True:
-                    self.stats.packets_sent += 1
-                    yield env.sleep(pkt_time)
-                    if not self._packet_lost(cond):
-                        break  # got through
-                    attempts += 1
-                    self.stats.retransmissions += 1
-                    if attempts > self.MAX_ATTEMPTS:
-                        abandoned = True
-                        break
-                    # Loss detection stall before the retry occupies
-                    # the channel (wireless MAC behaviour).
-                    yield env.sleep(self._rto(cond))
-                if abandoned:
-                    break
+            end, delivered = self._transmit(env.now, nbytes, cond)
+            yield env.sleep_until(end)
 
-            if abandoned:
-                self.stats.frames_dropped_loss += 1
+            if not delivered:
+                stats.frames_dropped_loss += 1
                 if env.tracer is not None:
                     env.tracer.link_drop(payload, env.now, "loss")
                 continue
 
-            self.stats.frames_delivered += 1
-            self.stats.bytes_delivered += nbytes
+            stats.frames_delivered += 1
+            stats.bytes_delivered += nbytes
             # Propagation is pipelined: hand off to a fire-and-forget
             # delayed delivery so the serializer moves on immediately.
             delay = cond.propagation_delay
@@ -272,6 +273,65 @@ class Link:
                 # process + init event + timeout.
                 env.call_later(delay, self._deliver_cb, value=(payload, deliver))
 
+    def _transmit(
+        self, start: float, nbytes: int, cond: LinkConditions
+    ) -> Tuple[float, bool]:
+        """Run one frame's packet-level ARQ; returns ``(end, delivered)``.
+
+        Packets go out in order, each attempt drawing its fate from the
+        link's own stream (i.i.d., or one Gilbert–Elliott step), and
+        each lost attempt stalls the channel for one RTO before the
+        retry.  ``end`` is summed one ``t = t + duration`` at a time,
+        exactly as per-packet sleeps would advance the clock; a packet
+        lost on all :attr:`MAX_ATTEMPTS` attempts abandons the frame at
+        the end of that last attempt.  The attempt counters are
+        credited here, when the frame starts serializing.
+        """
+        n = packets_for(nbytes)
+        full = cond.packet_time(PACKET_PAYLOAD_BYTES)
+        last = cond.packet_time(max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1))
+        stats = self.stats
+        t = start
+        if cond.loss <= 0.0:
+            for _ in range(n - 1):
+                t = t + full
+            stats.packets_sent += n
+            return t + last, True
+
+        rng = self.rng
+        if cond.loss_burst <= 1.0:
+            loss = cond.loss
+            draw = rng.random
+            lost = lambda: draw() < loss
+        else:
+            params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
+            step = self._ge_chain.step
+            lost = lambda: step(params, rng)
+        rto = self._rto(cond)
+        sent = retransmissions = 0
+        delivered = True
+        for i in range(n):
+            pkt_time = full if i < n - 1 else last
+            attempts = 1
+            while True:
+                sent += 1
+                t = t + pkt_time
+                if not lost():
+                    break  # got through
+                attempts += 1
+                retransmissions += 1
+                if attempts > self.MAX_ATTEMPTS:
+                    delivered = False
+                    break
+                # Loss detection stall before the retry occupies the
+                # channel (wireless MAC behaviour).
+                t = t + rto
+            if not delivered:
+                break
+        stats.packets_sent += sent
+        stats.retransmissions += retransmissions
+        return t, delivered
+
     def _deliver_after(self, delay: float, payload: Any, deliver: Callable[[Any], None]):
         yield self.env.timeout(delay)
         deliver(payload)
@@ -281,29 +341,8 @@ class Link:
         payload, deliver = event.value
         deliver(payload)
 
-    def _packet_lost(self, cond: LinkConditions) -> bool:
-        """One transmission attempt's fate under the current conditions."""
-        if cond.loss <= 0.0:
-            return False
-        if cond.loss_burst <= 1.0:
-            return bool(self.rng.random() < cond.loss)
-        params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
-        return self._ge_chain.step(params, self.rng)
-
     @staticmethod
     def _rto(cond: LinkConditions) -> float:
         """Retransmission stall: detection timeout before the retry."""
         return max(0.05, 2.0 * cond.propagation_delay + 0.02)
 
-    @staticmethod
-    def _packet_sizes(nbytes: int):
-        """Payload byte counts of the packets carrying ``nbytes``."""
-        from repro.netem.packet import PACKET_PAYLOAD_BYTES
-
-        n = packets_for(nbytes)
-        for i in range(n):
-            if i < n - 1:
-                yield PACKET_PAYLOAD_BYTES
-            else:
-                last = nbytes - (n - 1) * PACKET_PAYLOAD_BYTES
-                yield max(last, 1)

@@ -242,6 +242,21 @@ class Environment:
             return Timeout(self, delay)
         return proc.sleep(delay)
 
+    def sleep_until(self, when: float) -> Event:
+        """Resume the active process at exactly the absolute time ``when``.
+
+        The absolute twin of :meth:`sleep` for a process that adds up its
+        own wakeup time (the link serializer sums a whole frame's packet
+        and stall times): sleeping ``when - now`` would be re-rounded
+        through ``now + (when - now)`` and can land one ulp off ``when``.
+        Same fast path, slow path and single-waiter rules as
+        :meth:`sleep`; a ``when`` in the past raises ``ValueError``.
+        """
+        proc = self._active_process
+        if proc is None:
+            return Timeout(self, when - self._now, at=when)
+        return proc.sleep_until(when)
+
     def call_later(
         self,
         delay: float,
@@ -285,12 +300,18 @@ class Environment:
         event: Event,
         priority: int = EventPriority.NORMAL,
         delay: float = 0.0,
+        at: Optional[float] = None,
     ) -> None:
-        """Put a triggered event on the heap, ``delay`` seconds ahead."""
+        """Put a triggered event on the heap, ``delay`` seconds ahead.
+
+        ``at`` pins the absolute time instead (the caller checks that it
+        is not in the past); see :meth:`sleep_until`.
+        """
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, int(priority), self._seq, event))
+        when = self._now + delay if at is None else at
+        heapq.heappush(self._queue, (when, int(priority), self._seq, event))
         self._seq += 1
         stats = self._stats
         if stats is not None:

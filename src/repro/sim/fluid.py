@@ -1,7 +1,7 @@
 """The hybrid-kernel regime manager: steady windows vs exact DES.
 
 The exact kernel simulates every frame as a handful of heap events
-(camera tick, link serialization per packet, delivery, server batch,
+(camera tick, link serialization, delivery, server batch,
 response, watchdog).  At 30 fps that cost is the wall the PR-3 fast
 path cannot move.  The fluid regime removes it for the *boring* parts
 of a run: when arrival and service rates are stable and nothing is

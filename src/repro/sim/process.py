@@ -158,6 +158,27 @@ class Process(Event):
             return Timeout(env, delay)
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        ev = self._rearm_sleep()
+        env.schedule(ev, priority=EventPriority.NORMAL, delay=delay)
+        return ev
+
+    def sleep_until(self, when: float) -> Event:
+        """:meth:`sleep` to exactly the absolute time ``when``.
+
+        Reuses the same pre-wired timer; under ``REPRO_SIM_SLOWPATH=1``
+        it is a :class:`Timeout` pinned at ``when``.
+        """
+        env = self.env
+        if env._slowpath:
+            return Timeout(env, when - env._now, at=when)
+        if when < env._now:
+            raise ValueError(f"wakeup time {when!r} is in the past (now={env._now!r})")
+        ev = self._rearm_sleep()
+        env.schedule(ev, priority=EventPriority.NORMAL, at=when)
+        return ev
+
+    def _rearm_sleep(self) -> _SleepEvent:
+        """The reusable sleep timer, rewired for one more wait."""
         if self._sleep_cbs is None:
             self._sleep_cbs = [self._resume_cb]
         ev = self._sleep_ev
@@ -170,12 +191,11 @@ class Process(Event):
             # still sitting in the heap — it must keep its dead state,
             # so it is abandoned and a fresh timer takes its place.
             ev = _SleepEvent.__new__(_SleepEvent)
-            Event.__init__(ev, env)
+            Event.__init__(ev, self.env)
             ev._ok = True
             ev._value = None
             ev.callbacks = self._sleep_cbs
             self._sleep_ev = ev
-        env.schedule(ev, priority=EventPriority.NORMAL, delay=delay)
         return ev
 
     # ------------------------------------------------------------------

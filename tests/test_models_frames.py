@@ -73,3 +73,15 @@ def test_frame_bytes_positive_and_bounded(res, quality):
 @settings(max_examples=100, deadline=None)
 def test_frame_bytes_monotone_in_resolution(res):
     assert frame_bytes(res + 16, 85) > frame_bytes(res, 85)
+
+
+def test_frame_bytes_is_memoized_but_still_validates():
+    first = frame_bytes(224, 61.5)
+    hits = frame_bytes.cache_info().hits
+    assert frame_bytes(224, 61.5) == first
+    assert frame_bytes.cache_info().hits == hits + 1
+    for _ in range(2):  # a failed call is never cached
+        with pytest.raises(ValueError):
+            frame_bytes(224, 0)
+        with pytest.raises(ValueError):
+            frame_bytes(-1, 85)

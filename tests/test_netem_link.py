@@ -1,8 +1,12 @@
 """Unit + property tests for the emulated link."""
 
+import dataclasses
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netem import (
@@ -12,6 +16,7 @@ from repro.netem import (
     LinkConditions,
     packets_for,
 )
+from repro.netem.loss import GilbertElliottParams
 from repro.netem.packet import PACKET_OVERHEAD_BYTES, PACKET_PAYLOAD_BYTES, wire_bytes
 from repro.sim import Environment
 
@@ -224,3 +229,246 @@ def test_every_frame_is_delivered_or_dropped_exactly_once(sizes, loss, seed):
     assert sorted(set(delivered)) == sorted(delivered)  # no duplicates
     # with zero jitter, survivors arrive in FIFO order
     assert delivered == sorted(delivered)
+
+
+# ----------------------------------------------------------------------
+# per-packet reference model
+# ----------------------------------------------------------------------
+class PerPacketLink(Link):
+    """Reference serializer: the packet-level ARQ loop, one wakeup each.
+
+    One ``Timeout`` per packet attempt and one per RTO stall, with the
+    loss fate drawn when the attempt ends.  :class:`Link` resolves a
+    whole frame per wakeup and must be indistinguishable from this.
+    """
+
+    def _serializer(self):
+        env = self.env
+        while True:
+            if not self._queue:
+                self._wakeup = env.event()
+                yield self._wakeup
+                self._wakeup = None
+                continue
+
+            nbytes, payload, deliver = self._queue.popleft()
+            self._queued_bytes -= nbytes
+            cond = self.box.conditions
+            abandoned = False
+            n = packets_for(nbytes)
+            for i in range(n):
+                if i < n - 1:
+                    pkt_time = cond.packet_time(PACKET_PAYLOAD_BYTES)
+                else:
+                    last = nbytes - (n - 1) * PACKET_PAYLOAD_BYTES
+                    pkt_time = cond.packet_time(max(last, 1))
+                attempts = 1
+                while True:
+                    self.stats.packets_sent += 1
+                    yield env.timeout(pkt_time)
+                    if not self._attempt_lost(cond):
+                        break
+                    attempts += 1
+                    self.stats.retransmissions += 1
+                    if attempts > self.MAX_ATTEMPTS:
+                        abandoned = True
+                        break
+                    yield env.timeout(self._rto(cond))
+                if abandoned:
+                    break
+
+            if abandoned:
+                self.stats.frames_dropped_loss += 1
+                env.tracer.link_drop(payload, env.now, "loss")
+                continue
+            self.stats.frames_delivered += 1
+            self.stats.bytes_delivered += nbytes
+            delay = cond.propagation_delay
+            if cond.jitter_sigma > 0:
+                delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
+            env.process(self._deliver_after(delay, payload, deliver))
+
+    def _attempt_lost(self, cond):
+        if cond.loss <= 0.0:
+            return False
+        if cond.loss_burst <= 1.0:
+            return bool(self.rng.random() < cond.loss)
+        params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
+        return self._ge_chain.step(params, self.rng)
+
+
+class LinkRecorder:
+    """Tracer stand-in: logs every link outcome with its instant."""
+
+    def __init__(self, env):
+        self.env = env
+        self.drops = []
+        self.deliveries = []
+
+    def link_send(self, name, payload, now, nbytes, deliver, env):
+        def traced(p):
+            self.deliveries.append((p, self.env.now))
+            deliver(p)
+
+        return None, traced
+
+    def link_overflow(self, name, payload, now, nbytes):
+        self.drops.append((payload, now, "overflow"))
+
+    def link_drop(self, payload, now, reason):
+        self.drops.append((payload, now, reason))
+
+
+#: send and condition-change instants are multiples of 1/_TICK s, with
+#: _TICK prime: a link instant (send time plus multiples of 1/400000 s)
+#: can then only coincide with one a whole second later, and every run
+#: spans under a second — so no tie-break between same-instant events
+#: can tell the two models apart
+_TICK = 1_000_003.0
+
+_conditions = st.builds(
+    LinkConditions,
+    bandwidth=st.sampled_from([1.0, 4.0, 10.0]),
+    loss=st.sampled_from([0.0, 0.05, 0.3, 0.9]),
+    jitter_sigma=st.sampled_from([0.0, 0.003]),
+    loss_burst=st.sampled_from([1.0, 3.0, 12.0]),
+)
+
+
+def drive(link_cls, sends, initial, change, seed, slowpath):
+    """Run ``sends`` (gap ticks, nbytes) through one link to completion."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REPRO_SIM_SLOWPATH", None)
+        if slowpath:
+            os.environ["REPRO_SIM_SLOWPATH"] = "1"
+        env = Environment()
+    assert env.slowpath == slowpath
+    recorder = env.tracer = LinkRecorder(env)
+    box = ConditionBox(initial)
+    link = link_cls(env, np.random.default_rng(seed), box, queue_bytes_cap=60_000)
+
+    def sender():
+        for i, (gap, nbytes) in enumerate(sends):
+            yield env.timeout(gap / _TICK)
+            link.send(nbytes, i, lambda p: None)
+
+    queued_at_change = []
+
+    def shaper(at, conditions):
+        yield env.timeout(at / _TICK)
+        queued_at_change.append(link.queue_length)
+        box.set(conditions)
+
+    env.process(sender())
+    if change is not None:
+        env.process(shaper(*change))
+    env.run()
+    return {
+        "deliveries": recorder.deliveries,
+        "drops": recorder.drops,
+        "stats": dataclasses.asdict(link.stats),
+        "rng": link.rng.bit_generator.state,
+        "ge_bad": link._ge_chain.in_bad_state,
+        "queued_at_change": queued_at_change,
+    }
+
+
+_MULTI = [(0, 0), (0, 11_700), (0, 1), (0, 40_000), (0, PACKET_PAYLOAD_BYTES + 1)]
+
+
+@pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
+@given(
+    sends=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=45_000),
+            st.one_of(
+                st.sampled_from([0, 1, PACKET_PAYLOAD_BYTES, PACKET_PAYLOAD_BYTES + 1]),
+                st.integers(min_value=0, max_value=40_000),
+            ),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    initial=_conditions,
+    change=st.none() | st.tuples(st.integers(min_value=0, max_value=900_000), _conditions),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(sends=_MULTI, initial=LinkConditions(), change=None, seed=0)
+@example(sends=_MULTI, initial=LinkConditions(loss=0.3), change=None, seed=1)
+@example(
+    sends=_MULTI, initial=LinkConditions(loss=0.3, loss_burst=4.0), change=None, seed=2
+)
+@example(sends=_MULTI, initial=LinkConditions(loss=0.9), change=None, seed=3)
+@example(
+    sends=_MULTI * 2,
+    initial=LinkConditions(bandwidth=1.0),
+    change=(100_000, LinkConditions(bandwidth=4.0, loss=0.3, loss_burst=3.0)),
+    seed=4,
+)
+@settings(max_examples=60, deadline=None)
+def test_frame_level_link_matches_per_packet_oracle(
+    slowpath, sends, initial, change, seed
+):
+    expected = drive(PerPacketLink, sends, initial, change, seed, slowpath)
+    actual = drive(Link, sends, initial, change, seed, slowpath)
+    assert actual == expected
+
+
+@pytest.mark.parametrize(
+    "initial, change, exercised",
+    [
+        (LinkConditions(loss=0.3), None, "retransmissions"),
+        (LinkConditions(loss=0.3, loss_burst=4.0), None, "retransmissions"),
+        (LinkConditions(loss=0.9), None, "frames_dropped_loss"),
+        (
+            LinkConditions(bandwidth=1.0),
+            (100_000, LinkConditions(bandwidth=4.0, loss=0.3, loss_burst=3.0)),
+            "retransmissions",
+        ),
+    ],
+    ids=["iid", "bursty", "abandon", "box-set-while-queued"],
+)
+def test_oracle_examples_exercise_their_case(initial, change, exercised):
+    """The pinned examples above really reach the paths they name."""
+    sends = _MULTI * 2 if change is not None else _MULTI
+    record = drive(Link, sends, initial, change, 3, slowpath=False)
+    assert record["stats"][exercised] > 0
+    assert record["deliveries"]
+    if change is not None:
+        assert record["queued_at_change"][0] > 0
+
+
+# ----------------------------------------------------------------------
+# event budget
+# ----------------------------------------------------------------------
+def test_uplink_schedules_at_most_two_events_per_frame():
+    """One serializer wakeup plus one delivery timer per frame.
+
+    A fig3-style run (Table V's phases, ten times shorter) with every
+    frame offloaded; a return to per-packet wakeups breaks the budget.
+    """
+    from repro.control.baselines import AlwaysOffloadController
+    from repro.device.config import DeviceConfig
+    from repro.experiments.scenario import Scenario, build_runtime
+    from repro.netem.schedule import NetworkSchedule
+
+    schedule = NetworkSchedule.from_rows(
+        [(0.0, 10.0, 0.0), (3.0, 4.0, 0.0), (4.5, 1.0, 0.0),
+         (6.0, 10.0, 0.0), (9.0, 10.0, 7.0), (10.5, 4.0, 7.0)]
+    )
+    device = DeviceConfig(total_frames=360)
+    runtime = build_runtime(
+        Scenario(
+            controller_factory=lambda config: AlwaysOffloadController(),
+            device=device,
+            network=schedule,
+            duration=device.stream_duration + 1.0,
+        )
+    )
+    stats = runtime.env.enable_stats()
+    runtime.run()
+    uplink = runtime.uplink.stats
+    assert uplink.frames_sent > 300
+    assert uplink.retransmissions > 0
+    assert uplink.packets_sent > 5 * uplink.frames_sent
+    assert stats.events_by_process["link:uplink"] <= 2 * uplink.frames_sent

@@ -264,6 +264,124 @@ def test_slowpath_env_var_disables_fast_paths(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# sleep_until: absolute-time wakeups
+# ----------------------------------------------------------------------
+#: a link frame of 9 packets of 37.5 ms starting at this instant ends at
+#: a time that ``now + (end - now)`` misses by one ulp
+_ULP_NOW = 0.03918992945173863
+
+
+def _frame_end(start, packets=9, pkt_time=0.0375):
+    t = start
+    for _ in range(packets):
+        t = t + pkt_time
+    return t
+
+
+@pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
+def test_sleep_until_resumes_at_exactly_when(monkeypatch, slowpath):
+    if slowpath:
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    else:
+        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+    env = Environment()
+    woke = []
+
+    def framer(env):
+        yield env.sleep_until(_ULP_NOW)
+        woke.append(env.now)
+        end = _frame_end(env.now)
+        assert env.now + (end - env.now) != end  # a relative sleep misses
+        ev = env.sleep_until(end)
+        assert (type(ev) is _SleepEvent) != slowpath
+        yield ev
+        woke.append((env.now, end))
+
+    env.process(framer(env))
+    env.run()
+    assert woke[0] == _ULP_NOW
+    now, end = woke[1]
+    assert now == end
+
+
+def test_sleep_until_rejects_a_past_when(monkeypatch):
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(ValueError):
+        env.sleep_until(0.5)  # outside a process
+
+    def late(env):
+        with pytest.raises(ValueError, match="in the past"):
+            env.sleep_until(env.now - 1e-9)
+        yield env.sleep_until(env.now)  # now itself is fine
+
+    env.run(until=env.process(late(env)))
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    slow = Environment()
+
+    def slow_late(env):
+        yield env.sleep(1.0)
+        with pytest.raises(ValueError):
+            env.sleep_until(0.5)
+
+    slow.run(until=slow.process(slow_late(slow)))
+
+
+def test_sleep_until_reuses_the_sleep_event():
+    env = Environment()
+    seen = []
+
+    def ticker(env):
+        for i in range(4):
+            ev = env.sleep(1.0) if i % 2 else env.sleep_until(env.now + 1.0)
+            seen.append(id(ev))
+            yield ev
+
+    env.process(ticker(env))
+    env.run()
+    assert len(set(seen)) == 1
+    assert env.now == 4.0
+
+
+def test_sleep_until_outside_process_degrades_to_timeout():
+    env = Environment()
+    t = env.sleep_until(_ULP_NOW)
+    assert type(t) is not _SleepEvent
+    env.run()
+    assert t.processed
+    assert env.now == _ULP_NOW
+
+
+@pytest.mark.parametrize("how", ["interrupt", "kill"])
+def test_sleep_until_is_cancelled_like_sleep(how):
+    env = Environment(stats=True)
+    log = []
+
+    def victim(env):
+        try:
+            yield env.sleep_until(100.0)
+        except Interrupt:
+            log.append(("interrupted", env.now))
+        yield env.sleep_until(env.now + 1.0)  # a fresh timer
+        log.append(("woke", env.now))
+
+    def attacker(env, target):
+        yield env.timeout(2.0)
+        getattr(target, how)()
+
+    v = env.process(victim(env))
+    env.process(attacker(env, v))
+    env.run()
+    if how == "interrupt":
+        assert log == [("interrupted", 2.0), ("woke", 3.0)]
+    else:
+        assert log == [] and not v.is_alive
+    assert env.queue_size() == 0
+    assert env.stats.events_cancelled == 1
+    assert env.now == (3.0 if how == "interrupt" else 2.0)
+
+
+# ----------------------------------------------------------------------
 # run(until=...) teardown + remove_callback identity semantics
 # ----------------------------------------------------------------------
 def test_tight_run_until_loop_does_not_grow_callback_lists():
