@@ -14,11 +14,6 @@ so the comparison is normalized by a pure-``heapq`` calibration loop
 measured both at baseline-record time and at check time: the check
 compares *kernel overhead relative to what this machine can do*, which
 transfers across hosts far better than absolute rates.
-
-The runner feature-detects the kernel fast path (``Environment.sleep``,
-``Event.cancel``) and falls back to the slow-path equivalents, so the
-same script produced the pre-optimization "before" numbers recorded in
-``BENCH_kernel.json``.
 """
 
 from __future__ import annotations
@@ -40,11 +35,6 @@ GATED = ("event_throughput", "offload_round_trip", "routed_round_trip")
 #: N=1 (same substrate, one-server pool): routing must be a seam, not
 #: a tax.  Checked from the same fresh run, so machine speed cancels.
 ROUTER_OVERHEAD_MAX = 0.05
-
-#: minimum paired speedup of the hybrid kernel over exact DES on the
-#: steady-state sweep (both sides measured back-to-back on the same
-#: host, so machine speed cancels — no calibration needed)
-HYBRID_SPEEDUP_MIN = 3.0
 
 
 def _best_of(fn: Callable[[], float], reps: int = 3) -> float:
@@ -90,15 +80,10 @@ def bench_event_throughput() -> float:
 
     def run() -> float:
         env = Environment()
-        sleep = getattr(env, "sleep", None)
 
         def ticker(env):
-            if sleep is not None:
-                for _ in range(n):
-                    yield sleep(0.001)
-            else:
-                for _ in range(n):
-                    yield env.timeout(0.001)
+            for _ in range(n):
+                yield env.sleep(0.001)
 
         env.process(ticker(env))
         env.run()
@@ -129,18 +114,16 @@ def bench_process_spawn() -> float:
 def bench_timer_cancel() -> float:
     """20k armed-then-dead deadline timers (the offload watchdog shape).
 
-    With a cancellable kernel the timers are cancelled and lazily
-    skipped; without one they sit in the heap until the run drains
-    them — which is exactly the cost the fast path removes.
+    The timers are cancelled and lazily skipped, so the run never
+    advances to their deadlines.
     """
     n = 20_000
 
     def run() -> float:
         env = Environment()
         timers = [env.timeout(10.0) for _ in range(n)]
-        if hasattr(timers[0], "cancel"):
-            for t in timers:
-                t.cancel()
+        for t in timers:
+            t.cancel()
         env.run()
         return float(n)
 
@@ -269,62 +252,6 @@ BENCHES: Dict[str, Callable[[], float]] = {
 }
 
 
-def measured_hybrid_speedup(pairs: int = 2) -> Dict[str, float]:
-    """Paired exact-vs-hybrid frames/sec on the steady-state sweep.
-
-    A 100 s FrameFeedback run over constant good network — the regime
-    the fluid fast path exists for.  Exact and hybrid run back-to-back
-    on the same scenario and the best pairing wins (scheduler noise
-    only ever slows one side), mirroring
-    :func:`measured_router_overhead`.  The paired speedup transfers
-    across hosts without calibration and is gated by
-    :data:`HYBRID_SPEEDUP_MIN` in ``--check``.
-    """
-    import os
-
-    from repro.device.device import DeviceConfig
-    from repro.experiments.scenario import Scenario, run_scenario
-    from repro.experiments.standard import framefeedback_factory
-    from repro.netem.link import LinkConditions
-    from repro.workloads.schedules import steady_schedule
-
-    total_frames = 3_000  # 100 s of 30 fps stream
-
-    def scenario(kernel: str) -> "Scenario":
-        device = DeviceConfig(total_frames=total_frames)
-        return Scenario(
-            controller_factory=framefeedback_factory(),
-            device=device,
-            network=steady_schedule(LinkConditions(bandwidth=10.0, loss=0.0)),
-            duration=device.stream_duration + 1.0,
-            seed=0,
-            kernel=kernel,
-        )
-
-    # the env var would override scenario.kernel for both sides
-    saved = os.environ.pop("REPRO_KERNEL", None)
-    try:
-        best = exact_fps = hybrid_fps = 0.0
-        for _ in range(pairs):
-            t0 = time.perf_counter()
-            run_scenario(scenario("exact"))
-            t1 = time.perf_counter()
-            run_scenario(scenario("hybrid"))
-            t2 = time.perf_counter()
-            e = total_frames / (t1 - t0)
-            h = total_frames / (t2 - t1)
-            if e > 0 and h / e > best:
-                best, exact_fps, hybrid_fps = h / e, e, h
-    finally:
-        if saved is not None:
-            os.environ["REPRO_KERNEL"] = saved
-    return {
-        "exact_frames_per_sec": round(exact_fps, 1),
-        "hybrid_frames_per_sec": round(hybrid_fps, 1),
-        "speedup": round(best, 2),
-    }
-
-
 def measured_router_overhead(pairs: int = 3) -> float:
     """Best paired estimate of the router's N=1 throughput cost.
 
@@ -350,7 +277,6 @@ def run_all() -> Dict[str, object]:
     return {
         "calibration_heapq_ops_per_sec": round(calibration_score(), 1),
         "benches_events_per_sec": results,
-        "hybrid_steady_state": measured_hybrid_speedup(),
         "machine": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
@@ -393,17 +319,6 @@ def check(fresh: Dict[str, object], baseline: Dict[str, object],
         failures += 1
     print(f"  router overhead (N=1)  {100 * overhead:10.2f} %    "
           f"(bound {100 * bound:.1f}%, best of 3 paired runs)  {verdict}")
-    # Hybrid-kernel bound: exact and hybrid run back-to-back in the
-    # fresh pass, so the paired speedup needs no calibration either.
-    # Only gated once the committed baseline records the entry.
-    if "hybrid_steady_state" in baseline:
-        floor = float(baseline.get("hybrid_speedup_min", HYBRID_SPEEDUP_MIN))
-        speedup = float(fresh["hybrid_steady_state"]["speedup"])
-        verdict = "ok" if speedup >= floor else "REGRESSED"
-        if speedup < floor:
-            failures += 1
-        print(f"  hybrid steady-state    {speedup:10.2f} x    "
-              f"(floor {floor:.1f}x, paired exact-vs-hybrid)  {verdict}")
     return 1 if failures else 0
 
 

@@ -100,10 +100,10 @@ def equivalent_within(
 
     Two one-sided tests by CI inclusion: ``a`` and ``b`` are declared
     equivalent when the whole bootstrap confidence interval of the
-    paired mean difference lies inside ``[-margin, +margin]``.  Used to
-    assert the hybrid kernel's fluid windows leave QoS statistically
-    indistinguishable from exact DES — a *non-inferiority* claim, which
-    a non-significant p-value alone cannot make.
+    paired mean difference lies inside ``[-margin, +margin]``.  This is
+    an *equivalence* claim, which a non-significant p-value alone cannot
+    make.  Its only user is the sim-vs-gateway twin check
+    (:mod:`repro.realtime.twin`).
     """
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin!r}")

@@ -11,7 +11,6 @@ Installed as ``framefeedback`` (see pyproject).  Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -537,9 +536,13 @@ def _cmd_profile(args: argparse.Namespace) -> str:
     to earn it (events scheduled/cancelled/skipped, peak heap, which
     processes flood the heap).  See docs/performance.md for how to read
     the output.
+
+    ``--json`` skips cProfile and emits one diffable document instead:
+    ``{"scenario", "seed", "frames", "envs": [EnvStats.as_dict(), ...]}``.
     """
     import cProfile
     import io
+    import json as _json
     import pstats
 
     from repro.sim import core as sim_core
@@ -586,12 +589,21 @@ def _cmd_profile(args: argparse.Namespace) -> str:
     sim_core.capture_env_stats(sink)
     profiler = cProfile.Profile()
     try:
-        profiler.enable()
-        runners[name]()
-        profiler.disable()
+        if args.json:
+            runners[name]()
+        else:
+            profiler.runcall(runners[name])
     finally:
         sim_core.capture_env_stats(None)
 
+    if args.json:
+        doc = {
+            "scenario": name,
+            "seed": args.seed,
+            "frames": args.frames,
+            "envs": [env_stats.as_dict() for env_stats in sink],
+        }
+        return _json.dumps(doc, indent=1, sort_keys=True)
     buf = io.StringIO()
     pstats.Stats(profiler, stream=buf).sort_stats("cumulative").print_stats(15)
     lines = [
@@ -997,27 +1009,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--json",
         action="store_true",
-        help="emit a machine-readable JSON summary (chaos) or the "
-        "canonical golden trace (trace)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=("exact", "hybrid"),
-        default=None,
-        help="simulation kernel: exact per-frame DES (default) or the "
-        "hybrid kernel that advances steady-state windows analytically "
-        "(statistically equivalent QoS, byte-exact traced runs)",
+        help="emit a machine-readable JSON summary (chaos, profile) or "
+        "the canonical golden trace (trace)",
     )
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        # Every scenario built below this point — including ones built
-        # inside worker processes that re-read the environment — picks
-        # the kernel up from build_runtime's REPRO_KERNEL override.
-        os.environ["REPRO_KERNEL"] = args.kernel
     commands = _PAPER_ORDER if args.command == "all" else [args.command]
     exit_code = 0
     for i, name in enumerate(commands):

@@ -48,11 +48,6 @@ class FrameSource:
         self.sink = sink
         self.total_frames = total_frames
         self.frames_emitted = 0
-        #: hybrid-kernel seam: called at a capture instant with this
-        #: source; returns the absolute time of the next capture to
-        #: simulate exactly (the intervening frames were advanced
-        #: analytically) or None to emit this frame normally
-        self.fluid_advance: Optional[Callable[["FrameSource"], Optional[float]]] = None
         self.done = env.event()
         self._paused_until = 0.0
         self._name = name
@@ -109,21 +104,10 @@ class FrameSource:
     def _run(self):
         env = self.env
         period = 1.0 / self.frame_rate
-        delay = period
         while self.total_frames is None or self._next_id < self.total_frames:
-            yield env.sleep(delay)
-            delay = period
+            yield env.sleep(period)
             while env.now < self._paused_until:
                 yield env.sleep(self._paused_until - env.now)
-            hook = self.fluid_advance
-            if hook is not None:
-                resume_at = hook(self)
-                if resume_at is not None:
-                    # The hook consumed this capture instant and every
-                    # tick up to the window end; sleep straight to the
-                    # first tick that must be simulated exactly.
-                    delay = resume_at - env.now
-                    continue
             frame = Frame(
                 frame_id=self._next_id, captured_at=env.now, nbytes=self._size_of()
             )

@@ -165,11 +165,6 @@ class EdgeDevice:
             total_frames=config.total_frames or None,
             name=f"{config.name}:camera",
         )
-        #: hybrid-kernel fluid model (None on the exact kernel)
-        self.fluid_model = None
-        #: absolute time of the next measure tick — the hard edge no
-        #: fluid window may cross (buckets close there)
-        self._next_measure_at = 0.0
         self._measure_proc = env.process(
             self._measure_loop(), name=f"{config.name}:measure"
         )
@@ -289,33 +284,6 @@ class EdgeDevice:
         self.offload.failover_from(name)
 
     # ------------------------------------------------------------------
-    # hybrid kernel
-    # ------------------------------------------------------------------
-    @property
-    def next_measure_at(self) -> float:
-        """Absolute time of the next bucket-closing measure tick."""
-        return self._next_measure_at
-
-    def enable_fluid(self, regime, rng, bg_rate_fn=None, bg_model_names=()):
-        """Attach the hybrid kernel's fluid model to this device.
-
-        ``regime`` is the environment's
-        :class:`~repro.sim.fluid.FluidRegime`; ``rng`` must be a
-        dedicated stream (draw-count differs from every exact-path
-        stream).  Returns the installed
-        :class:`~repro.device.fluid.DeviceFluidModel`.
-        """
-        from repro.device.fluid import DeviceFluidModel
-
-        model = DeviceFluidModel(
-            self, regime, rng,
-            bg_rate_fn=bg_rate_fn, bg_model_names=bg_model_names,
-        )
-        self.fluid_model = model
-        self.source.fluid_advance = model.camera_hook
-        return model
-
-    # ------------------------------------------------------------------
     # measurement / control loop
     # ------------------------------------------------------------------
     @property
@@ -368,7 +336,6 @@ class EdgeDevice:
         while True:
             if self.controller.wants_probe and not self._offload_path_down:
                 self._send_probe()
-            self._next_measure_at = env.now + period
             yield env.sleep(period)
             raw = self._close_buckets(period)
             decision = self.input_guard.admit(raw)

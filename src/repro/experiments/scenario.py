@@ -18,7 +18,6 @@ Controller factories come in two arities:
 from __future__ import annotations
 
 import inspect
-import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
@@ -94,10 +93,6 @@ class Scenario:
     #: multi-server fleet topology; ``None`` keeps the classic
     #: single-server testbed (bit-identical to pre-fleet runs)
     topology: Optional[FleetTopology] = None
-    #: simulation kernel: ``"exact"`` event-steps every frame,
-    #: ``"hybrid"`` advances steady-state windows analytically (the
-    #: ``REPRO_KERNEL`` environment variable overrides this field)
-    kernel: str = "exact"
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -289,25 +284,6 @@ def build_runtime(scenario: Scenario) -> ScenarioRuntime:
         rng=rng.stream("device"),
         router=router,
     )
-
-    kernel = os.environ.get("REPRO_KERNEL") or scenario.kernel
-    if kernel not in ("exact", "hybrid"):
-        raise ValueError(f"unknown kernel {kernel!r}; choose 'exact' or 'hybrid'")
-    if kernel == "hybrid":
-        from repro.sim.fluid import FluidRegime
-
-        regime = FluidRegime(env)
-        # every known structural edge is a wall no window may cross
-        if scenario.network is not None:
-            regime.pin_edges(scenario.network.change_times)
-        if scenario.load is not None:
-            regime.pin_edges(scenario.load.change_times)
-        device.enable_fluid(
-            regime,
-            rng.stream("fluid"),
-            bg_rate_fn=scenario.load.rate_at if scenario.load is not None else None,
-            bg_model_names=background.model_names if background is not None else (),
-        )
 
     return ScenarioRuntime(
         scenario=scenario,

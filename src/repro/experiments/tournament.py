@@ -17,12 +17,9 @@ The matrix fans out through :func:`repro.experiments.parallel.map_jobs`
 (cells travel as dicts, the same pool discipline the adversarial
 search uses), and the report is **byte-deterministic**: two runs of
 :func:`run_tournament` with the same config serialize to identical
-bytes via :func:`dumps_report`.  Every built-in scenario keeps nonzero
-link loss or a multi-server topology in *every* phase, which forces
-the hybrid kernel's fluid regime to veto (``lossy-link`` /
-``multi-server``) — so reports are byte-identical across
-``REPRO_KERNEL=exact`` and ``REPRO_KERNEL=hybrid`` too, and the
-committed tournament golden replays on both.
+bytes via :func:`dumps_report`, and the committed tournament golden
+replays byte-identically on the fast and the ``REPRO_SIM_SLOWPATH``
+kernel paths.
 """
 
 from __future__ import annotations
@@ -58,8 +55,7 @@ def builtin_scenarios(frames: int = 900, seed: int = 0) -> Dict[str, ScenarioSpe
     Phase edges and fault windows sit at fixed quarters of the stream
     horizon so the matrix scales with ``frames`` without any window
     falling off the end.  Every spec carries >= 0.5 % link loss in
-    every phase (or a two-server topology), keeping hybrid-kernel
-    replays byte-exact (see module docstring).
+    every phase (or a two-server topology).
     """
     horizon = frames / 30.0
     q = horizon / 4.0

@@ -108,17 +108,6 @@ class FaultInjector(abc.ABC):
         self.bind(env, targets)
         clipped = self.timeline.clipped_from(env.now)
 
-        regime = getattr(env, "regime", None)
-        if regime is not None:
-            # Hybrid kernel: every fault boundary is a transient no
-            # fluid window may straddle, and no window may open while
-            # a window of ours is active (the substrate is degraded).
-            edges = [w.start for w in clipped] + [w.end for w in clipped]
-            regime.pin_edges(edges)
-            regime.add_steady_check(
-                lambda now: "fault-active" if self.timeline.active_at(now) else None
-            )
-
         def driver():
             for window in clipped:
                 if window.start > env.now:

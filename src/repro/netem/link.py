@@ -133,19 +133,6 @@ class LinkStats:
     retransmissions: int = 0
     bytes_delivered: int = 0
 
-    def absorb_fluid(self, frames: int, packets: int, nbytes: int) -> None:
-        """Credit frames carried analytically by a fluid window.
-
-        Fluid windows only open on loss-free links with an idle queue,
-        so every absorbed frame is sent, delivered, and overhead-free —
-        the counters move exactly as the serializer would have moved
-        them.
-        """
-        self.frames_sent += frames
-        self.frames_delivered += frames
-        self.packets_sent += packets
-        self.bytes_delivered += nbytes
-
     @property
     def frames_in_flight_or_lost(self) -> int:
         return self.frames_sent - self.frames_delivered - self.dropped

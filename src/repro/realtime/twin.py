@@ -12,9 +12,9 @@ through
 * the wall-clock gateway (:func:`repro.realtime.chaos.run_realtime_chaos_async`),
 
 and assert the two deadline-violation *fractions* agree within a
-calibrated margin, using the same paired bootstrap equivalence test
-(:func:`repro.analysis.significance.equivalent_within`) the hybrid
-kernel uses for its fluid-vs-DES non-inferiority claim.
+calibrated margin, using the paired bootstrap equivalence test
+:func:`repro.analysis.significance.equivalent_within` (this twin check
+is its only user).
 
 Absolute wall-clock magnitudes are noisy on shared CI hardware, so the
 twin contract is deliberately two-sided-but-modest:

@@ -145,26 +145,6 @@ class EdgeServer:
         if self._wakeup is not None and not self._wakeup.triggered:
             self._wakeup.succeed()
 
-    def absorb_fluid(
-        self, tenant: str, frames: int, gpu_seconds: float, batches: int
-    ) -> None:
-        """Credit requests served analytically by a fluid window.
-
-        Windows only open when the server is alive, unpaused, and
-        comfortably below saturation, so every absorbed request is
-        received and completed; GPU busy time is the steady-state
-        amortized cost of the absorbed frames.
-        """
-        self.stats.received += frames
-        self.stats.completed += frames
-        per = self.stats.per_tenant_received
-        per[tenant] = per.get(tenant, 0) + frames
-        per = self.stats.per_tenant_completed
-        per[tenant] = per.get(tenant, 0) + frames
-        self.gpu.busy_seconds += gpu_seconds
-        self.gpu.frames_run += frames
-        self.gpu.batches_run += batches
-
     # ------------------------------------------------------------------
     # fault injection
     # ------------------------------------------------------------------

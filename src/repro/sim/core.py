@@ -56,7 +56,9 @@ class EnvStats:
     lazy-deletion bookkeeping (``events_cancelled``/``events_skipped``/
     ``heap_compactions``) are exact.  ``events_by_process`` attributes each scheduled event to the
     process that was active when it was scheduled, which is the first
-    thing to read when one component floods the heap.
+    thing to read when one component floods the heap.  ``str()`` is the
+    one-line :meth:`summary`; :meth:`as_dict` is the JSON form that
+    ``repro --json profile`` emits.
     """
 
     events_scheduled: int = 0
@@ -66,12 +68,6 @@ class EnvStats:
     events_skipped: int = 0
     heap_compactions: int = 0
     peak_heap_size: int = 0
-    #: hybrid-kernel regime counters (zero on exact-kernel runs):
-    #: analytic windows entered, frames advanced without events, and
-    #: times the regime refused a window and stayed on exact DES
-    fluid_windows: int = 0
-    fluid_frames: int = 0
-    fluid_forced_exact: int = 0
     #: scheduling process name -> events scheduled while it was active
     events_by_process: Counter = field(default_factory=Counter)
 
@@ -85,15 +81,9 @@ class EnvStats:
             f"({self.events_skipped} lazily skipped, "
             f"{self.heap_compactions} compactions), "
             f"peak heap {self.peak_heap_size}, "
-            f"fluid: {self.fluid_windows} windows / "
-            f"{self.fluid_frames} frames analytic / "
-            f"{self.fluid_forced_exact} forced-exact, "
             f"top schedulers: {top or '-'}"
         )
 
-    # Reports and ``repro profile`` print the stats block directly;
-    # before the hybrid kernel this fell back to the dataclass repr,
-    # which silently hid every counter added after the fact.
     __str__ = summary
 
     def as_dict(self) -> dict:
@@ -104,9 +94,6 @@ class EnvStats:
             "events_skipped": self.events_skipped,
             "heap_compactions": self.heap_compactions,
             "peak_heap_size": self.peak_heap_size,
-            "fluid_windows": self.fluid_windows,
-            "fluid_frames": self.fluid_frames,
-            "fluid_forced_exact": self.fluid_forced_exact,
             "events_by_process": dict(self.events_by_process),
         }
 
@@ -143,14 +130,6 @@ class Environment:
         self._active_process: Optional[Process] = None
         #: cancelled entries still sitting in the heap (lazy deletion)
         self._dead = 0
-        #: active numeric ``run(until=...)`` bound — the event horizon
-        #: the fluid regime may never advance past (inf outside run()
-        #: or when running to an Event / to exhaustion)
-        self._run_horizon = float("inf")
-        #: hybrid-kernel regime manager (:class:`repro.sim.fluid.
-        #: FluidRegime`), attached by scenario wiring under
-        #: ``--kernel hybrid``; None = pure exact DES
-        self.regime: Optional[Any] = None
         sink = _stats_sink
         if stats or sink is not None:
             self._stats: Optional[EnvStats] = EnvStats()
@@ -201,16 +180,6 @@ class Environment:
         the simulation will actually execute.
         """
         return len(self._queue) - self._dead
-
-    def event_horizon(self) -> float:
-        """Furthest time the current run is allowed to reach.
-
-        A numeric ``run(until=t)`` bounds it at ``t``; running to an
-        event or to heap exhaustion leaves it at ``inf``.  The fluid
-        regime queries this so an analytic window can never leap past
-        the stop time and report work from beyond the end of the run.
-        """
-        return self._run_horizon
 
     # ------------------------------------------------------------------
     # event factories
@@ -417,7 +386,6 @@ class Environment:
                 stop._ok = True
                 stop._value = None
                 self.schedule(stop, priority=EventPriority.LOW, delay=horizon - self._now)
-                self._run_horizon = horizon
             stop.add_callback(self._stop_callback)
 
         try:
@@ -429,7 +397,6 @@ class Environment:
         except StopSimulation as exc:
             return exc.value
         finally:
-            self._run_horizon = float("inf")
             # Teardown: detach the stop callback only when the stop
             # event is still pending (a processed stop already consumed
             # it, and a triggered one is about to) — the O(n) scan of a

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.core import EnvStats
 
 
 def test_parser_accepts_all_commands():
@@ -21,6 +22,12 @@ def test_parser_accepts_all_commands():
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["fig9"])
+
+
+def test_parser_rejects_kernel_flag():
+    # one simulation kernel: there is nothing left to select
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--kernel", "hybrid", "fig3"])
 
 
 def test_cli_table3_prints_accuracy_table(capsys):
@@ -122,21 +129,17 @@ def test_cli_profile_fig3_reports_kernel_stats(capsys):
     assert "cumulative" in out  # cProfile table
 
 
-def test_cli_profile_reports_hybrid_regime_counters(capsys):
-    """EnvStats.__str__ must surface the fluid-regime counters (ISSUE 8)."""
-    assert main(["profile", "fig3", "--frames", "300"]) == 0
+def test_cli_profile_json_is_one_parseable_document(capsys):
+    assert main(["--json", "profile", "fig3", "--frames", "300"]) == 0
     out = capsys.readouterr().out
-    # present (as zeros) even on the default exact kernel
-    assert "fluid:" in out
-    assert "windows" in out
-    assert "forced-exact" in out
-
-
-def test_parser_accepts_kernel_flag():
-    args = build_parser().parse_args(["--kernel", "hybrid", "fig3"])
-    assert args.kernel == "hybrid"
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["--kernel", "warp", "fig3"])
+    doc = json.loads(out)
+    assert set(doc) == {"scenario", "seed", "frames", "envs"}
+    assert (doc["scenario"], doc["seed"], doc["frames"]) == ("fig3", 0, 300)
+    assert doc["envs"], "fig3 builds at least one environment"
+    for env_stats in doc["envs"]:
+        assert set(env_stats) == set(EnvStats().as_dict())
+        assert env_stats["events_processed"] > 0
+    assert "cumulative" not in out  # no cProfile table
 
 
 def test_cli_profile_defaults_to_fig3(capsys):

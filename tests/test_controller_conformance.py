@@ -9,10 +9,8 @@ so the zoo stays honest as it grows:
   factory builds a :class:`~repro.control.base.Controller`;
 * **determinism** — two runs of the conformance scenario at the same
   seed serialize to byte-identical QoS;
-* **cross-kernel byte-identity** — the conformance scenario (lossy in
-  every phase, so the hybrid kernel's fluid regime must veto) replays
-  byte-identically on the fast path, ``REPRO_SIM_SLOWPATH=1``, and
-  ``REPRO_KERNEL=hybrid``;
+* **cross-kernel byte-identity** — the conformance scenario replays
+  byte-identically on the fast path and under ``REPRO_SIM_SLOWPATH=1``;
 * **degraded-input tolerance** — fed through a
   :class:`~repro.control.validity.MeasurementGuard`, a hostile stream
   (NaN / ±inf / negative timeout rates, duplicates, reordering, long
@@ -43,7 +41,7 @@ CONFIG = DeviceConfig(total_frames=300)
 
 ZOO = {entry.name: entry for entry in zoo_entries()}
 
-#: the conformance scenario: short, lossy in every phase (hybrid-safe)
+#: the conformance scenario: short, lossy in every phase
 CONFORMANCE_SPEC = builtin_scenarios(frames=300, seed=7)["lossy_link"]
 
 
@@ -112,25 +110,18 @@ def test_factory_builds_fresh_instances(name):
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_equal_seed_runs_are_byte_identical(name, monkeypatch):
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     assert run_qos(name) == run_qos(name)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_cross_kernel_byte_identity(name, monkeypatch):
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     fast = run_qos(name)
 
     monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
     slow = run_qos(name)
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-
-    monkeypatch.setenv("REPRO_KERNEL", "hybrid")
-    hybrid = run_qos(name)
 
     assert fast == slow, f"{name}: fast vs REPRO_SIM_SLOWPATH=1 diverge"
-    assert fast == hybrid, f"{name}: fast vs REPRO_KERNEL=hybrid diverge"
 
 
 # ----------------------------------------------------------------------

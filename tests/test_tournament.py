@@ -36,21 +36,6 @@ def test_builtin_matrix_has_six_scenarios():
             "combined_stress", "chaos_outage", "fleet_failover"} <= kinds
 
 
-def test_builtin_scenarios_are_hybrid_safe():
-    """Every phase is lossy, or the spec is multi-server: the hybrid
-    kernel's fluid regime must veto on every built-in (that is what
-    makes the committed golden replay byte-exact across kernels)."""
-    for name, spec in builtin_scenarios().items():
-        topo = spec.data.get("topology")
-        if topo and len(topo["servers"]) > 1:
-            continue
-        network = spec.data.get("network")
-        assert network, f"{name}: neither lossy network nor multi-server"
-        assert all(row[2] > 0.0 for row in network), (
-            f"{name}: a zero-loss phase would let the fluid regime engage"
-        )
-
-
 def test_builtin_windows_scale_with_frames():
     for frames in (300, 900, 2400):
         horizon = frames / 30.0

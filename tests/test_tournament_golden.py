@@ -1,11 +1,9 @@
 """Byte-exact tournament report golden (ISSUE 10 satellite).
 
 ``tests/goldens/tournament_report.json`` is the canonical report of a
-reduced tournament — 4 controllers x 3 built-in scenarios, every
-scenario lossy or multi-server so the hybrid kernel's fluid regime
-must veto — regenerated from scratch and compared **byte-for-byte**
-on the fast path, under ``REPRO_SIM_SLOWPATH=1``, and under
-``REPRO_KERNEL=hybrid``.
+reduced tournament — 4 controllers x 3 built-in scenarios —
+regenerated from scratch and compared **byte-for-byte** on the fast
+path and under ``REPRO_SIM_SLOWPATH=1``.
 
 Intentional-change workflow (mirrors the trace/scenario goldens)::
 
@@ -32,7 +30,7 @@ from repro.experiments.tournament import (
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "tournament_report.json"
 
-#: the committed reduced tournament: deterministic, hybrid-safe, fast
+#: the committed reduced tournament: deterministic and fast
 GOLDEN_CONFIG = TournamentConfig(
     seed=0,
     frames=450,
@@ -46,14 +44,10 @@ def _fresh_report() -> str:
     return dumps_report(report_document(run_tournament(GOLDEN_CONFIG)))
 
 
-def _replay_and_compare(monkeypatch, slowpath: bool = False,
-                        kernel: str = None):
+def _replay_and_compare(monkeypatch, slowpath: bool = False):
     monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL", raising=False)
     if slowpath:
         monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    if kernel:
-        monkeypatch.setenv("REPRO_KERNEL", kernel)
     fresh = _fresh_report()
 
     if os.environ.get("REPRO_UPDATE_GOLDENS") == "1":
@@ -67,7 +61,7 @@ def _replay_and_compare(monkeypatch, slowpath: bool = False,
     committed = GOLDEN_PATH.read_text()
     assert fresh == committed, (
         "tournament report diverges from the committed golden "
-        f"(slowpath={slowpath}, kernel={kernel or 'exact'}); if the "
+        f"(slowpath={slowpath}); if the "
         "change is intentional, regenerate with REPRO_UPDATE_GOLDENS=1"
     )
 
@@ -78,10 +72,6 @@ def test_report_replays_byte_identically(monkeypatch):
 
 def test_report_replays_byte_identically_slow_kernel(monkeypatch):
     _replay_and_compare(monkeypatch, slowpath=True)
-
-
-def test_report_replays_byte_identically_hybrid_kernel(monkeypatch):
-    _replay_and_compare(monkeypatch, kernel="hybrid")
 
 
 def test_golden_is_version_stamped():
