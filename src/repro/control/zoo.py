@@ -13,9 +13,10 @@ the FrameFeedback lineup, both built against the same
   deadline wastes the budget the policy is optimizing).
 * :class:`RateLimitedMDPController` — the rate-limited MDP variant
   (Qiu et al., arXiv:2208.00485): value iteration over a discretized
-  ``(bucket occupancy, feedback staleness)`` state space, precomputed
-  *offline* in the constructor (the model is a pure function of the
-  parameters, no RNG), with a table lookup online.
+  ``(bucket occupancy, feedback staleness)`` state space, solved
+  *offline* once per distinct parameter set per process (the model is
+  a pure function of the parameters, no RNG), with a table lookup
+  online.
 
 Neither policy closes the loop on the timeout rate the way the PD law
 does — the token bucket enforces an average-rate budget and the MDP
@@ -33,9 +34,10 @@ controllers (Oracle, Reservation) stay outside it by design.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.control.base import Controller, Measurement
 from repro.control.validity import sanitize_timeout_rate
@@ -153,6 +155,125 @@ class TokenBucketOptimalController(Controller):
 # ----------------------------------------------------------------------
 # Qiu et al. (2208.00485): rate-limited MDP, value-iterated offline
 # ----------------------------------------------------------------------
+#: offline value-iteration stop criteria
+_VI_TOL = 1e-10
+_VI_MAX_ITERS = 500
+
+
+def _bucket_level(tokens: float, burst: float, bucket_levels: int) -> int:
+    """Nearest quantized bucket level for an occupancy."""
+    frac = min(max(tokens / burst, 0.0), 1.0)
+    return int(round(frac * (bucket_levels - 1)))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _solve_policy(
+    fill_rate: float,
+    burst: float,
+    bucket_levels: int,
+    staleness_levels: int,
+    action_fracs: Tuple[float, ...],
+    overdraft_penalty: float,
+    staleness_cost: float,
+    fail_cost: float,
+    p_floor: float,
+    stale_reset_rate: float,
+    discount: float,
+    period: float,
+) -> Tuple[Tuple[int, ...], ...]:
+    """Value-iterate the rate-limited MDP; ``policy[bucket][staleness]``.
+
+    A pure function of the model parameters (no RNG), memoized so each
+    distinct parameter set is solved once per process — the tournament
+    builds a controller per cell.  Callers validate the parameters
+    first; an exception is never cached, so bad input raises every time.
+
+    The table holds action *indices* into ``action_fracs``, so it
+    carries none of the caller's numeric types (``12`` vs ``12.0``,
+    ``-0.0`` vs ``0.0``); each controller maps them to its own rates.
+    ``-1`` marks a state where no action's Q beats ``-inf`` (a
+    degenerate model with infinite or NaN costs), which maps to 0.0.
+    """
+    nb, ns = bucket_levels, staleness_levels
+    dt = period
+    levels = [burst * i / (nb - 1) for i in range(nb)]
+    actions = [f * fill_rate for f in action_fracs]
+
+    # the (reward, next bucket index, branches with p > 0) table, once;
+    # the sweeps below then do only the float work
+    table = []
+    for i in range(nb):
+        row = []
+        for j in range(ns):
+            stale_frac = j / (ns - 1)
+            p_ok = 1.0 - (1.0 - p_floor) * stale_frac
+            staler = min(j + 1, ns - 1)
+            entries = []
+            available = levels[i] + fill_rate * dt
+            for rate in actions:
+                paid = min(rate * dt, available)
+                overdraft = max(rate * dt - available, 0.0)
+                reward = (
+                    paid * (p_ok - fail_cost * (1.0 - p_ok))
+                    - overdraft_penalty * overdraft
+                    - staleness_cost * fill_rate * dt * stale_frac
+                )
+                next_tokens = min(max(available - paid, 0.0), burst)
+                if paid >= stale_reset_rate * dt:
+                    branches = [(p_ok, 0), (1.0 - p_ok, staler)]
+                else:
+                    branches = [(1.0, staler)]
+                entries.append((
+                    reward,
+                    _bucket_level(next_tokens, burst, nb),
+                    tuple((p, nj) for p, nj in branches if p > 0.0),
+                ))
+            row.append(tuple(entries))
+        table.append(row)
+
+    def q_value(entry, value) -> float:
+        reward, ni, branches = entry
+        next_row = value[ni]
+        future = 0
+        for p, nj in branches:
+            future += p * next_row[nj]
+        return reward + discount * future
+
+    # in-place (Gauss-Seidel) sweeps; q_value is inlined in this hot loop
+    value = [[0.0] * ns for _ in range(nb)]
+    for _ in range(_VI_MAX_ITERS):
+        delta = 0.0
+        for i in range(nb):
+            value_row, table_row = value[i], table[i]
+            for j in range(ns):
+                best = None
+                for reward, ni, branches in table_row[j]:
+                    next_row = value[ni]
+                    future = 0
+                    for p, nj in branches:
+                        future += p * next_row[nj]
+                    q = reward + discount * future
+                    if best is None or q > best:  # first maximizer wins
+                        best = q
+                delta = max(delta, abs(best - value_row[j]))
+                value_row[j] = best
+        if delta < _VI_TOL:
+            break
+
+    policy = []
+    for i in range(nb):
+        row = []
+        for j in range(ns):
+            best_q, best_k = -math.inf, -1
+            for k, entry in enumerate(table[i][j]):
+                q = q_value(entry, value)
+                if q > best_q + 1e-12:  # first maximizer wins ties
+                    best_q, best_k = q, k
+            row.append(best_k)
+        policy.append(tuple(row))
+    return tuple(policy)
+
+
 class RateLimitedMDPController(Controller):
     """Table-lookup policy from offline value iteration.
 
@@ -185,10 +306,6 @@ class RateLimitedMDPController(Controller):
     """
 
     name = "RateLimitedMDP"
-
-    #: offline value-iteration stop criteria
-    _VI_TOL = 1e-10
-    _VI_MAX_ITERS = 500
 
     def __init__(
         self,
@@ -241,84 +358,17 @@ class RateLimitedMDPController(Controller):
         self._tokens = self.burst
         self._staleness = 0
         #: policy table, ``_policy[bucket_index][staleness_index]`` ->
-        #: offload rate (frames/s); filled by offline value iteration
-        self._policy: List[List[float]] = self._value_iterate()
-
-    # ------------------------------------------------------------------
-    # offline planning (pure function of the constructor parameters)
-    # ------------------------------------------------------------------
-    def _level(self, tokens: float) -> int:
-        """Nearest quantized bucket level for an occupancy."""
-        frac = min(max(tokens / self.burst, 0.0), 1.0)
-        return int(round(frac * (self.bucket_levels - 1)))
-
-    def _p_ok(self, staleness: int) -> float:
-        """Modeled offload success probability at a staleness level."""
-        frac = staleness / (self.staleness_levels - 1)
-        return 1.0 - (1.0 - self.p_floor) * frac
-
-    def _step_model(self, tokens: float, staleness: int, rate: float):
-        """One offline step: ``(reward, tokens', [(prob, staleness'), ...])``."""
-        dt = self.period
-        available = tokens + self.fill_rate * dt
-        paid = min(rate * dt, available)
-        overdraft = max(rate * dt - available, 0.0)
-        stale_frac = staleness / (self.staleness_levels - 1)
-        p_ok = self._p_ok(staleness)
-        reward = (
-            paid * (p_ok - self.fail_cost * (1.0 - p_ok))
-            - self.overdraft_penalty * overdraft
-            - self.staleness_cost * self.fill_rate * dt * stale_frac
+        #: offload rate (frames/s), from the memoized offline solve; the
+        #: trailing 0.0 is what the solve's ``-1`` (no action won) reads
+        rates = tuple(f * self.fill_rate for f in self.action_fracs) + (0.0,)
+        self._policy: Tuple[Tuple[float, ...], ...] = tuple(
+            tuple(rates[k] for k in row)
+            for row in _solve_policy(
+                self.fill_rate, self.burst, bucket_levels, staleness_levels,
+                self.action_fracs, overdraft_penalty, staleness_cost,
+                fail_cost, p_floor, stale_reset_rate, discount, period,
+            )
         )
-        next_tokens = min(max(available - paid, 0.0), self.burst)
-        staler = min(staleness + 1, self.staleness_levels - 1)
-        if paid >= self.stale_reset_rate * dt:
-            branches = [(p_ok, 0), (1.0 - p_ok, staler)]
-        else:
-            branches = [(1.0, staler)]
-        return reward, next_tokens, branches
-
-    def _value_iterate(self) -> List[List[float]]:
-        nb, ns = self.bucket_levels, self.staleness_levels
-        levels = [self.burst * i / (nb - 1) for i in range(nb)]
-        actions = [f * self.fill_rate for f in self.action_fracs]
-
-        # precompute the (reward, transition) table once
-        table = [
-            [
-                [self._step_model(levels[i], j, a) for a in actions]
-                for j in range(ns)
-            ]
-            for i in range(nb)
-        ]
-
-        def q_value(entry, value) -> float:
-            reward, nt, branches = entry
-            ni = self._level(nt)
-            future = sum(p * value[ni][nj] for p, nj in branches if p > 0.0)
-            return reward + self.discount * future
-
-        value = [[0.0] * ns for _ in range(nb)]
-        for _ in range(self._VI_MAX_ITERS):
-            delta = 0.0
-            for i in range(nb):
-                for j in range(ns):
-                    best = max(q_value(entry, value) for entry in table[i][j])
-                    delta = max(delta, abs(best - value[i][j]))
-                    value[i][j] = best
-            if delta < self._VI_TOL:
-                break
-
-        policy = [[0.0] * ns for _ in range(nb)]
-        for i in range(nb):
-            for j in range(ns):
-                best_q, best_a = -math.inf, 0.0
-                for k, entry in enumerate(table[i][j]):
-                    q = q_value(entry, value)
-                    if q > best_q + 1e-12:  # first maximizer wins ties
-                        best_q, best_a = q, actions[k]
-                policy[i][j] = best_a
-        return policy
 
     # ------------------------------------------------------------------
     @property
@@ -334,7 +384,8 @@ class RateLimitedMDPController(Controller):
         self._staleness = 0
 
     def _lookup(self) -> float:
-        rate = self._policy[self._level(self._tokens)][self._staleness]
+        level = _bucket_level(self._tokens, self.burst, self.bucket_levels)
+        rate = self._policy[level][self._staleness]
         # never ask for more than the budget covers this period
         cap = self._tokens / self.period + self.fill_rate
         return min(max(min(rate, cap), 0.0), self.frame_rate)

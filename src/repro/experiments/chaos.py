@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.control.base import Measurement
 from repro.control.transcript import FORMAT_VERSION
 from repro.experiments.scenario import RunResult, Scenario, build_runtime
 from repro.faults.base import FaultInjector, validate_plan
@@ -47,6 +48,11 @@ from repro.faults.windows import FaultTimeline, FaultWindow
 from repro.resilience.config import ResilienceConfig
 from repro.supervision.supervisor import SupervisionConfig, Supervisor
 
+#: ``Measurement`` holds only scalars, so a transcript step is a plain
+#: field-order dict of them (what ``dataclasses.asdict`` builds, without
+#: its recursive deep copy once per controller tick)
+_MEASUREMENT_FIELDS = tuple(f.name for f in dataclasses.fields(Measurement))
+
 
 class RecordingController:
     """Transparent controller wrapper capturing the control transcript.
@@ -67,7 +73,9 @@ class RecordingController:
         before = getattr(inner, "degraded_inputs", None)
         target = inner.update(measurement)
         step = {
-            "measurement": dataclasses.asdict(measurement),
+            "measurement": {
+                name: getattr(measurement, name) for name in _MEASUREMENT_FIELDS
+            },
             "target": float(target),
         }
         if before is not None:
