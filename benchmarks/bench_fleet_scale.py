@@ -7,8 +7,8 @@ Jain fairness — the capacity-planning curve a deployment would need.
 """
 
 from repro.control.framefeedback import FrameFeedbackController
-from repro.experiments.fleet import FleetScenario, homogeneous_fleet, run_fleet
 from repro.experiments.report import ascii_table
+from repro.experiments.scenario import Scenario, homogeneous_fleet, run_scenario
 
 FLEET_SIZES = (1, 2, 4, 8, 12)
 
@@ -16,12 +16,12 @@ FLEET_SIZES = (1, 2, 4, 8, 12)
 def _sweep(total_frames=900, seed=0):
     out = {}
     for n in FLEET_SIZES:
-        scenario = FleetScenario(
+        scenario = Scenario(
             members=homogeneous_fleet(n, total_frames=total_frames),
             controller_factory=lambda c: FrameFeedbackController(c.frame_rate),
             seed=seed,
         )
-        out[n] = run_fleet(scenario)
+        out[n] = run_scenario(scenario)
     return out
 
 

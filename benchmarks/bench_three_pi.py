@@ -19,30 +19,31 @@ def test_three_pi_table_v(benchmark, emit):
             for name, factory in standard_controllers().items()
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    per_device = {name: run.throughputs() for name, run in runs.items()}
+    total = {name: sum(tp.values()) for name, tp in per_device.items()}
 
-    device_names = list(next(iter(results.values())).per_device)
+    device_names = list(next(iter(per_device.values())))
     rows = [
         [
             name,
-            *(f"{res.per_device[d]:6.2f}" for d in device_names),
-            f"{res.total_throughput:7.2f}",
+            *(f"{tp[d]:6.2f}" for d in device_names),
+            f"{total[name]:7.2f}",
         ]
-        for name, res in results.items()
+        for name, tp in per_device.items()
     ]
     emit(
         "Three concurrent Pis (Table II hardware) under Table V:\n"
         + ascii_table(["controller", *device_names, "total"], rows)
     )
 
-    ff = results["FrameFeedback"]
     # the ordering of Fig 3 survives the three-tenant configuration
-    assert ff.total_throughput > results["AllOrNothing"].total_throughput
-    assert ff.total_throughput > results["AlwaysOffload"].total_throughput
-    assert ff.total_throughput > results["LocalOnly"].total_throughput
+    assert total["FrameFeedback"] > total["AllOrNothing"]
+    assert total["FrameFeedback"] > total["AlwaysOffload"]
+    assert total["FrameFeedback"] > total["LocalOnly"]
     # slower local hardware leans harder on offloading but still keeps
     # its own floor: the 3B (P_l = 5.5) stays above it
-    assert ff.per_device["pi3b"] > 5.0
+    assert per_device["FrameFeedback"]["pi3b"] > 5.0
     # local-only exposes the Table II spread (5.5 / 13 / 13.4)
-    local = results["LocalOnly"].per_device
+    local = per_device["LocalOnly"]
     assert local["pi3b"] < local["pi4b-r12"] <= local["pi4b-r14"] + 0.5

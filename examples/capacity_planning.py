@@ -10,8 +10,8 @@ Run:  python examples/capacity_planning.py   (~20 s)
 """
 
 from repro.control.framefeedback import FrameFeedbackController
-from repro.experiments.fleet import FleetScenario, homogeneous_fleet, run_fleet
 from repro.experiments.report import ascii_table
+from repro.experiments.scenario import Scenario, homogeneous_fleet, run_scenario
 from repro.metrics.timeseries import TimeSeries
 from repro.viz import line_chart
 
@@ -23,8 +23,8 @@ def main() -> None:
     per_device = TimeSeries("per-device x10")
     rows = []
     for n in FLEET_SIZES:
-        result = run_fleet(
-            FleetScenario(
+        result = run_scenario(
+            Scenario(
                 members=homogeneous_fleet(n, total_frames=900),
                 controller_factory=lambda c: FrameFeedbackController(c.frame_rate),
                 seed=0,

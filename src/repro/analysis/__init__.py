@@ -1,8 +1,7 @@
-"""Post-processing: smoothing, stability, queueing theory, statistics."""
+"""Post-processing: stability, queueing theory, statistics."""
 
 from repro.analysis.queueing import md1_wait, mg1_wait, mm1_wait, utilization
 from repro.analysis.significance import effect_size, paired_permutation_test
-from repro.analysis.smoothing import ewma, moving_average
 from repro.analysis.stability import (
     StabilityReport,
     oscillation_index,
@@ -14,11 +13,9 @@ from repro.analysis.stability import (
 __all__ = [
     "StabilityReport",
     "effect_size",
-    "ewma",
     "md1_wait",
     "mg1_wait",
     "mm1_wait",
-    "moving_average",
     "oscillation_index",
     "overshoot",
     "paired_permutation_test",

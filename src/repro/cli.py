@@ -130,13 +130,13 @@ def _cmd_breakdown(args: argparse.Namespace) -> str:
 
 def _cmd_fleet(args: argparse.Namespace) -> str:
     from repro.control.framefeedback import FrameFeedbackController
-    from repro.experiments.fleet import FleetScenario, homogeneous_fleet, run_fleet
     from repro.experiments.report import ascii_table
+    from repro.experiments.scenario import Scenario, homogeneous_fleet, run_scenario
 
     rows = []
     for n in (1, 2, 4, 8, 12):
-        result = run_fleet(
-            FleetScenario(
+        result = run_scenario(
+            Scenario(
                 members=homogeneous_fleet(n, total_frames=min(args.frames, 900)),
                 controller_factory=lambda c: FrameFeedbackController(c.frame_rate),
                 seed=args.seed,

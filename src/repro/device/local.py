@@ -57,6 +57,11 @@ class LocalPipeline:
         """True when :meth:`offer` would take a frame right now."""
         return not self.busy or self._pending is None
 
+    @property
+    def frames_in_flight(self) -> int:
+        """Frames in service plus the one held pending."""
+        return int(self.busy) + (self._pending is not None)
+
     def offer(self, frame: Frame) -> bool:
         """Offer a frame; returns False (skipped) when engine + slot are full."""
         if self.busy:

@@ -132,7 +132,8 @@ class OffloadClient:
         self.overloads = 0
         #: retransmissions placed on the wire
         self.retries = 0
-        #: in-flight frames dropped on the floor by :meth:`abort_inflight`
+        #: in-flight captured frames (not probes) dropped on the floor by
+        #: :meth:`abort_inflight`
         self.aborted = 0
         #: in-flight frames re-routed to a healthy server on ejection
         self.failovers = 0
@@ -147,6 +148,11 @@ class OffloadClient:
     @property
     def outstanding_count(self) -> int:
         return len(self._outstanding)
+
+    @property
+    def frames_in_flight(self) -> int:
+        """Outstanding captured frames (probes excluded)."""
+        return sum(not r.is_probe for r in self._outstanding.values())
 
     def abort_inflight(self) -> int:
         """Forget every in-flight frame without counting an outcome.
@@ -171,9 +177,11 @@ class OffloadClient:
             if record.hedge is not None:
                 record.hedge.cancel()
                 record.hedge = None
+            if record.is_probe:
+                continue
             self.aborted += 1
             dropped += 1
-            if tracer is not None and not record.is_probe:
+            if tracer is not None:
                 now = self.env.now
                 tracer.end_offload(self.tenant, frame_id, now, "aborted")
                 tracer.finish_frame(self.tenant, frame_id, now, "aborted")

@@ -15,9 +15,9 @@ from repro.experiments.chaos import (
     run_supervision_chaos,
     supervision_chaos_injectors,
 )
-from repro.experiments.fleet import FleetMember, FleetScenario, run_fleet
 from repro.experiments.parallel import run_many
 from repro.experiments.scenario import (
+    FleetMember,
     RunResult,
     Scenario,
     ScenarioContext,
@@ -33,7 +33,6 @@ __all__ = [
     "ChaosResult",
     "ChaosScenario",
     "FleetMember",
-    "FleetScenario",
     "RunResult",
     "Scenario",
     "ScenarioContext",
@@ -45,7 +44,6 @@ __all__ = [
     "extended_controllers",
     "run_across_seeds",
     "run_chaos",
-    "run_fleet",
     "run_many",
     "run_scenario",
     "run_supervision_chaos",

@@ -387,6 +387,10 @@ def run_chaos(chaos: ChaosScenario, tracer=None) -> ChaosResult:
     the whole stream and supervision/controller events land in the
     same trace (see :mod:`repro.trace.scenarios`).
     """
+    if chaos.base.members:
+        # FaultTargets holds one box and one device: a fault would
+        # silently hit member 0 only
+        raise ValueError("chaos runs take a single-device scenario, not members")
     validate_plan(list(chaos.injectors))
     runtime = build_runtime(chaos.effective_base())
     if tracer is not None:

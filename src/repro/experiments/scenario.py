@@ -1,9 +1,12 @@
-"""Scenario wiring: device + links + server + schedules, one seed.
+"""Scenario wiring: devices + links + servers + schedules, one seed.
 
 A :class:`Scenario` is a complete description of one run of the §IV
-testbed; :func:`run_scenario` executes it deterministically and
-returns a :class:`RunResult` with every trace and counter the paper's
-figures need.
+testbed, from one device to a fleet of :class:`FleetMember` devices
+sharing the edge server (the paper's three concurrent Pis, §IV-A).
+:func:`build_runtime` is the one place a testbed is assembled;
+:func:`run_scenario` executes it deterministically and returns a
+:class:`RunResult` with every trace and counter the paper's figures
+need.
 
 Controller factories come in two arities:
 
@@ -19,7 +22,9 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.control.base import Controller
 from repro.device.config import DeviceConfig
@@ -70,17 +75,35 @@ def _build_controller(factory, config: DeviceConfig, context: ScenarioContext):
     return factory(config)
 
 
+@dataclass(frozen=True)
+class FleetMember:
+    """One device's slot in a scenario."""
+
+    config: DeviceConfig
+    #: static link conditions (None -> defaults); members may have
+    #: heterogeneous radios, as real deployments do
+    link: Optional[LinkConditions] = None
+    #: per-member network schedule; overrides ``link`` when present
+    network: Optional[NetworkSchedule] = None
+
+
 @dataclass
 class Scenario:
     """One complete experiment configuration.
 
-    ``controller_factory`` builds a fresh controller per run so the
-    same scenario can be executed across seeds without state leakage.
+    ``controller_factory`` builds a fresh controller per device and run
+    so the same scenario can be executed across seeds without state
+    leakage.  A scenario runs ``device`` on ``network``, or the
+    ``members`` fleet when one is given; all devices share the server
+    (or the ``topology`` pool) and the background ``load``.
     """
 
     controller_factory: Callable[[DeviceConfig], Controller]
     device: DeviceConfig = field(default_factory=DeviceConfig)
     network: Optional[NetworkSchedule] = None
+    #: the devices of a multi-device run (the paper's three concurrent
+    #: Pis, §IV-A); empty means ``(FleetMember(device, network=network),)``
+    members: Sequence[FleetMember] = ()
     load: Optional[LoadSchedule] = None
     duration: Optional[float] = None
     seed: int = 0
@@ -94,20 +117,57 @@ class Scenario:
     #: single-server testbed (bit-identical to pre-fleet runs)
     topology: Optional[FleetTopology] = None
 
+    def __post_init__(self) -> None:
+        if not self.members:
+            return
+        self.members = tuple(self.members)
+        if self.network is not None or self.device != DeviceConfig():
+            raise ValueError("give either members or device/network, not both")
+        names = [m.config.name for m in self.members]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate device names: {names}")
+
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
 
     @property
+    def effective_members(self) -> Tuple[FleetMember, ...]:
+        """Every device of the run, in wiring order (never empty)."""
+        return self.members or (FleetMember(self.device, network=self.network),)
+
+    @property
     def run_duration(self) -> float:
-        """Explicit duration, or the stream length plus drain slack."""
+        """Explicit duration, or the longest stream plus drain slack."""
         if self.duration is not None:
             return self.duration
-        return self.device.stream_duration + 2.0
+        return max(m.config.stream_duration for m in self.effective_members) + 2.0
+
+
+def homogeneous_fleet(
+    n: int,
+    total_frames: int = 1800,
+    link: Optional[LinkConditions] = None,
+    name_prefix: str = "pi",
+) -> List[FleetMember]:
+    """N identical members (the paper's three-Pi setup generalized)."""
+    if n < 1:
+        raise ValueError(f"need at least one device, got {n}")
+    return [
+        FleetMember(
+            config=DeviceConfig(name=f"{name_prefix}{i}", total_frames=total_frames),
+            link=link,
+        )
+        for i in range(n)
+    ]
 
 
 @dataclass
 class RunResult:
-    """Everything observable from one scenario run."""
+    """Everything observable from one scenario run.
+
+    ``traces``, ``qos``, ``uplink_stats`` and ``breakdown`` belong to
+    the first device; ``devices`` holds every device's QoS by name.
+    """
 
     scenario: Scenario
     traces: DeviceTraces
@@ -116,14 +176,60 @@ class RunResult:
     uplink_stats: "object"
     background_sent: int = 0
     background_rejected: int = 0
+    #: mean GPU busy fraction over every server
     gpu_utilization: float = 0.0
     elapsed: float = 0.0
     #: omniscient T_n/T_l attribution (None only for legacy callers)
     breakdown: "object" = None
+    devices: Dict[str, QosReport] = field(default_factory=dict)
+    #: GPU frames per batch — small values are the §II-A.1 hardware
+    #: fragmentation a single tenant causes
+    mean_batch_size: float = 0.0
+    #: per-server stats for multi-server runs (empty otherwise)
+    per_server_stats: Dict[str, ServerStats] = field(default_factory=dict)
+    #: pool routing/health counters (``fleet.*``) for multi-server runs
+    fleet_extras: Dict[str, float] = field(default_factory=dict)
 
     @property
     def controller_name(self) -> str:
         return self.qos.name
+
+    def throughputs(self) -> Dict[str, float]:
+        return {name: qos.mean_throughput for name, qos in self.devices.items()}
+
+    def jain_fairness(self) -> float:
+        """Jain's fairness index over per-device throughput (1 = equal)."""
+        x = np.array(list(self.throughputs().values()))
+        if not x.any():
+            return 1.0
+        return float(x.sum() ** 2 / (len(x) * (x**2).sum()))
+
+
+@dataclass
+class MemberRuntime:
+    """One device's live wiring: its link pair, controller and device."""
+
+    box: ConditionBox
+    uplink: Link
+    downlink: Link
+    controller: Controller
+    device: EdgeDevice
+
+
+def _check_accounting(device: EdgeDevice) -> None:
+    """Raise unless every captured frame is settled or still in flight."""
+    settled = (
+        device.successes
+        + device.timeouts
+        + device.local_skips
+        + device.offload.aborted
+    )
+    in_flight = device.offload.frames_in_flight + device.local.frames_in_flight
+    if device.frames_seen != settled + in_flight:
+        raise RuntimeError(
+            f"device {device.config.name!r}: {device.frames_seen} frames "
+            f"captured, but {settled} settled and {in_flight} in flight"
+        )
 
 
 @dataclass
@@ -131,30 +237,44 @@ class ScenarioRuntime:
     """A fully-wired testbed that has not started running yet.
 
     :func:`build_runtime` assembles the substrate (links, server,
-    device, schedules) and hands it back *before* ``env.run``, so
+    devices, schedules) and hands it back *before* ``env.run``, so
     callers can attach extra machinery — fault injectors, probes,
     tracing — to live components.  :meth:`run` then executes and
-    collects the :class:`RunResult` exactly as :func:`run_scenario`
-    always did.
+    collects the :class:`RunResult`.  ``box``, ``uplink``,
+    ``downlink``, ``controller`` and ``device`` are the first member's.
     """
 
     scenario: Scenario
     env: Environment
     rng: RngRegistry
-    box: ConditionBox
-    uplink: Link
-    downlink: Link
     server: EdgeServer
     background: Optional[BackgroundLoad]
-    context: ScenarioContext
-    controller: Controller
-    device: EdgeDevice
+    members: List[MemberRuntime]
     #: attached supervision layer, if any (set by chaos runners after
     #: build; rides along into :meth:`fault_targets`)
     supervisor: Optional[object] = None
     #: fleet tier (multi-server scenarios only)
     pool: Optional[object] = None
-    router: Optional[object] = None
+
+    @property
+    def box(self) -> ConditionBox:
+        return self.members[0].box
+
+    @property
+    def uplink(self) -> Link:
+        return self.members[0].uplink
+
+    @property
+    def downlink(self) -> Link:
+        return self.members[0].downlink
+
+    @property
+    def controller(self) -> Controller:
+        return self.members[0].controller
+
+    @property
+    def device(self) -> EdgeDevice:
+        return self.members[0].device
 
     def fault_targets(self):
         """Substrate handles for :meth:`repro.faults.FaultInjector.install`."""
@@ -176,52 +296,57 @@ class ScenarioRuntime:
         return self.collect(duration)
 
     def collect(self, elapsed: float) -> RunResult:
-        """Snapshot every observable into a :class:`RunResult`."""
+        """Snapshot every observable into a :class:`RunResult`.
+
+        Raises :class:`RuntimeError` when a device's frame accounting
+        does not close.
+        """
+        devices: Dict[str, QosReport] = {}
+        for member in self.members:
+            _check_accounting(member.device)
+            devices[member.device.config.name] = member.device.qos_report(elapsed)
+        first = self.device
+        servers = self.pool.servers if self.pool is not None else [self.server]
+        frames_run = sum(s.gpu.frames_run for s in servers)
+        batches_run = sum(s.gpu.batches_run for s in servers)
         return RunResult(
             scenario=self.scenario,
-            traces=self.device.traces,
-            qos=self.device.qos_report(elapsed),
+            traces=first.traces,
+            qos=devices[first.config.name],
             server_stats=self.server.stats,
             uplink_stats=self.uplink.stats,
             background_sent=self.background.sent if self.background else 0,
             background_rejected=self.background.rejected if self.background else 0,
-            gpu_utilization=self.server.gpu.utilization(elapsed),
+            gpu_utilization=sum(s.gpu.utilization(elapsed) for s in servers)
+            / len(servers),
             elapsed=elapsed,
-            breakdown=self.device.breakdown,
+            breakdown=first.breakdown,
+            devices=devices,
+            mean_batch_size=frames_run / max(batches_run, 1),
+            per_server_stats=(
+                {s.name: s.stats for s in servers} if self.pool is not None else {}
+            ),
+            fleet_extras=self.pool.extras() if self.pool is not None else {},
         )
 
 
 def build_runtime(scenario: Scenario) -> ScenarioRuntime:
-    """Wire one scenario's testbed without running it."""
+    """Wire one scenario's testbed without running it.
+
+    This is the only place a testbed is assembled.  One device keeps
+    the classic ``uplink`` / ``downlink`` / ``device`` rng streams and
+    link names; in a fleet each is suffixed with the device name
+    (``uplink:pi0``), so adding a member never perturbs another's
+    randomness.
+    """
     env = Environment()
     rng = RngRegistry(seed=scenario.seed)
+    members = scenario.effective_members
 
-    # Network: one condition box shared by both directions, driven by
-    # the schedule (exactly like NetEm shaping the Pi's interface).
-    initial = (
-        scenario.network.at(0.0) if scenario.network is not None else LinkConditions()
-    )
-    box = ConditionBox(initial)
-    uplink = Link(
-        env,
-        rng.stream("uplink"),
-        box,
-        name="uplink",
-        queue_bytes_cap=scenario.uplink_queue_bytes,
-    )
-    downlink = Link(
-        env,
-        rng.stream("downlink"),
-        box,
-        name="downlink",
-        # responses are tiny; the same byte cap never binds
-        queue_bytes_cap=scenario.uplink_queue_bytes,
-    )
-    if scenario.network is not None:
-        scenario.network.install(env, box)
+    def named(base: str, member: FleetMember) -> str:
+        return base if len(members) == 1 else f"{base}:{member.config.name}"
 
     pool = None
-    router = None
     if scenario.topology is not None:
         # Fleet: one EdgeServer per topology name, each on its own rng
         # stream, plus the pool/health/router tier.  Imported lazily so
@@ -229,7 +354,7 @@ def build_runtime(scenario: Scenario) -> ScenarioRuntime:
         from repro.fleet.pool import ServerPool
         from repro.fleet.router import Router
 
-        members = [
+        edge_servers = [
             EdgeServer(
                 env,
                 rng.stream(f"server:{name}"),
@@ -241,11 +366,10 @@ def build_runtime(scenario: Scenario) -> ScenarioRuntime:
             )
             for name in scenario.topology.servers
         ]
-        pool = ServerPool(env, members, scenario.topology.config)
-        router = Router(pool)
-        # members[0] stays the "primary" handle: background load,
-        # legacy stats collection and ScenarioContext keep working.
-        server = members[0]
+        pool = ServerPool(env, edge_servers, scenario.topology.config)
+        # edge_servers[0] stays the "primary" handle: background load,
+        # stats collection and ScenarioContext keep working.
+        server = edge_servers[0]
     else:
         server = EdgeServer(
             env,
@@ -262,43 +386,66 @@ def build_runtime(scenario: Scenario) -> ScenarioRuntime:
             server,
             scenario.load,
             rng.stream("background"),
-            payload_bytes=scenario.device.frame_spec.bytes_on_wire,
+            payload_bytes=members[0].config.frame_spec.bytes_on_wire,
         )
 
-    context = ScenarioContext(
-        env=env,
-        server=server,
-        rng=rng,
-        network=scenario.network,
-        load=scenario.load,
-        gpu_model=scenario.gpu_model,
-    )
-    controller = _build_controller(scenario.controller_factory, scenario.device, context)
-    device = EdgeDevice(
-        env,
-        scenario.device,
-        controller,
-        uplink=uplink,
-        downlink=downlink,
-        server=server,
-        rng=rng.stream("device"),
-        router=router,
-    )
+    runtimes = []
+    for member in members:
+        # Network: one condition box per device shared by both
+        # directions, driven by its schedule (exactly like NetEm
+        # shaping a Pi's interface).
+        if member.network is not None:
+            initial = member.network.at(0.0)
+        else:
+            initial = member.link or LinkConditions()
+        box = ConditionBox(initial)
+        # responses are tiny; the same byte cap never binds downstream
+        uplink, downlink = (
+            Link(
+                env,
+                rng.stream(name),
+                box,
+                name=name,
+                queue_bytes_cap=scenario.uplink_queue_bytes,
+            )
+            for name in (named("uplink", member), named("downlink", member))
+        )
+        if member.network is not None:
+            member.network.install(env, box)
+        context = ScenarioContext(
+            env=env,
+            server=server,
+            rng=rng,
+            network=member.network,
+            load=scenario.load,
+            gpu_model=scenario.gpu_model,
+        )
+        controller = _build_controller(
+            scenario.controller_factory, member.config, context
+        )
+        # one Router per device, so round-robin rotation is per-device
+        # state, not cross-device coupling
+        router = Router(pool) if pool is not None else None
+        device = EdgeDevice(
+            env,
+            member.config,
+            controller,
+            uplink=uplink,
+            downlink=downlink,
+            server=server,
+            rng=rng.stream(named("device", member)),
+            router=router,
+        )
+        runtimes.append(MemberRuntime(box, uplink, downlink, controller, device))
 
     return ScenarioRuntime(
         scenario=scenario,
         env=env,
         rng=rng,
-        box=box,
-        uplink=uplink,
-        downlink=downlink,
         server=server,
         background=background,
-        context=context,
-        controller=controller,
-        device=device,
+        members=runtimes,
         pool=pool,
-        router=router,
     )
 
 

@@ -15,11 +15,10 @@ of the paper's sentence is covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.device.config import DeviceConfig
-from repro.experiments.fleet import FleetMember, FleetResult, FleetScenario, run_fleet
+from repro.experiments.scenario import FleetMember, RunResult, Scenario, run_scenario
 from repro.models.device_profiles import PI_3B_1_2, PI_4B_1_2, PI_4B_1_4
 from repro.netem.schedule import NetworkSchedule
 from repro.workloads.loadgen import LoadSchedule
@@ -53,28 +52,19 @@ def three_pi_members(
     return members
 
 
-@dataclass
-class ThreePiResult:
-    fleet: FleetResult
-
-    @property
-    def total_throughput(self) -> float:
-        return sum(self.fleet.throughputs().values())
-
-    @property
-    def per_device(self) -> Dict[str, float]:
-        return self.fleet.throughputs()
-
-
 def run_three_pi(
     controller_factory,
     total_frames: int = 4000,
     use_table_v: bool = True,
     load: Optional[LoadSchedule] = None,
     seed: int = 0,
-) -> ThreePiResult:
-    """Run the three-Pi configuration under Table V and/or load."""
-    scenario = FleetScenario(
+) -> RunResult:
+    """Run the three-Pi configuration under Table V and/or load.
+
+    ``result.throughputs()`` gives each Pi's throughput; their sum is
+    the fleet total.
+    """
+    scenario = Scenario(
         members=three_pi_members(
             total_frames,
             network=table_v_schedule if use_table_v else None,
@@ -83,4 +73,4 @@ def run_three_pi(
         load=load,
         seed=seed,
     )
-    return ThreePiResult(fleet=run_fleet(scenario))
+    return run_scenario(scenario)

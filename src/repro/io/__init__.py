@@ -8,7 +8,6 @@
   shareable artifacts (used by ``framefeedback run --config``).
 """
 
-from repro.io.cache import ResultCache, config_key
 from repro.io.config import scenario_from_dict, scenario_to_dict
 from repro.io.export import (
     export_run,
@@ -18,8 +17,6 @@ from repro.io.export import (
 )
 
 __all__ = [
-    "ResultCache",
-    "config_key",
     "export_run",
     "load_timeseries_csv",
     "qos_to_dict",

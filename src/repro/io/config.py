@@ -113,6 +113,8 @@ def scenario_to_dict(scenario: Scenario, controller_name: str) -> dict:
             f"unknown controller {controller_name!r}; "
             f"available: {sorted(extended_controllers())}"
         )
+    if scenario.members:
+        raise ValueError("multi-device scenarios have no config form")
     d = scenario.device
     out: dict = {
         "controller": controller_name,

@@ -8,7 +8,7 @@ reproduction.  The paper's system is a real-time distributed system
 an :class:`~repro.sim.core.Environment`.
 
 The kernel is intentionally SimPy-shaped (environments, processes,
-timeouts, shared resources, stores) but written from scratch so the
+timeouts, conditions) but written from scratch so the
 repository is self-contained.  Determinism guarantees:
 
 * events scheduled for the same timestamp fire in (priority, FIFO)
@@ -41,14 +41,7 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process
-from repro.sim.resources import (
-    Preempted,
-    PreemptiveResource,
-    PriorityResource,
-    Resource,
-)
 from repro.sim.rng import RngRegistry
-from repro.sim.store import Store, StoreFull
 
 __all__ = [
     "AllOf",
@@ -58,14 +51,8 @@ __all__ = [
     "Event",
     "EventPriority",
     "Interrupt",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityResource",
     "Process",
-    "Resource",
     "RngRegistry",
     "StopSimulation",
-    "Store",
-    "StoreFull",
     "Timeout",
 ]

@@ -1,58 +1,15 @@
-"""Unit tests for smoothing and stability metrics."""
+"""Unit tests for stability metrics."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    ewma,
-    moving_average,
     oscillation_index,
     overshoot,
     settling_time,
     stability_report,
 )
 from repro.analysis.stability import direction_changes
-
-
-# ----------------------------------------------------------------------
-# smoothing
-# ----------------------------------------------------------------------
-def test_moving_average_constant_signal_unchanged():
-    v = np.full(10, 3.0)
-    assert np.allclose(moving_average(v, 3), 3.0)
-
-
-def test_moving_average_window_one_is_identity():
-    v = np.array([1.0, 5.0, 2.0])
-    assert np.array_equal(moving_average(v, 1), v)
-
-
-def test_moving_average_no_edge_artifacts():
-    v = np.ones(5)
-    out = moving_average(v, 3)
-    assert np.allclose(out, 1.0)  # edges average fewer samples, not zeros
-
-
-def test_moving_average_rejects_bad_window():
-    with pytest.raises(ValueError):
-        moving_average(np.ones(5), 0)
-
-
-def test_ewma_converges_to_constant():
-    out = ewma(np.full(100, 7.0), alpha=0.3)
-    assert out[-1] == pytest.approx(7.0)
-
-
-def test_ewma_alpha_validated():
-    with pytest.raises(ValueError):
-        ewma(np.ones(3), alpha=0.0)
-    with pytest.raises(ValueError):
-        ewma(np.ones(3), alpha=1.5)
-
-
-def test_ewma_alpha_one_is_identity():
-    v = np.array([1.0, 2.0, 3.0])
-    assert np.allclose(ewma(v, 1.0), v)
 
 
 # ----------------------------------------------------------------------

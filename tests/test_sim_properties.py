@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Store
+from repro.sim import Environment
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
@@ -49,32 +49,6 @@ def test_clock_never_goes_backwards(delays):
         env.process(nested(env, delay))
     env.run()
     assert observed == sorted(observed)
-
-
-@given(
-    seed_items=st.lists(st.integers(), min_size=0, max_size=40),
-    capacity=st.integers(min_value=1, max_value=10),
-)
-@settings(max_examples=100, deadline=None)
-def test_store_conserves_items(seed_items, capacity):
-    """Everything put into a Store comes out exactly once, in order."""
-    env = Environment()
-    store = Store(env, capacity=capacity)
-    out = []
-
-    def producer(env, store):
-        for item in seed_items:
-            yield store.put(item)
-
-    def consumer(env, store):
-        for _ in range(len(seed_items)):
-            item = yield store.get()
-            out.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert out == seed_items
 
 
 @given(
