@@ -11,8 +11,9 @@ test:
 test-fast:
 	pytest tests/ -m "not slow" -x -q
 
+# kernel microbenches (the paper's claims run under `make validate`)
 bench:
-	pytest benchmarks/ --benchmark-only
+	pytest benchmarks/bench_kernel.py --benchmark-only
 
 examples:
 	python examples/quickstart.py

@@ -137,7 +137,7 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     for n in (1, 2, 4, 8, 12):
         result = run_scenario(
             Scenario(
-                members=homogeneous_fleet(n, total_frames=min(args.frames, 900)),
+                members=homogeneous_fleet(n, total_frames=args.frames),
                 controller_factory=lambda c: FrameFeedbackController(c.frame_rate),
                 seed=args.seed,
             )
@@ -158,12 +158,12 @@ def _cmd_fleet(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_validate(args: argparse.Namespace) -> str:
-    """Run every reproduction claim and print the verdict table."""
+def _cmd_validate(args: argparse.Namespace):
+    """Run every reproduction claim; any failing claim exits non-zero."""
     from repro.experiments.validation import render_results, validate_all
 
     results = validate_all(frames=args.frames)
-    return render_results(results)
+    return render_results(results), 0 if all(r.passed for r in results) else 1
 
 
 def _cmd_netem(args: argparse.Namespace) -> str:
@@ -279,16 +279,13 @@ def _cmd_chaos(args: argparse.Namespace):
         from repro.fleet.chaos import DEFAULT_KILL, DEFAULT_SERVERS, run_fleet_chaos
         from repro.metrics.qos import fleet_extras
 
-        # fleet chaos wants a short stream; only honor --frames when the
-        # user moved it off the global 4000-frame default
-        frames = args.frames if args.frames != 4000 else 900
-        result = run_fleet_chaos(seed=args.seed, total_frames=frames)
+        result = run_fleet_chaos(seed=args.seed, total_frames=args.frames)
         code = 0 if result.all_invariants_hold else 1
         if args.json:
             return _json.dumps(result.to_dict(), indent=1, sort_keys=True), code
         name, start, duration = DEFAULT_KILL
         lines = [
-            f"Fleet chaos run (seed={args.seed}, {frames} frames, "
+            f"Fleet chaos run (seed={args.seed}, {args.frames} frames, "
             f"servers={','.join(DEFAULT_SERVERS)}): ServerKill {name} "
             f"@{start}s for {duration}s, failover on vs off",
         ]
@@ -746,11 +743,8 @@ def _cmd_search(args: argparse.Namespace):
         write_goldens,
     )
 
-    # search wants many short runs; only honor --frames when the user
-    # moved it off the global 4000-frame default
-    frames = args.frames if args.frames != 4000 else SearchConfig.frames
     config = SearchConfig(
-        seed=args.seed, budget=args.budget, frames=frames, workers=args.workers
+        seed=args.seed, budget=args.budget, frames=args.frames, workers=args.workers
     )
     result = run_search(config)
     # minimization often collapses near-clone lineages onto the same
@@ -832,15 +826,12 @@ def _cmd_tournament(args: argparse.Namespace):
         run_tournament,
     )
 
-    # tournaments want many short runs; only honor --frames when the
-    # user moved it off the global 4000-frame default
-    frames = args.frames if args.frames != 4000 else 900
     scenario_dir = args.scenario_dir
     if scenario_dir is None and _os.path.isdir("tests/goldens/scenarios"):
         scenario_dir = "tests/goldens/scenarios"
     config = TournamentConfig(
         seed=args.seed,
-        frames=frames,
+        frames=args.frames,
         controllers=tuple(args.lineup.split(",")) if args.lineup else (),
         scenarios=tuple(args.matrix.split(",")) if args.matrix else (),
         scenario_dir=scenario_dir,
@@ -912,7 +903,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
-        "--frames", type=int, default=4000, help="stream length (fig3/fig4/combined)"
+        "--frames", type=int, default=None,
+        help="stream length (default 4000; tournament, search, fleet and "
+        "chaos --fleet default to their own shorter streams)",
     )
     parser.add_argument(
         "--duration", type=float, default=60.0, help="run length in seconds (fig2)"
@@ -1015,8 +1008,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _default_frames(args: argparse.Namespace) -> int:
+    """The stream length a command runs when ``--frames`` is not given.
+
+    The paper's experiments stream 4000 frames; the tournament, the
+    search and the fleet runs race many short streams instead.
+    """
+    if args.command == "tournament":
+        from repro.experiments.tournament import TournamentConfig
+
+        return TournamentConfig.frames
+    if args.command == "search":
+        from repro.search import SearchConfig
+
+        return SearchConfig.frames
+    if args.command == "fleet" or (args.command == "chaos" and args.fleet):
+        return 900
+    return 4000
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.frames is None:
+        args.frames = _default_frames(args)
     commands = _PAPER_ORDER if args.command == "all" else [args.command]
     exit_code = 0
     for i, name in enumerate(commands):

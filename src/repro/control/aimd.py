@@ -4,7 +4,7 @@ Additive-Increase / Multiplicative-Decrease is the classic congestion-
 control response and the natural "obvious alternative" to a PD law:
 raise ``P_o`` by a fixed step while violations stay under a tolerance,
 cut it by a factor when they don't.  Comparing it against FrameFeedback
-(``benchmarks/bench_controllers.py``) quantifies what the piecewise PD
+(``framefeedback controllers``) quantifies what the piecewise PD
 error function buys: AIMD's sawtooth keeps *re-testing* the violation
 boundary, so under steady impairment it oscillates around the cliff
 instead of settling just below it.

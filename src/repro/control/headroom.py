@@ -16,10 +16,10 @@ headroom e(t) = (target_frac * L - rtt_p95) / L        (per bucket)
 u = (K_P e + K_D de/dt) * F_s,  clamped like Table IV
 ```
 
-What the benches show (``bench_headroom.py``): the latency signal cuts
-the violation rate roughly in half on the Table V network schedule at
-*equal* throughput, and by >3x on the Table VI load schedule at a
-~7 % throughput cost — anticipating congestion beats reacting to it,
+What the experiments show (the ``headroom`` claim of ``framefeedback
+validate``): the latency signal cuts the violation rate roughly in half
+on the Table V network schedule at *equal* throughput, and by >3x on
+the Table VI load schedule at a ~7 % throughput cost — anticipating congestion beats reacting to it,
 at the price of leaving a little capacity unused near the cliff.
 """
 

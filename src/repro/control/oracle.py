@@ -6,7 +6,8 @@ largest offloading rate the system can sustain within the deadline.
 No real controller can do this (the whole point of FrameFeedback is
 that these quantities are unobservable); the oracle exists to measure
 *regret*: how much throughput feedback control leaves on the table
-relative to perfect knowledge (``benchmarks/bench_regret.py``).
+relative to perfect knowledge (the ``regret`` claim of
+``framefeedback validate``).
 
 The capacity model mirrors the substrate analytically:
 

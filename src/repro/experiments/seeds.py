@@ -3,8 +3,9 @@
 The paper reports single runs; this module reruns any scenario across
 seeds and summarizes each metric with mean, standard deviation, and a
 normal-approximation confidence interval, plus a win-rate table for
-controller comparisons.  ``benchmarks/bench_robustness.py`` uses it to
-check that every Fig 3/Fig 4 claim survives seed variation.
+controller comparisons.  The ``robustness`` claim of ``framefeedback
+validate`` uses them to check that the Fig 3 ordering survives seed
+variation.
 """
 
 from __future__ import annotations

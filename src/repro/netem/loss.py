@@ -15,7 +15,8 @@ Gilbert–Elliott chain, and so do we:
 With ``burst_length = 1`` the chain's per-packet loss *given the
 configured average* reduces to near-i.i.d. behaviour; larger values
 concentrate the same average loss into outage bursts, which stresses
-controllers very differently (see ``benchmarks/bench_bursty_loss.py``).
+controllers very differently (see the ``bursty-loss`` claim of
+``framefeedback validate``).
 """
 
 from __future__ import annotations

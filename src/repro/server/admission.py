@@ -14,7 +14,8 @@ this module implements the reservation *idea* at its most favourable:
 
 The broker sees server load perfectly (better than real ATOMS, which
 must predict it) but — like ATOMS — knows nothing about each client's
-network path.  ``benchmarks/bench_controllers.py`` shows the
+network path.  The ``reservation-blind-spot`` claim of
+``framefeedback validate`` shows the
 consequence: reservation matches FrameFeedback under pure server load
 and falls apart under network degradation.
 """

@@ -13,8 +13,8 @@ correlated log-size process around the configured mean:
 
 Size variation matters to the controller because the link budget is in
 *bytes*: a size burst behaves exactly like a bandwidth dip.
-``benchmarks/bench_video_content.py`` quantifies how much headroom
-FrameFeedback loses to content variance.
+The ``video-content`` claim of ``framefeedback validate`` checks that
+FrameFeedback stays the best policy under content variance.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.search import SearchConfig
 from repro.sim.core import EnvStats
 
 
@@ -414,3 +415,69 @@ def test_cli_chaos_realtime_invariant_failure_exits_nonzero(monkeypatch, capsys)
     assert main(["chaos", "--realtime", "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_invariants_hold"] is False
+
+
+def _claim_holds(runs):
+    return "ok", True
+
+
+def _claim_fails(runs):
+    return "bad", False
+
+
+def test_cli_validate_exits_nonzero_when_a_claim_fails(monkeypatch, capsys):
+    """CI gates on the exit code of ``validate``, as it does on chaos."""
+    import repro.experiments.validation as validation
+
+    holds = validation.Claim("holds", "always true", _claim_holds)
+    fails = validation.Claim("fails", "always false", _claim_fails)
+    monkeypatch.setattr(validation, "CLAIMS", [holds])
+    assert main(["validate"]) == 0
+    assert "1/1 claims hold" in capsys.readouterr().out
+    monkeypatch.setattr(validation, "CLAIMS", [holds, fails])
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "1/2 claims hold" in out
+
+
+class _Captured(Exception):
+    """Raised by a stubbed runner once it has seen its arguments."""
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [
+        (["tournament"], 900),
+        (["chaos", "--fleet"], 900),
+        (["search"], SearchConfig.frames),
+        (["fleet"], 900),
+    ],
+)
+def test_cli_frames_flag_is_honoured_even_at_4000(monkeypatch, argv, default):
+    """Commands with their own short default must still honour an
+    explicit ``--frames 4000`` (the paper-scale stream length)."""
+    import repro.experiments.scenario as scenario
+    import repro.experiments.tournament as tournament
+    import repro.fleet.chaos as fleet_chaos
+    import repro.search as search
+
+    seen = []
+
+    def capture(frames):
+        seen.append(frames)
+        raise _Captured
+
+    monkeypatch.setattr(
+        tournament, "run_tournament", lambda config: capture(config.frames)
+    )
+    monkeypatch.setattr(
+        fleet_chaos, "run_fleet_chaos", lambda seed, total_frames: capture(total_frames)
+    )
+    monkeypatch.setattr(search, "run_search", lambda config: capture(config.frames))
+    monkeypatch.setattr(
+        scenario, "run_scenario", lambda s: capture(s.members[0].config.total_frames)
+    )
+    for extra in ([], ["--frames", "4000"], ["--frames", "123"]):
+        with pytest.raises(_Captured):
+            main(argv + extra)
+    assert seen == [default, 4000, 123]

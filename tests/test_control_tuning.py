@@ -12,7 +12,8 @@ def synthetic_run_factory():
     """A cheap synthetic plant: instability grows with Kp, shrinks with Kd.
 
     Lets the tuner's search logic be tested without full simulations
-    (the simulation-backed version runs in examples/ and benchmarks/).
+    (the simulation-backed version runs in examples/ and in the
+    ``gain-grid`` claim of ``framefeedback validate``).
     """
 
     def run(settings: FrameFeedbackSettings):

@@ -59,6 +59,18 @@ def test_killed_server_ejected_and_readmitted(twin):
     assert qos.extras["fleet.mttr_mean"] >= DEFAULT_KILL[2]
 
 
+@pytest.mark.parametrize("pool_size", [2, 4])
+def test_kill_detected_at_every_pool_size(pool_size):
+    """The default 3-server pool above, resized: accounting stays closed
+    and the killed edge0 is ejected and re-admitted exactly once."""
+    servers = tuple(f"edge{i}" for i in range(pool_size))
+    qos = run_chaos(fleet_chaos_scenario(total_frames=900, servers=servers)).run.qos
+    assert qos.successful + qos.timeouts + qos.dropped_local == qos.total_frames
+    assert qos.extras["fleet.outstanding"] == 0.0
+    assert qos.extras["fleet.edge0.ejections"] == 1.0
+    assert qos.extras["fleet.mttr_count"] == 1.0
+
+
 def test_failover_strictly_beats_ablation(twin):
     v_on = twin.failover.run.qos.mean_violation_rate
     v_off = twin.no_failover.run.qos.mean_violation_rate

@@ -1,5 +1,8 @@
 """Tests for the process-parallel experiment runner."""
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,19 @@ def test_map_jobs_preserves_submission_order():
 
 def _double(x: int) -> int:
     return 2 * x
+
+
+def _worker_pid(_job) -> int:
+    # hold the worker long enough that the pool hands the next job to
+    # its second process instead of queueing it behind this one
+    time.sleep(0.2)
+    return os.getpid()
+
+
+def test_map_jobs_fans_out_over_worker_processes():
+    pids = map_jobs(_worker_pid, range(4), workers=2)
+    assert len(set(pids)) >= 2
+    assert os.getpid() not in pids
 
 
 def test_run_many_matches_direct_execution():

@@ -77,7 +77,7 @@ def measure_link_wait(arrival_rate: float, n: int = 6000, seed: int = 0):
     return float(np.mean(waits)), service
 
 
-@pytest.mark.parametrize("rho", [0.3, 0.5, 0.7, 0.85])
+@pytest.mark.parametrize("rho", [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.85, 0.9])
 def test_link_wait_matches_md1(rho):
     # service time for one full packet at bw=10
     probe_cond = LinkConditions(bandwidth=10.0)

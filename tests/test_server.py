@@ -5,6 +5,7 @@ import pytest
 
 from repro.models.latency import GpuBatchModel
 from repro.server import EdgeServer, InferenceRequest, RequestOutcome
+from repro.server.batching import BatchPolicy
 from repro.sim import Environment
 
 
@@ -162,3 +163,36 @@ def test_server_saturation_rejects_sustained_overload():
     rejected = sum(1 for r in responses if not r.ok)
     assert rejected > 0
     assert server.stats.completed + server.stats.rejected == server.stats.received
+
+
+def _polite_tenant_served(policy, seed=0):
+    """Share of a polite 30 fps tenant's requests served next to a
+    300 req/s flooder over 30 s (the §II-A.3 fairness requirement)."""
+    env = Environment()
+    server = make_server(env, seed, cost_model=GpuBatchModel(), batch_policy=policy)
+    outcomes = {"polite": [], "flood": []}
+
+    def tenant(name, rate):
+        while env.now < 30.0:
+            req = InferenceRequest(
+                tenant=name,
+                model_name="mobilenet_v3_small",
+                sent_at=env.now,
+                payload_bytes=11_700,
+                respond=lambda r, _name=name: outcomes[_name].append(r.ok),
+            )
+            server.submit(req)
+            yield env.timeout(1.0 / rate)
+
+    env.process(tenant("polite", 30.0))
+    env.process(tenant("flood", 300.0))
+    env.run(until=31.0)
+    polite = outcomes["polite"]
+    return sum(polite) / max(len(polite), 1)
+
+
+def test_fair_policy_protects_polite_tenant_from_flooder():
+    fifo = _polite_tenant_served(BatchPolicy.FIFO)
+    fair = _polite_tenant_served(BatchPolicy.FAIR)
+    assert fair > fifo
+    assert fair > 0.95
