@@ -20,6 +20,7 @@ import numpy as np
 from repro.device.camera import Frame
 from repro.models.latency import LocalLatencyModel
 from repro.sim.core import Environment
+from repro.sim.events import Event
 
 
 class LocalPipeline:
@@ -71,21 +72,26 @@ class LocalPipeline:
             self._pending = frame
             return True
         self.busy = True
-        self.env.process(self._infer(frame), name=f"{self.name}:infer")
+        self._serve(frame)
         return True
 
-    def _infer(self, frame: Frame):
-        while True:
-            latency = self.latency_model.sample(self.rng) * self.slowdown
-            yield self.env.sleep(latency)
-            self.busy_seconds += latency
-            self.completed += 1
-            if self.on_complete is not None:
-                self.on_complete(frame, latency)
-            if self._pending is None:
-                break
-            frame, self._pending = self._pending, None
-        self.busy = False
+    def _serve(self, frame: Frame) -> None:
+        """Start inferring ``frame``; its latency is drawn now."""
+        latency = self.latency_model.sample(self.rng) * self.slowdown
+        self.env.call_later(latency, self._served, value=(frame, latency))
+
+    def _served(self, event: Event) -> None:
+        frame, latency = event.value
+        self.busy_seconds += latency
+        self.completed += 1
+        if self.on_complete is not None:
+            self.on_complete(frame, latency)
+        pending = self._pending
+        if pending is None:
+            self.busy = False
+        else:
+            self._pending = None
+            self._serve(pending)
 
     def utilization(self, elapsed: float) -> float:
         """Busy fraction of the inference engine over ``elapsed``."""

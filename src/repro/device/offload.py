@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from repro.device.camera import Frame
-from repro.metrics.breakdown import BreakdownCollector, LatencySample
+from repro.metrics.breakdown import BreakdownCollector
 from repro.metrics.taxonomy import FailureKind
 from repro.netem.link import Link
 from repro.resilience.layer import ResilienceLayer
@@ -72,8 +72,8 @@ class _Outstanding:
     #: outcome goes here instead of the shared ``on_probe_result`` so
     #: breaker trials never pollute the controller's heartbeat signal
     on_result: Optional[Callable[[bool], None]] = None
-    #: cancellable deadline / hedge timers (fast path only); retired in
-    #: ``_settle`` the moment a definitive outcome lands
+    #: cancellable deadline / hedge timers; retired in ``_settle`` the
+    #: moment a definitive outcome lands
     watchdog: Optional[Event] = None
     hedge: Optional[Event] = None
 
@@ -121,7 +121,7 @@ class OffloadClient:
         self._outstanding: Dict[int, _Outstanding] = {}
         #: frames already counted as violations whose attribution waits
         #: for a (late) response: frame_id -> (record, violation time,
-        #: resolution event for the grace process)
+        #: grace timer)
         self._late_pending: Dict[int, tuple] = {}
         self.sent = 0
         self.probes_sent = 0
@@ -159,12 +159,11 @@ class OffloadClient:
 
         Device-reboot semantics: the process that was waiting on these
         responses no longer exists, so the frames count as neither
-        success nor timeout.  Each record's fast-path deadline watchdog
-        and hedge timer are ``cancel()``-ed (keeping EnvStats cancel
-        counts accurate); under ``REPRO_SIM_SLOWPATH=1`` the watchdog
-        processes observe ``settled`` and return quietly.  Responses
-        that arrive later hit the usual already-settled path and are
-        discarded.  Returns the number of frames dropped.
+        success nor timeout.  Each record's deadline watchdog and hedge
+        timer are ``cancel()``-ed (keeping EnvStats cancel counts
+        accurate).  Responses that arrive later hit the usual
+        already-settled path and are discarded.  Returns the number of
+        frames dropped.
         """
         dropped = 0
         tracer = self.env.tracer
@@ -214,23 +213,17 @@ class OffloadClient:
         env = self.env
         r = self.resilience
         hedged = r is not None and not is_probe and r.config.max_retries > 0
-        if env.slowpath:
-            env.process(self._watchdog(frame.frame_id), name="offload-watchdog")
-            if hedged:
-                env.process(self._retry_timer(frame.frame_id), name="offload-hedge")
-        else:
-            # Fast path: one cancellable heap entry per timer instead of
-            # a process + init event + timeout each — and both timers
-            # are retired for O(1) in _settle when the response wins.
-            record.watchdog = env.call_later(
-                self.deadline, self._watchdog_fire, value=frame.frame_id
+        # Both timers are retired for O(1) in _settle when the
+        # response wins.
+        record.watchdog = env.call_later(
+            self.deadline, self._watchdog_fire, value=frame.frame_id
+        )
+        if hedged:
+            record.hedge = env.call_later(
+                r.config.retry_after_frac * self.deadline,
+                self._hedge_fire,
+                value=frame.frame_id,
             )
-            if hedged:
-                record.hedge = env.call_later(
-                    r.config.retry_after_frac * self.deadline,
-                    self._hedge_fire,
-                    value=frame.frame_id,
-                )
 
     def _transmit(
         self,
@@ -376,19 +369,9 @@ class OffloadClient:
     # ------------------------------------------------------------------
     # deadline-budgeted retransmission
     # ------------------------------------------------------------------
-    def _retry_timer(self, frame_id: int):
-        """Hedge: re-send once ``retry_after_frac`` of the budget is gone."""
-        yield self.env.timeout(
-            self.resilience.config.retry_after_frac * self.deadline
-        )
-        self._hedge_expired(frame_id)
-
     def _hedge_fire(self, event: Event) -> None:
-        """call_later body of the fast-path hedge timer."""
-        self._hedge_expired(event.value)
-
-    def _hedge_expired(self, frame_id: int) -> None:
-        record = self._outstanding.get(frame_id)
+        """Hedge: re-send once ``retry_after_frac`` of the budget is gone."""
+        record = self._outstanding.get(event.value)
         if record is None or record.settled:
             return
         self._maybe_retry(record)
@@ -446,15 +429,8 @@ class OffloadClient:
             return  # already counted as a timeout (late response)
         rtt = self.env.now - record.sent_at
         if self.breakdown is not None and not record.is_probe and response.ok:
-            self.breakdown.record_response(
-                LatencySample(
-                    sent_at=record.sent_at,
-                    uplink=max(0.0, response.arrived_at - record.sent_at),
-                    server=max(0.0, response.completed_at - response.arrived_at),
-                    downlink=max(0.0, self.env.now - response.completed_at),
-                    ok=rtt <= self.deadline,
-                ),
-                at=self.env.now,
+            self._record_breakdown(
+                record, response, ok=rtt <= self.deadline, at=self.env.now
             )
         tracer = self.env.tracer
         if response.ok and rtt <= self.deadline:
@@ -532,15 +508,9 @@ class OffloadClient:
         # else: a successful response past the deadline — leave the
         # record for the watchdog (or it already fired).
 
-    def _watchdog(self, frame_id: int):
-        yield self.env.timeout(self.deadline)
-        self._watchdog_expired(frame_id)
-
     def _watchdog_fire(self, event: Event) -> None:
-        """call_later body of the fast-path deadline watchdog."""
-        self._watchdog_expired(event.value)
-
-    def _watchdog_expired(self, frame_id: int) -> None:
+        """The deadline passed with no definitive outcome."""
+        frame_id = event.value
         record = self._outstanding.get(frame_id)
         if record is None or record.settled:
             return
@@ -563,19 +533,18 @@ class OffloadClient:
         if self.breakdown is not None:
             # Attribution is deferred: a late response (if one ever
             # comes) tells us whether network or server ate the budget;
-            # true silence is a network loss.
-            resolved = self.env.event()
-            self._late_pending[frame_id] = (record, self.env.now, resolved)
-            self.env.process(self._attribution_grace(frame_id, resolved))
+            # true silence is a network loss.  A late response cancels
+            # the grace timer, so it never lingers in the heap.
+            grace = self.env.call_later(
+                max(4.0 * self.deadline, 1.0), self._grace_expired, value=frame_id
+            )
+            self._late_pending[frame_id] = (record, self.env.now, grace)
 
-    def _attribution_grace(self, frame_id: int, resolved):
-        # Wake early if a late response already resolved attribution —
-        # otherwise a grace sleep per silent frame keeps the event heap
-        # (and wall-clock drain time) needlessly inflated.
-        yield self.env.timeout(max(4.0 * self.deadline, 1.0)) | resolved
-        pending = self._late_pending.pop(frame_id, None)
+    def _grace_expired(self, event: Event) -> None:
+        """No response within the grace period: a network loss."""
+        pending = self._late_pending.pop(event.value, None)
         if pending is not None:
-            _record, violated_at, _resolved = pending
+            _record, violated_at, _grace = pending
             self.breakdown.record_silent_timeout(violated_at)
 
     def _attribute_late(self, response: Response) -> None:
@@ -583,22 +552,25 @@ class OffloadClient:
         pending = self._late_pending.pop(response.frame_id, None)
         if pending is None or self.breakdown is None:
             return
-        record, violated_at, resolved = pending
-        if not resolved.triggered:
-            resolved.succeed()
+        record, violated_at, grace = pending
+        grace.cancel()
         if response.ok:
-            self.breakdown.record_response(
-                LatencySample(
-                    sent_at=record.sent_at,
-                    uplink=max(0.0, response.arrived_at - record.sent_at),
-                    server=max(0.0, response.completed_at - response.arrived_at),
-                    downlink=max(0.0, self.env.now - response.completed_at),
-                    ok=False,
-                ),
-                at=violated_at,
-            )
+            self._record_breakdown(record, response, ok=False, at=violated_at)
         else:
             self.breakdown.record_rejection(violated_at)
+
+    def _record_breakdown(
+        self, record: _Outstanding, response: Response, ok: bool, at: float
+    ) -> None:
+        """Log a returned frame's component times for attribution."""
+        self.breakdown.record(
+            record.sent_at,
+            max(0.0, response.arrived_at - record.sent_at),
+            max(0.0, response.completed_at - response.arrived_at),
+            max(0.0, self.env.now - response.completed_at),
+            ok,
+            at,
+        )
 
     def _settle(self, record: _Outstanding, frame_id: int) -> None:
         record.settled = True

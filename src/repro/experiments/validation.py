@@ -694,7 +694,7 @@ def _check_latency_cliff(runs: Runs):
             1200,
             network=steady_schedule(CONGESTED),
         )
-        rtts = np.array([s.total for s in result.breakdown.samples if s.ok])
+        rtts = result.breakdown.totals()
         curve[rate] = (
             float(np.percentile(rtts, 95)) if rtts.size else float("nan"),
             result.qos.mean_violation_rate,

@@ -24,8 +24,9 @@ successful offloads, which the breakdown bench reports per phase.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +58,11 @@ class LatencySample:
 
     def dominant_component(self) -> TimeoutCause:
         """The larger contributor: network (up+down) vs server."""
-        network = self.uplink + self.downlink
-        return TimeoutCause.NETWORK if network >= self.server else TimeoutCause.LOAD
+        return _dominant(self.uplink, self.server, self.downlink)
+
+
+def _dominant(uplink: float, server: float, downlink: float) -> TimeoutCause:
+    return TimeoutCause.NETWORK if uplink + downlink >= server else TimeoutCause.LOAD
 
 
 @dataclass
@@ -71,8 +75,8 @@ class ComponentStats:
     maximum: float
 
     @classmethod
-    def from_samples(cls, values: List[float]) -> "ComponentStats":
-        if not values:
+    def from_samples(cls, values: Sequence[float]) -> "ComponentStats":
+        if len(values) == 0:
             return cls(float("nan"), float("nan"), float("nan"), float("nan"))
         arr = np.asarray(values)
         return cls(
@@ -84,27 +88,98 @@ class ComponentStats:
 
 
 class BreakdownCollector:
-    """Accumulates latency samples and timeout attributions."""
+    """Accumulates latency samples and timeout attributions.
+
+    Samples are stored as columns (one ``array('d')`` per component
+    plus ok flags), not one object per response: a run records one per
+    returned frame, and the columns are what every reader wants.
+    Violations are columns too (time, and a network/load flag).
+    """
 
     def __init__(self) -> None:
-        self.samples: List[LatencySample] = []
-        #: (time, cause) of every attributed violation
-        self.violations: List[tuple] = []
+        self._sent_at = array("d")
+        self._uplink = array("d")
+        self._server = array("d")
+        self._downlink = array("d")
+        self._ok = bytearray()
+        #: time and cause (1 = network, 0 = load) of every violation
+        self._violated_at = array("d")
+        self._violation_network = bytearray()
 
     # ------------------------------------------------------------------
+    def record(
+        self,
+        sent_at: float,
+        uplink: float,
+        server: float,
+        downlink: float,
+        ok: bool,
+        at: float,
+    ) -> None:
+        """A frame returned (possibly late), given by its component times."""
+        self._sent_at.append(sent_at)
+        self._uplink.append(uplink)
+        self._server.append(server)
+        self._downlink.append(downlink)
+        self._ok.append(ok)
+        if not ok:
+            self._violation(at, _dominant(uplink, server, downlink))
+
     def record_response(self, sample: LatencySample, at: float) -> None:
-        """A frame returned (possibly late)."""
-        self.samples.append(sample)
-        if not sample.ok:
-            self.violations.append((at, sample.dominant_component()))
+        """:meth:`record` for a :class:`LatencySample`."""
+        self.record(
+            sample.sent_at, sample.uplink, sample.server, sample.downlink, sample.ok, at
+        )
 
     def record_silent_timeout(self, at: float) -> None:
         """A frame's deadline passed with no response: network loss."""
-        self.violations.append((at, TimeoutCause.NETWORK))
+        self._violation(at, TimeoutCause.NETWORK)
 
     def record_rejection(self, at: float) -> None:
         """The server rejected the frame: load-induced (§II-A.3)."""
-        self.violations.append((at, TimeoutCause.LOAD))
+        self._violation(at, TimeoutCause.LOAD)
+
+    def _violation(self, at: float, cause: TimeoutCause) -> None:
+        self._violated_at.append(at)
+        self._violation_network.append(cause is TimeoutCause.NETWORK)
+
+    @property
+    def violations(self) -> List[Tuple[float, TimeoutCause]]:
+        """``(time, cause)`` of every attributed violation, in order."""
+        return [
+            (at, TimeoutCause.NETWORK if network else TimeoutCause.LOAD)
+            for at, network in zip(self._violated_at, self._violation_network)
+        ]
+
+    @property
+    def samples(self) -> List[LatencySample]:
+        """Every recorded sample, in recording order."""
+        return [
+            LatencySample(*row)
+            for row in zip(
+                self._sent_at, self._uplink, self._server, self._downlink,
+                map(bool, self._ok),
+            )
+        ]
+
+    def _columns(self, ok_only: bool) -> Dict[str, np.ndarray]:
+        # copies, not buffer views: a live view would stop the columns
+        # from growing
+        cols = {
+            "uplink": np.array(self._uplink),
+            "server": np.array(self._server),
+            "downlink": np.array(self._downlink),
+        }
+        if ok_only:
+            mask = np.array(self._ok, dtype=bool)
+            cols = {name: col[mask] for name, col in cols.items()}
+        # same float additions, in the same order, as LatencySample.total
+        cols["total"] = cols["uplink"] + cols["server"] + cols["downlink"]
+        return cols
+
+    def totals(self, ok_only: bool = True) -> np.ndarray:
+        """End-to-end times (uplink + server + downlink) of the samples."""
+        return self._columns(ok_only)["total"]
 
     # ------------------------------------------------------------------
     def cause_counts(
@@ -112,9 +187,9 @@ class BreakdownCollector:
     ) -> Dict[TimeoutCause, int]:
         """Violations by cause within ``[t0, t1)``."""
         counts = {TimeoutCause.NETWORK: 0, TimeoutCause.LOAD: 0}
-        for at, cause in self.violations:
+        for at, network in zip(self._violated_at, self._violation_network):
             if t0 <= at < t1:
-                counts[cause] += 1
+                counts[TimeoutCause.NETWORK if network else TimeoutCause.LOAD] += 1
         return counts
 
     def cause_rates(self, t0: float, t1: float) -> Dict[str, float]:
@@ -130,14 +205,11 @@ class BreakdownCollector:
 
     def component_stats(self, ok_only: bool = True) -> Dict[str, ComponentStats]:
         """Per-component latency statistics."""
-        rows = [s for s in self.samples if s.ok] if ok_only else self.samples
         return {
-            "uplink": ComponentStats.from_samples([s.uplink for s in rows]),
-            "server": ComponentStats.from_samples([s.server for s in rows]),
-            "downlink": ComponentStats.from_samples([s.downlink for s in rows]),
-            "total": ComponentStats.from_samples([s.total for s in rows]),
+            name: ComponentStats.from_samples(col)
+            for name, col in self._columns(ok_only).items()
         }
 
     @property
     def total_violations(self) -> int:
-        return len(self.violations)
+        return len(self._violated_at)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, Tuple
 
 import numpy as np
 
@@ -119,7 +119,7 @@ class LinkStats:
     """Counters exposed for tests and reports.
 
     ``packets_sent`` (every transmission attempt) and ``retransmissions``
-    are credited when a frame *starts* serializing, since the serializer
+    are credited when a frame *starts* serializing, since the link
     resolves all of a frame's attempts at once: a run cut mid-frame
     already counts that frame's attempts.  The frame outcome counters
     move at the instant the frame finishes or is abandoned.
@@ -149,6 +149,12 @@ class Link:
     delivery callback.  Drops (queue overflow or ARQ give-up) are
     silent, as on a real network — the *caller's* deadline bookkeeping
     turns silence into timeouts.
+
+    The serializer is not a process.  A frame starts the instant the
+    link is free — inside :meth:`send` on an idle link, at the previous
+    frame's end otherwise — and :meth:`_transmit` resolves all of its
+    packet attempts there.  One timer at the frame's end then settles
+    it, so a frame costs that timer plus its delivery.
     """
 
     #: per-packet transmission attempts before the frame is abandoned
@@ -168,11 +174,12 @@ class Link:
         self.name = name
         self.queue_bytes_cap = queue_bytes_cap
         self.stats = LinkStats()
+        #: frames waiting behind the one on the wire
         self._queue: Deque[Tuple[int, Any, Callable[[Any], None]]] = deque()
         self._queued_bytes = 0
-        self._wakeup: Optional[Event] = None
+        #: a frame is on the wire (its end-of-frame timer is pending)
+        self._busy = False
         self._ge_chain = GilbertElliottChain()
-        self._proc = env.process(self._serializer(), name=f"link:{name}")
 
     # ------------------------------------------------------------------
     @property
@@ -192,7 +199,8 @@ class Link:
 
         Returns False (tail drop) when the queue byte cap would be
         exceeded.  On delivery, ``deliver(payload)`` is invoked at the
-        arrival instant.
+        arrival instant.  A payload sent to an idle link starts
+        serializing at once.
         """
         if nbytes < 0:
             raise ValueError(f"negative payload size {nbytes}")
@@ -209,56 +217,48 @@ class Link:
             _span, deliver = tracer.link_send(
                 self.name, payload, self.env.now, nbytes, deliver, self.env
             )
-        self._queue.append((nbytes, payload, deliver))
-        self._queued_bytes += nbytes
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
+        if self._busy:
+            self._queue.append((nbytes, payload, deliver))
+            self._queued_bytes += nbytes
+        else:
+            self._start(nbytes, payload, deliver)
         return True
 
     # ------------------------------------------------------------------
-    def _serializer(self):
-        """The link process: transmit queued payloads one at a time.
+    def _start(self, nbytes: int, payload: Any, deliver: Callable[[Any], None]) -> None:
+        """Put one frame on the wire and arm the timer at its end."""
+        self._busy = True
+        cond = self.box.conditions
+        end, delivered = self._transmit(self.env.now, nbytes, cond)
+        self.env.call_at(
+            end, self._frame_end, value=(nbytes, payload, deliver, cond, delivered)
+        )
 
-        Each frame costs one wakeup: :meth:`_transmit` resolves all of
-        its packet attempts at the frame's start and the process sleeps
-        to the exact instant the last attempt ends.
-        """
+    def _frame_end(self, event: Event) -> None:
+        """The frame's last attempt ended: settle it, start the next one."""
+        nbytes, payload, deliver, cond, delivered = event.value
         env = self.env
         stats = self.stats
-        queue = self._queue
-        while True:
-            if not queue:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-                continue
-
-            nbytes, payload, deliver = queue.popleft()
-            self._queued_bytes -= nbytes
-
-            cond = self.box.conditions
-            end, delivered = self._transmit(env.now, nbytes, cond)
-            yield env.sleep_until(end)
-
-            if not delivered:
-                stats.frames_dropped_loss += 1
-                if env.tracer is not None:
-                    env.tracer.link_drop(payload, env.now, "loss")
-                continue
-
+        if delivered:
             stats.frames_delivered += 1
             stats.bytes_delivered += nbytes
-            # Propagation is pipelined: hand off to a fire-and-forget
-            # delayed delivery so the serializer moves on immediately.
+            # Propagation is pipelined: the delivery is its own timer,
+            # so the next frame starts serializing right away.
             delay = cond.propagation_delay
             if cond.jitter_sigma > 0:
                 delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
-            if env.slowpath:
-                env.process(self._deliver_after(delay, payload, deliver))
-            else:
-                # One heap entry per in-flight payload instead of a
-                # process + init event + timeout.
-                env.call_later(delay, self._deliver_cb, value=(payload, deliver))
+            env.call_later(delay, self._deliver, value=(payload, deliver))
+        else:
+            stats.frames_dropped_loss += 1
+            if env.tracer is not None:
+                env.tracer.link_drop(payload, env.now, "loss")
+        queue = self._queue
+        if queue:
+            nbytes, payload, deliver = queue.popleft()
+            self._queued_bytes -= nbytes
+            self._start(nbytes, payload, deliver)
+        else:
+            self._busy = False
 
     def _transmit(
         self, start: float, nbytes: int, cond: LinkConditions
@@ -319,12 +319,8 @@ class Link:
         stats.retransmissions += retransmissions
         return t, delivered
 
-    def _deliver_after(self, delay: float, payload: Any, deliver: Callable[[Any], None]):
-        yield self.env.timeout(delay)
-        deliver(payload)
-
     @staticmethod
-    def _deliver_cb(event: Event) -> None:
+    def _deliver(event: Event) -> None:
         payload, deliver = event.value
         deliver(payload)
 

@@ -12,9 +12,10 @@ Hot-path notes (see ``docs/performance.md`` for the full cost model):
   adding more than a ``None``-check to the uninstrumented hot path.
 
 Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the sleep
-fast path and the call-site timer optimizations (the offload watchdog
-and link delivery fall back to one process per timer), which is the
-escape hatch the determinism tests diff against.
+fast path and makes every :meth:`Environment.call_later` /
+:meth:`Environment.call_at` timer one process plus its timer event,
+which is the escape hatch the determinism tests diff against.  The
+fork lives here alone: components never ask which path they run on.
 """
 
 from __future__ import annotations
@@ -244,11 +245,46 @@ class Environment:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        return self._arm(self._now + delay, fn, value, priority)
+
+    def call_at(
+        self,
+        when: float,
+        fn: Callable[[Event], None],
+        value: Any = None,
+        priority: int = EventPriority.NORMAL,
+    ) -> Event:
+        """Run ``fn(event)`` at exactly the absolute time ``when``.
+
+        The absolute twin of :meth:`call_later`, as :meth:`sleep_until`
+        is to :meth:`sleep`: a caller that adds up its own firing time
+        (the link sums a frame's packet and stall times) would see
+        ``now + (when - now)`` re-rounded one ulp off ``when``.  A
+        ``when`` in the past raises ``ValueError``.
+        """
+        if when < self._now:
+            raise ValueError(f"timer time {when!r} is in the past (now={self._now!r})")
+        return self._arm(when, fn, value, priority)
+
+    def _arm(
+        self, when: float, fn: Callable[[Event], None], value: Any, priority: int
+    ) -> Event:
+        """Schedule a one-shot timer event at ``when``.
+
+        Under ``REPRO_SIM_SLOWPATH=1`` the timer is a process waiting on
+        the event instead of a bare callback; the event is scheduled
+        right after the process's kick-start, so it keeps its place
+        among same-instant events, and cancelling it leaves the process
+        waiting forever — a cancelled timer fires nothing on either path.
+        """
         ev = Event(self)
         ev._ok = True
         ev._value = value
-        ev.callbacks.append(fn)
-        self.schedule(ev, priority=priority, delay=delay)
+        if self._slowpath:
+            self.process(_timer(ev, fn), name="timer")
+        else:
+            ev.callbacks.append(fn)
+        self.schedule(ev, priority=priority, at=when)
         return ev
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -418,3 +454,9 @@ class Environment:
             raise StopSimulation(event.value)
         event.defuse()
         raise event.value
+
+
+def _timer(event: Event, fn: Callable[[Event], None]) -> Generator:
+    """Slow-path body of a :meth:`Environment.call_later` timer."""
+    yield event
+    fn(event)

@@ -140,6 +140,7 @@ class Process(Event):
                 target.remove_callback(self._resume_cb)
             self._target = None
         self._generator.close()
+        self._release()
         self.succeed(None, priority=EventPriority.NORMAL)
 
     def sleep(self, delay: float) -> Event:
@@ -198,6 +199,19 @@ class Process(Event):
             self._sleep_ev = ev
         return ev
 
+    def _release(self) -> None:
+        """Drop the self-references of a process that has finished.
+
+        The cached ``_resume`` callback and the pre-wired sleep timer
+        each point back at the process; cleared, a finished process is
+        freed by reference counting instead of waiting for a cyclic
+        garbage collection.  Stray events still holding the old bound
+        callback reach :meth:`_resume`, which ignores a dead process.
+        """
+        self._resume_cb = None
+        self._sleep_cbs = None
+        self._sleep_ev = None
+
     # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
@@ -234,15 +248,13 @@ class Process(Event):
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
             env._active_process = None
+            self._release()
             self.succeed(stop.value, priority=EventPriority.NORMAL)
             return
-        except Interrupt as exc:
-            # The process let an interrupt escape: treat as failure.
-            env._active_process = None
-            self.fail(exc)
-            return
         except BaseException as exc:
+            # Includes an Interrupt the process let escape: a failure.
             env._active_process = None
+            self._release()
             self.fail(exc)
             return
 

@@ -14,8 +14,9 @@ per model, so we hit both model types", §IV-C.2).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Deque, Iterator, List, Sequence
 
 import numpy as np
 
@@ -76,7 +77,14 @@ class LoadSchedule:
 
 
 class BackgroundLoad:
-    """Poisson background request stream driven by a :class:`LoadSchedule`."""
+    """Poisson background request stream driven by a :class:`LoadSchedule`.
+
+    One process sleeps straight to each request's delivery at the
+    server (arrival + :attr:`NETWORK_DELAY`), so a request costs one
+    event.  Arrival times are drawn lazily from the load's own rng
+    stream; since nothing else draws from it, drawing ahead (see
+    :attr:`sent`) changes no outcome.
+    """
 
     #: fixed one-way delay of the (unshaped) background tenants' network
     NETWORK_DELAY = 0.006
@@ -103,36 +111,71 @@ class BackgroundLoad:
         self.model_names = list(model_names)
         self.payload_bytes = payload_bytes
         self.tenants = [f"{tenant_prefix}{i}" for i in range(n_tenants)]
-        self.sent = 0
         self.completed = 0
         self.rejected = 0
+        #: requests delivered to the server so far
         self._counter = 0
+        #: arrival times drawn but not yet delivered, oldest first
+        self._ahead: Deque[float] = deque()
+        self._arrivals = self._arrival_times(env.now)
         env.process(self._run(), name="background-load")
 
+    @property
+    def sent(self) -> int:
+        """Requests sent by now: every arrival at or before ``now``,
+        including those still inside their network delay."""
+        now = self.env.now
+        ahead = self._ahead
+        while not ahead or ahead[-1] <= now:
+            arrival = next(self._arrivals, None)
+            if arrival is None:
+                break
+            ahead.append(arrival)
+        in_flight = 0
+        for arrival in ahead:
+            if arrival > now:
+                break
+            in_flight += 1
+        return self._counter + in_flight
+
     # ------------------------------------------------------------------
-    def _run(self):
-        """Poisson arrivals; exact across rate changes.
+    def _arrival_times(self, t: float) -> Iterator[float]:
+        """Poisson arrival instants from ``t`` on; exact across rate changes.
 
         Because the exponential is memoryless, discarding an arrival
         that would land past the next schedule boundary and resampling
         at the boundary's new rate yields an exact piecewise-Poisson
-        process.
+        process.  ``t`` advances by the same float additions a process
+        sleeping from arrival to arrival would make.
         """
-        env = self.env
+        rng = self.rng
         while True:
-            rate = self.schedule.rate_at(env.now)
-            next_change = self._next_change_after(env.now)
+            rate = self.schedule.rate_at(t)
+            next_change = self._next_change_after(t)
             if rate <= 0:
                 if next_change == float("inf"):
                     return  # schedule ended at rate 0: nothing left to do
-                yield env.sleep(next_change - env.now)
+                t = t + (next_change - t)
                 continue
-            gap = self.rng.exponential(1.0 / rate)
-            if env.now + gap >= next_change:
-                yield env.sleep(next_change - env.now)
+            gap = rng.exponential(1.0 / rate)
+            if t + gap >= next_change:
+                t = t + (next_change - t)
                 continue
-            yield env.sleep(gap)
-            self._submit_one()
+            t = t + gap
+            yield t
+
+    def _run(self):
+        """Deliver each request at its arrival plus the network delay."""
+        env = self.env
+        ahead = self._ahead
+        while True:
+            if not ahead:
+                arrival = next(self._arrivals, None)
+                if arrival is None:
+                    return
+                ahead.append(arrival)
+            yield env.sleep_until(ahead[0] + self.NETWORK_DELAY)
+            self._submit_one(ahead.popleft())
 
     def _next_change_after(self, now: float) -> float:
         for t in self.schedule.change_times:
@@ -140,32 +183,20 @@ class BackgroundLoad:
                 return t
         return float("inf")
 
-    def _submit_one(self) -> None:
+    def _submit_one(self, sent_at: float) -> None:
         self._counter += 1
-        self.sent += 1
         model = self.model_names[self._counter % len(self.model_names)]
         tenant = self.tenants[self._counter % len(self.tenants)]
-        request = InferenceRequest(
-            tenant=tenant,
-            model_name=model,
-            sent_at=self.env.now,
-            payload_bytes=self.payload_bytes,
-            respond=self._on_response,
-            frame_id=self._counter,
-        )
-        if self.env.slowpath:
-            self.env.process(self._deliver(request))
-        else:
-            self.env.call_later(
-                self.NETWORK_DELAY, self._deliver_cb, value=request
+        self.server.submit(
+            InferenceRequest(
+                tenant=tenant,
+                model_name=model,
+                sent_at=sent_at,
+                payload_bytes=self.payload_bytes,
+                respond=self._on_response,
+                frame_id=self._counter,
             )
-
-    def _deliver(self, request: InferenceRequest):
-        yield self.env.timeout(self.NETWORK_DELAY)
-        self.server.submit(request)
-
-    def _deliver_cb(self, event) -> None:
-        self.server.submit(event.value)
+        )
 
     def _on_response(self, response: Response) -> None:
         if response.ok:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -14,9 +15,10 @@ from repro.netem import (
     ConditionBox,
     Link,
     LinkConditions,
+    LinkStats,
     packets_for,
 )
-from repro.netem.loss import GilbertElliottParams
+from repro.netem.loss import GilbertElliottChain, GilbertElliottParams
 from repro.netem.packet import PACKET_OVERHEAD_BYTES, PACKET_PAYLOAD_BYTES, wire_bytes
 from repro.sim import Environment
 
@@ -234,59 +236,105 @@ def test_every_frame_is_delivered_or_dropped_exactly_once(sizes, loss, seed):
 # ----------------------------------------------------------------------
 # per-packet reference model
 # ----------------------------------------------------------------------
-class PerPacketLink(Link):
-    """Reference serializer: the packet-level ARQ loop, one wakeup each.
+class PerPacketLink:
+    """Reference link: a serializer process, one ``Timeout`` per packet.
 
-    One ``Timeout`` per packet attempt and one per RTO stall, with the
-    loss fate drawn when the attempt ends.  :class:`Link` resolves a
-    whole frame per wakeup and must be indistinguishable from this.
+    Self-contained on purpose — nothing is inherited from :class:`Link`:
+    its own queue and process, one ``Timeout`` per packet attempt and
+    one per RTO stall, the loss fate drawn when the attempt ends, and a
+    delivery process per frame.  As in :class:`Link`, a frame starts
+    (and reads the link conditions) the instant the link is free: in
+    :meth:`send` on an idle link, at the previous frame's end otherwise.
+    :class:`Link` resolves a whole frame in one timer and must be
+    indistinguishable from this.
     """
+
+    MAX_ATTEMPTS = 7
+
+    def __init__(self, env, rng, box, name="uplink", queue_bytes_cap=131_072.0):
+        self.env = env
+        self.rng = rng
+        self.box = box
+        self.name = name
+        self.queue_bytes_cap = queue_bytes_cap
+        self.stats = LinkStats()
+        self._queue = deque()
+        self._queued_bytes = 0
+        #: ((nbytes, payload, deliver), conditions) of the frame on the wire
+        self._current = None
+        self._wakeup = None
+        self._ge_chain = GilbertElliottChain()
+        env.process(self._serializer(), name="reference-link")
+
+    @property
+    def queue_length(self):
+        return len(self._queue)
+
+    def send(self, nbytes, payload, deliver):
+        env = self.env
+        self.stats.frames_sent += 1
+        if self._queued_bytes + nbytes > self.queue_bytes_cap and self._queue:
+            self.stats.frames_dropped_overflow += 1
+            env.tracer.link_overflow(self.name, payload, env.now, nbytes)
+            return False
+        _span, deliver = env.tracer.link_send(
+            self.name, payload, env.now, nbytes, deliver, env
+        )
+        if self._current is None:
+            self._current = ((nbytes, payload, deliver), self.box.conditions)
+            if self._wakeup is not None and not self._wakeup.triggered:
+                self._wakeup.succeed()
+        else:
+            self._queue.append((nbytes, payload, deliver))
+            self._queued_bytes += nbytes
+        return True
 
     def _serializer(self):
         env = self.env
+        stats = self.stats
         while True:
-            if not self._queue:
+            if self._current is None:
                 self._wakeup = env.event()
                 yield self._wakeup
                 self._wakeup = None
-                continue
-
-            nbytes, payload, deliver = self._queue.popleft()
-            self._queued_bytes -= nbytes
-            cond = self.box.conditions
+            (nbytes, payload, deliver), cond = self._current
+            rto = max(0.05, 2.0 * cond.propagation_delay + 0.02)
             abandoned = False
             n = packets_for(nbytes)
             for i in range(n):
                 if i < n - 1:
-                    pkt_time = cond.packet_time(PACKET_PAYLOAD_BYTES)
+                    size = PACKET_PAYLOAD_BYTES
                 else:
-                    last = nbytes - (n - 1) * PACKET_PAYLOAD_BYTES
-                    pkt_time = cond.packet_time(max(last, 1))
-                attempts = 1
-                while True:
-                    self.stats.packets_sent += 1
-                    yield env.timeout(pkt_time)
+                    size = max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1)
+                for attempt in range(1, self.MAX_ATTEMPTS + 1):
+                    stats.packets_sent += 1
+                    yield env.timeout(cond.packet_time(size))
                     if not self._attempt_lost(cond):
                         break
-                    attempts += 1
-                    self.stats.retransmissions += 1
-                    if attempts > self.MAX_ATTEMPTS:
+                    stats.retransmissions += 1
+                    if attempt == self.MAX_ATTEMPTS:
                         abandoned = True
                         break
-                    yield env.timeout(self._rto(cond))
+                    yield env.timeout(rto)
                 if abandoned:
                     break
 
             if abandoned:
-                self.stats.frames_dropped_loss += 1
+                stats.frames_dropped_loss += 1
                 env.tracer.link_drop(payload, env.now, "loss")
-                continue
-            self.stats.frames_delivered += 1
-            self.stats.bytes_delivered += nbytes
-            delay = cond.propagation_delay
-            if cond.jitter_sigma > 0:
-                delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
-            env.process(self._deliver_after(delay, payload, deliver))
+            else:
+                stats.frames_delivered += 1
+                stats.bytes_delivered += nbytes
+                delay = cond.propagation_delay
+                if cond.jitter_sigma > 0:
+                    delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
+                env.process(self._deliver_after(delay, payload, deliver))
+            if self._queue:
+                frame = self._queue.popleft()
+                self._queued_bytes -= frame[0]
+                self._current = (frame, self.box.conditions)
+            else:
+                self._current = None
 
     def _attempt_lost(self, cond):
         if cond.loss <= 0.0:
@@ -295,6 +343,10 @@ class PerPacketLink(Link):
             return bool(self.rng.random() < cond.loss)
         params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
         return self._ge_chain.step(params, self.rng)
+
+    def _deliver_after(self, delay, payload, deliver):
+        yield self.env.timeout(delay)
+        deliver(payload)
 
 
 class LinkRecorder:
@@ -336,12 +388,16 @@ _conditions = st.builds(
 
 
 def drive(link_cls, sends, initial, change, seed, slowpath):
-    """Run ``sends`` (gap ticks, nbytes) through one link to completion."""
+    """Run ``sends`` (gap ticks, nbytes) through one link to completion.
+
+    Returns the link's observable outcome and the number of events the
+    run scheduled.
+    """
     with mock.patch.dict(os.environ):
         os.environ.pop("REPRO_SIM_SLOWPATH", None)
         if slowpath:
             os.environ["REPRO_SIM_SLOWPATH"] = "1"
-        env = Environment()
+        env = Environment(stats=True)
     assert env.slowpath == slowpath
     recorder = env.tracer = LinkRecorder(env)
     box = ConditionBox(initial)
@@ -370,7 +426,7 @@ def drive(link_cls, sends, initial, change, seed, slowpath):
         "rng": link.rng.bit_generator.state,
         "ge_bad": link._ge_chain.in_bad_state,
         "queued_at_change": queued_at_change,
-    }
+    }, env.stats.events_scheduled
 
 
 _MULTI = [(0, 0), (0, 11_700), (0, 1), (0, 40_000), (0, PACKET_PAYLOAD_BYTES + 1)]
@@ -409,8 +465,8 @@ _MULTI = [(0, 0), (0, 11_700), (0, 1), (0, 40_000), (0, PACKET_PAYLOAD_BYTES + 1
 def test_frame_level_link_matches_per_packet_oracle(
     slowpath, sends, initial, change, seed
 ):
-    expected = drive(PerPacketLink, sends, initial, change, seed, slowpath)
-    actual = drive(Link, sends, initial, change, seed, slowpath)
+    expected, _ = drive(PerPacketLink, sends, initial, change, seed, slowpath)
+    actual, _ = drive(Link, sends, initial, change, seed, slowpath)
     assert actual == expected
 
 
@@ -429,23 +485,34 @@ def test_frame_level_link_matches_per_packet_oracle(
     ids=["iid", "bursty", "abandon", "box-set-while-queued"],
 )
 def test_oracle_examples_exercise_their_case(initial, change, exercised):
-    """The pinned examples above really reach the paths they name."""
+    """The pinned examples above really reach the paths they name, and
+    the reference really runs its own per-packet loop: one event per
+    packet attempt, so more events than :class:`Link` schedules."""
     sends = _MULTI * 2 if change is not None else _MULTI
-    record = drive(Link, sends, initial, change, 3, slowpath=False)
+    record, link_events = drive(Link, sends, initial, change, 3, slowpath=False)
     assert record["stats"][exercised] > 0
     assert record["deliveries"]
     if change is not None:
         assert record["queued_at_change"][0] > 0
+    reference, reference_events = drive(
+        PerPacketLink, sends, initial, change, 3, slowpath=False
+    )
+    assert reference == record
+    assert reference_events > max(link_events, record["stats"]["packets_sent"])
 
 
 # ----------------------------------------------------------------------
 # event budget
 # ----------------------------------------------------------------------
 def test_uplink_schedules_at_most_two_events_per_frame():
-    """One serializer wakeup plus one delivery timer per frame.
+    """One end-of-frame timer plus one delivery timer per frame.
 
     A fig3-style run (Table V's phases, ten times shorter) with every
-    frame offloaded; a return to per-packet wakeups breaks the budget.
+    frame offloaded, budgeted over the uplink and the downlink that
+    carries the responses.  Every event a link schedules is counted — its
+    timers by their ``Link`` callbacks, and anything scheduled while a
+    ``link:*`` process is active — so a return to a serializer process
+    or to per-packet wakeups breaks the budget.
     """
     from repro.control.baselines import AlwaysOffloadController
     from repro.device.config import DeviceConfig
@@ -465,10 +532,25 @@ def test_uplink_schedules_at_most_two_events_per_frame():
             duration=device.stream_duration + 1.0,
         )
     )
-    stats = runtime.env.enable_stats()
+    env = runtime.env
+    schedule_event = env.schedule
+    link_events = 0
+
+    def counting_schedule(event, *args, **kwargs):
+        nonlocal link_events
+        active = env.active_process
+        if (active is not None and active.name.startswith("link:")) or any(
+            getattr(cb, "__qualname__", "").startswith("Link.")
+            for cb in event.callbacks or ()
+        ):
+            link_events += 1
+        schedule_event(event, *args, **kwargs)
+
+    env.schedule = counting_schedule
     runtime.run()
     uplink = runtime.uplink.stats
+    frames = uplink.frames_sent + runtime.downlink.stats.frames_sent
     assert uplink.frames_sent > 300
     assert uplink.retransmissions > 0
     assert uplink.packets_sent > 5 * uplink.frames_sent
-    assert stats.events_by_process["link:uplink"] <= 2 * uplink.frames_sent
+    assert frames < link_events <= 2 * frames

@@ -3,7 +3,7 @@
 The link with fixed-size frames, no loss and no jitter is an exact
 M/D/1 queue when fed Poisson arrivals.  Matching the Pollaczek-
 Khinchine prediction is an *external* correctness check on the whole
-event-scheduling path (heap ordering, serializer process, store
+event-scheduling path (heap ordering, the link's frame timers, store
 mechanics) — if any of it mis-ordered or double-counted, waits would
 not land on the textbook curve.
 """

@@ -5,6 +5,9 @@ runs under the fast path is pinned separately in
 ``test_sim_determinism.py``, and throughput in ``BENCH_kernel.json``.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Environment, EnvStats, Interrupt
@@ -170,6 +173,81 @@ def test_call_later_negative_delay_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.call_later(-0.1, lambda ev: None)
+
+
+def test_call_at_fires_at_exactly_when():
+    env = Environment()
+    env.run(until=_ULP_NOW)
+    end = _frame_end(env.now)
+    got = []
+    env.call_at(end, lambda ev: got.append((env.now, ev.value)), value="x")
+    env.run()
+    assert got == [(end, "x")]  # not the re-rounded now + (end - now)
+
+
+def test_call_at_rejects_a_past_when():
+    env = Environment()
+    env.run(until=1.0)
+    with pytest.raises(ValueError, match="in the past"):
+        env.call_at(0.5, lambda ev: None)
+    env.call_at(1.0, lambda ev: None)  # now itself is fine
+
+
+@pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
+def test_timers_are_one_event_or_one_process(monkeypatch, slowpath):
+    """Fast path: a bare heap entry.  Slow path: a process per timer,
+    still cancellable, firing in the same order as the fast path."""
+    if slowpath:
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    else:
+        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+    env = Environment(stats=True)
+    got = []
+    env.call_later(0.0, lambda ev: got.append(("zero", env.now)))
+    env.call_at(2.0, lambda ev: got.append((ev.value, env.now)), value="b")
+    env.call_later(2.0, lambda ev: got.append((ev.value, env.now)), value="c")
+    doomed = env.call_later(1.0, lambda ev: got.append(("doomed", env.now)))
+    env.call_later(1.0, lambda ev: got.append(("a", env.now)))
+    assert doomed.cancel() is True
+    env.run()
+    assert got == [("zero", 0.0), ("a", 1.0), ("b", 2.0), ("c", 2.0)]
+    assert env.stats.events_by_process.get("timer", 0) == 0
+    beyond_timers = env.stats.events_scheduled - 5
+    # slow path: 5 process kick-starts, and 4 process ends (not the doomed one)
+    assert beyond_timers == (5 + 4 if slowpath else 0)
+
+
+# ----------------------------------------------------------------------
+# finished processes are freed by reference counting
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("end", ["return", "kill"])
+def test_finished_process_is_freed_without_a_collection(end):
+    """A finished process drops its self-references (the cached resume
+    callback and the pre-wired sleep timer), so no cycle keeps it alive
+    until the next gc pass.  The generator is the witness: the process
+    holds it for as long as the process itself lives."""
+
+    def worker(env):
+        yield env.sleep(1.0)
+        yield env.timeout(1.0)
+        yield env.sleep_until(5.0)
+
+    env = Environment()
+    gen = worker(env)
+    witness = weakref.ref(gen)
+    gc.disable()
+    try:
+        proc = env.process(gen)
+        del gen
+        if end == "kill":
+            env.run(until=3.0)
+            proc.kill()
+        env.run()
+        assert proc.triggered
+        del proc
+        assert witness() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.models.latency import GpuBatchModel
+from repro.server.batching import BatchPolicy
+from repro.server.requests import InferenceRequest
 from repro.server.server import EdgeServer
 from repro.sim import Environment
 from repro.workloads import (
@@ -122,3 +126,174 @@ def test_determinism_same_seed():
     a, _ = run_load(sched, until=30.0, seed=5)
     b, _ = run_load(sched, until=30.0, seed=5)
     assert a.sent == b.sent
+
+
+# ----------------------------------------------------------------------
+# per-request reference model
+# ----------------------------------------------------------------------
+class PerRequestLoad:
+    """Reference background load: two events per request.
+
+    Self-contained on purpose — nothing is inherited from
+    :class:`BackgroundLoad`: a process sleeps from arrival to arrival,
+    counts each request as sent the moment it arrives, builds it there
+    and hands it to a ``call_later`` timer for the network delay.
+    :class:`BackgroundLoad` sleeps straight to each delivery and must be
+    indistinguishable from this.
+    """
+
+    NETWORK_DELAY = 0.006
+
+    def __init__(self, env, server, schedule, rng, payload_bytes=11_700):
+        self.env = env
+        self.server = server
+        self.schedule = schedule
+        self.rng = rng
+        self.model_names = ["mobilenet_v3_small", "efficientnet_b0"]
+        self.tenants = [f"bg{i}" for i in range(8)]
+        self.payload_bytes = payload_bytes
+        self.sent = 0
+        self.completed = 0
+        self.rejected = 0
+        env.process(self._run(), name="reference-load")
+
+    def _run(self):
+        env = self.env
+        while True:
+            rate = self.schedule.rate_at(env.now)
+            next_change = min(
+                (t for t in self.schedule.change_times if t > env.now + 1e-12),
+                default=float("inf"),
+            )
+            if rate <= 0:
+                if next_change == float("inf"):
+                    return
+                yield env.timeout(next_change - env.now)
+                continue
+            gap = self.rng.exponential(1.0 / rate)
+            if env.now + gap >= next_change:
+                yield env.timeout(next_change - env.now)
+                continue
+            yield env.timeout(gap)
+            self.sent += 1
+            request = InferenceRequest(
+                tenant=self.tenants[self.sent % len(self.tenants)],
+                model_name=self.model_names[self.sent % len(self.model_names)],
+                sent_at=env.now,
+                payload_bytes=self.payload_bytes,
+                respond=self._on_response,
+                frame_id=self.sent,
+            )
+            env.call_later(
+                self.NETWORK_DELAY, lambda ev: self.server.submit(ev.value), request
+            )
+
+    def _on_response(self, response):
+        if response.ok:
+            self.completed += 1
+        else:
+            self.rejected += 1
+
+
+def drive_load(load_cls, rows, horizon, seed, policy):
+    """Run one background load to ``horizon``; returns what the server saw."""
+    env = Environment()
+    server = EdgeServer(
+        env, np.random.default_rng(1), cost_model=GpuBatchModel(), batch_policy=policy
+    )
+    arrivals = []
+    submit = server.submit
+
+    def recording_submit(request):
+        arrivals.append(
+            (env.now, request.tenant, request.model_name, request.frame_id,
+             request.sent_at)
+        )
+        submit(request)
+
+    server.submit = recording_submit
+    load = load_cls(
+        env, server, LoadSchedule.from_rows(rows), np.random.default_rng(seed)
+    )
+    env.run(until=horizon)
+    record = {
+        "arrivals": arrivals,
+        "sent": load.sent,
+        "completed": load.completed,
+        "rejected": load.rejected,
+    }
+    return record
+
+
+_load_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=40).map(lambda ticks: ticks / 20.0),
+        st.sampled_from([0.0, 5.0, 60.0, 400.0]),
+    ),
+    max_size=4,
+    unique_by=lambda row: row[0],
+).flatmap(
+    lambda tail: st.sampled_from([0.0, 60.0, 400.0]).map(
+        lambda first: [(0.0, first)] + sorted(tail)
+    )
+)
+
+
+@given(
+    rows=_load_rows,
+    horizon=st.floats(min_value=0.0, max_value=2.5),
+    inside_delay=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+    policy=st.sampled_from([BatchPolicy.FIFO, BatchPolicy.FAIR]),
+)
+@example(
+    rows=[(0.0, 400.0), (0.5, 60.0), (1.0, 0.0)],
+    horizon=2.0, inside_delay=False, seed=0, policy=BatchPolicy.FIFO,
+)
+@example(
+    rows=[(0.0, 0.0), (0.3, 400.0), (0.8, 5.0), (1.2, 400.0)],
+    horizon=1.5, inside_delay=True, seed=1, policy=BatchPolicy.FAIR,
+)
+@settings(max_examples=60, deadline=None)
+def test_background_load_matches_per_request_reference(
+    rows, horizon, inside_delay, seed, policy
+):
+    if inside_delay:
+        # Stop 3 ms after some arrival: that request is sent but still
+        # on the network, which pins `sent` as "arrivals <= now".
+        probe = drive_load(PerRequestLoad, rows, 3.0, seed, policy)
+        sent_times = [a[4] for a in probe["arrivals"]]
+        if sent_times:
+            horizon = sent_times[int(horizon * 1000) % len(sent_times)] + 0.003
+    expected = drive_load(PerRequestLoad, rows, horizon, seed, policy)
+    actual = drive_load(BackgroundLoad, rows, horizon, seed, policy)
+    assert actual == expected
+    if inside_delay and expected["arrivals"]:
+        assert expected["sent"] > len(expected["arrivals"])
+
+
+def test_background_load_costs_one_event_per_request():
+    """One sleep per request, straight to its delivery.
+
+    The server is a stub that only counts, so every event scheduled
+    under the load's process is one of its own sleeps (a real server's
+    batcher wakeup would be scheduled there too).
+    """
+
+    class CountingServer:
+        def __init__(self):
+            self.requests = 0
+
+        def submit(self, request):
+            self.requests += 1
+
+    env = Environment(stats=True)
+    server = CountingServer()
+    load = BackgroundLoad(
+        env, server, table_vi_schedule(), np.random.default_rng(0)
+    )
+    env.run(until=40.0)
+    assert server.requests > 2000
+    # the sleep pending at the horizon is the one extra
+    assert env.stats.events_by_process["background-load"] == server.requests + 1
+    assert load.sent >= server.requests
