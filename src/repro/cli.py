@@ -179,17 +179,29 @@ def _cmd_netem(args: argparse.Namespace) -> str:
     return unit_equivalence_note() + "\n" + script
 
 
-def _cmd_sweep(args: argparse.Namespace) -> str:
+def _load_run_config(path: Optional[str], command: str):
+    """The raw config at ``path`` and its validated plain-run spec."""
     import json as _json
 
+    from repro.search.compiler import benign_spec
+
+    if not path:
+        raise SystemExit(f"{command} requires --config <file.json>")
+    with open(path) as fh:
+        raw = _json.load(fh)
+    return raw, benign_spec(raw)
+
+
+def _cmd_sweep(args: argparse.Namespace):
     from repro.experiments.parallel import run_many, seed_sweep_configs
     from repro.experiments.report import ascii_table
     from repro.experiments.seeds import MetricSummary
+    from repro.search.language import SpecError
 
-    if not args.config:
-        raise SystemExit("sweep requires --config <file.json>")
-    with open(args.config) as fh:
-        base = _json.load(fh)
+    try:
+        base, spec = _load_run_config(args.config, "sweep")
+    except SpecError as exc:
+        return f"spec error: {exc}", 1
     configs = seed_sweep_configs(base, range(args.seeds))
     summaries = run_many(configs, workers=args.workers)
     throughput = MetricSummary.from_values(
@@ -204,24 +216,25 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         for s in summaries
     ]
     return (
-        f"{args.seeds}-seed sweep of {base.get('controller', 'FrameFeedback')} "
+        f"{args.seeds}-seed sweep of {spec.controller} "
         f"({args.workers or 'auto'} workers):\n"
         + ascii_table(["seed", "mean P", "mean T", "ok/total"], rows)
         + f"\n{throughput}\n{violations}"
     )
 
 
-def _cmd_run(args: argparse.Namespace) -> str:
-    import json as _json
-
+def _cmd_run(args: argparse.Namespace):
     from repro.experiments.report import series_panel
     from repro.experiments.scenario import run_scenario
-    from repro.io import export_run, scenario_from_dict
+    from repro.io import export_run
+    from repro.search.compiler import compile_scenario
+    from repro.search.language import SpecError
 
-    if not args.config:
-        raise SystemExit("run requires --config <file.json>")
-    with open(args.config) as fh:
-        scenario = scenario_from_dict(_json.load(fh))
+    try:
+        _, spec = _load_run_config(args.config, "run")
+        scenario = compile_scenario(spec)
+    except SpecError as exc:
+        return f"spec error: {exc}", 1
     result = run_scenario(scenario)
     lines = [result.qos.row()]
     lines.append(
@@ -697,12 +710,14 @@ def _cmd_combined(args: argparse.Namespace) -> str:
 
 
 def _cmd_compile(args: argparse.Namespace):
-    """Validate a scenario spec and emit its compiled base-format JSON.
+    """Validate a scenario spec and emit it with its generators lowered.
 
-    ``repro compile spec.json`` lowers every schedule generator to flat
-    phase rows (what ``repro run --config`` and the sweep pool accept);
-    ``--expand`` emits one config per population member instead.  A
-    spec error exits non-zero with the offending field named.
+    ``repro compile spec.json`` prints the spec with every schedule
+    generator lowered to flat phase rows and the fault, population and
+    stack fields stripped: a spec ``repro run --config`` and the sweep pool run
+    exactly as the original; ``--expand`` emits one spec per population
+    member instead.  A spec error exits non-zero with the offending
+    field named.
     """
     import json as _json
 

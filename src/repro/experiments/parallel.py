@@ -5,8 +5,8 @@ parallel: every run is an independent, deterministic function of its
 config.  This module fans runs out over a process pool.
 
 Because controller factories are closures (not picklable), jobs travel
-as the *declarative* scenario dicts of :mod:`repro.io.config`; each
-worker rebuilds its scenario and returns a picklable
+as plain-run scenario specs (:func:`repro.search.compiler.benign_spec`);
+each worker compiles its scenario and returns a picklable
 :class:`RunSummary` (QoS scalars + requested trace arrays), never the
 full RunResult.
 
@@ -61,13 +61,13 @@ TRACE_NAMES = (
 def execute_config(config: dict, trace_names: Sequence[str] = ()) -> RunSummary:
     """Run one serialized scenario (the worker entry point)."""
     from repro.experiments.scenario import run_scenario
-    from repro.io.config import scenario_from_dict
+    from repro.search.compiler import benign_spec, compile_scenario
 
     unknown = set(trace_names) - set(TRACE_NAMES)
     if unknown:
         raise ValueError(f"unknown trace names: {sorted(unknown)}")
 
-    scenario = scenario_from_dict(config)
+    scenario = compile_scenario(benign_spec(config))
     result = run_scenario(scenario)
     traces = {
         name: np.asarray(getattr(result.traces, name).values)

@@ -3,12 +3,13 @@
 The subsystem that turns "scenarios we imagined" into "scenarios the
 search imagined for us":
 
-* :mod:`repro.search.language` — the extended declarative scenario
-  language (schedule generators, fault timelines, populations) with a
+* :mod:`repro.search.language` — the declarative scenario language
+  (schedule generators, fault timelines, populations) with a
   canonical byte-stable JSON form;
 * :mod:`repro.search.compiler` — lowering: generators to phase rows,
-  specs to runnable :class:`~repro.experiments.chaos.ChaosScenario`s,
-  populations to per-device configs;
+  specs to runnable :class:`~repro.experiments.scenario.Scenario`s and
+  :class:`~repro.experiments.chaos.ChaosScenario`s, populations to
+  per-device configs;
 * :mod:`repro.search.feasibility` — the analytic oracle winnability
   check that keeps the search honest;
 * :mod:`repro.search.runner` — deterministic scoring (controller run +

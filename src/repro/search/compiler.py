@@ -1,13 +1,16 @@
-"""Scenario compiler: lower the extended language onto the testbed.
+"""Scenario compiler: lower the scenario language onto the testbed.
 
-Three lowering levels, each a pure function of the spec:
+Four lowering levels, each a pure function of the spec:
 
 * :func:`network_rows` / :func:`load_rows` — lower a schedule field
-  (explicit phases *or* a generator dict) to the flat
-  ``(start, ...)`` rows the base :mod:`repro.io.config` format uses;
-* :func:`compile_flat` — the fully-expanded base-format artifact
-  (generators lowered, defaults untouched): what ``repro compile``
-  emits and what :mod:`repro.experiments.parallel` workers consume;
+  (explicit phases *or* a generator dict) to flat ``(start, ...)``
+  phase rows;
+* :func:`compile_flat` — the spec with every generator lowered to
+  phase rows (defaults untouched): what ``repro compile`` emits, itself
+  a valid spec that compiles to the same run;
+* :func:`compile_scenario` — the one spec -> :class:`Scenario`
+  lowering, behind ``repro run`` / ``repro sweep`` (via
+  :func:`benign_spec`) and every chaos run;
 * :func:`compile_chaos` — the runnable
   :class:`~repro.experiments.chaos.ChaosScenario` (base scenario +
   live injectors + optional resilience/supervision stacks).
@@ -22,15 +25,25 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
+from repro.device.config import DeviceConfig
 from repro.experiments.chaos import ChaosScenario
 from repro.experiments.scenario import Scenario
+from repro.experiments.standard import extended_controllers
 from repro.faults.base import FaultInjector, validate_plan
 from repro.faults.device import CameraStall, CpuThrottle
 from repro.faults.link import BandwidthCollapse, BurstLoss, LatencySpike
 from repro.faults.process import ControllerKill, DeviceReboot, ServerKill
 from repro.faults.server import GpuContention, ServerCrash, ServerSlowdown
 from repro.faults.windows import FaultTimeline
+from repro.fleet.config import FleetConfig, FleetTopology
+from repro.models.device_profiles import DEVICE_PROFILES
+from repro.models.frames import FrameSpec
+from repro.models.latency import GpuBatchModel
+from repro.models.zoo import MODEL_ZOO
+from repro.netem.schedule import NetworkSchedule
 from repro.search.language import ScenarioSpec, SpecError
+from repro.server.batching import BatchPolicy
+from repro.workloads.loadgen import LoadSchedule
 
 #: fault kind -> injector class (parameters pass through by name)
 INJECTOR_CLASSES = {
@@ -49,6 +62,10 @@ INJECTOR_CLASSES = {
 
 #: default sampling step for generator schedules (seconds)
 DEFAULT_STEP = 5.0
+
+#: spec keys a plain run (``repro run`` / ``repro sweep``) refuses
+#: rather than silently dropping a fault plan, fleet or defence stack
+PLAIN_RUN_REFUSED = ("faults", "population", "resilience", "supervision")
 
 
 def _spec_duration(spec: ScenarioSpec) -> float:
@@ -209,11 +226,11 @@ def _flash_crowd_rows(gen: Dict[str, Any], horizon: float) -> List[List[float]]:
 # flattening + population expansion
 # ----------------------------------------------------------------------
 def compile_flat(spec: ScenarioSpec) -> Dict[str, Any]:
-    """The base-format dict with every generator lowered to phase rows.
+    """The spec dict with every generator lowered to phase rows.
 
-    The result is accepted verbatim by
-    :func:`repro.io.config.scenario_from_dict` (faults, population and
-    stack switches are stripped — they live above the base format).
+    Faults, population and stack switches are stripped, so the result
+    is a spec :func:`benign_spec` accepts and compiles to the same
+    :class:`Scenario` as ``spec``.
     """
     out: Dict[str, Any] = {}
     for key in ("controller", "seed", "duration", "device", "gpu",
@@ -274,11 +291,60 @@ def build_injectors(spec: ScenarioSpec) -> List[FaultInjector]:
     return out
 
 
-def compile_scenario(spec: ScenarioSpec) -> Scenario:
-    """The benign base :class:`Scenario` (faults not attached)."""
-    from repro.io.config import scenario_from_dict
+def benign_spec(raw: Any) -> ScenarioSpec:
+    """Validate a plain-run config (``repro run`` / ``repro sweep``).
 
-    return scenario_from_dict(compile_flat(spec))
+    A plain run has no fault, population or defence-stack machinery, so
+    a spec carrying any :data:`PLAIN_RUN_REFUSED` key is a
+    :class:`SpecError` naming it.
+    """
+    spec = ScenarioSpec.from_dict(raw)
+    for key in PLAIN_RUN_REFUSED:
+        if key in spec.data:
+            raise SpecError(
+                f"{key}: a plain run (repro run / repro sweep) does not "
+                f"honour this field; remove it"
+            )
+    return spec
+
+
+def compile_scenario(spec: ScenarioSpec) -> Scenario:
+    """The benign base :class:`Scenario` (faults not attached).
+
+    Built straight from the normalized ``spec.data``: a field the spec
+    leaves out keeps its dataclass default, and schedules lower through
+    :func:`network_rows` / :func:`load_rows`.
+    """
+    data = spec.data
+    dev = dict(data.get("device", {}))
+    frame = {k: dev.pop(k) for k in ("resolution", "jpeg_quality") if k in dev}
+    if "profile" in dev:
+        dev["profile"] = DEVICE_PROFILES[dev["profile"]]
+    if "model" in dev:
+        dev["model"] = MODEL_ZOO[dev["model"]]
+    kwargs: Dict[str, Any] = {
+        k: data[k] for k in ("duration", "seed", "uplink_queue_bytes") if k in data
+    }
+    if "batch_policy" in data:
+        kwargs["batch_policy"] = BatchPolicy(data["batch_policy"])
+    net = network_rows(spec)
+    if net is not None:
+        kwargs["network"] = NetworkSchedule.from_rows(net)
+    load = load_rows(spec)
+    if load is not None:
+        kwargs["load"] = LoadSchedule.from_rows(load)
+    topo = data.get("topology")
+    if topo is not None:
+        kwargs["topology"] = FleetTopology(
+            servers=tuple(topo["servers"]),
+            config=FleetConfig(**{k: v for k, v in topo.items() if k != "servers"}),
+        )
+    return Scenario(
+        controller_factory=extended_controllers()[spec.controller],
+        device=DeviceConfig(frame_spec=FrameSpec(**frame), **dev),
+        gpu_model=GpuBatchModel(**data.get("gpu", {})),
+        **kwargs,
+    )
 
 
 def compile_chaos(spec: ScenarioSpec) -> ChaosScenario:

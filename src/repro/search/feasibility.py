@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from repro.control.oracle import (
     LINK_MARGIN,
@@ -36,15 +36,11 @@ from repro.control.oracle import (
     link_capacity_fps,
     mixed_server_capacity,
 )
-from repro.models.device_profiles import DEVICE_PROFILES
-from repro.models.frames import FrameSpec
+from repro.models.device_profiles import local_rate
 from repro.models.latency import GpuBatchModel
-from repro.models.zoo import get_model
 from repro.netem.link import LinkConditions
-from repro.netem.schedule import NetworkSchedule
-from repro.search.compiler import _spec_duration, build_injectors, load_rows, network_rows
+from repro.search.compiler import _spec_duration, build_injectors, compile_scenario
 from repro.search.language import ScenarioSpec
-from repro.workloads.loadgen import LoadSchedule
 
 #: serviceable fraction of demand below which a spec is unwinnable
 DEFAULT_FEASIBLE_FRAC = 0.55
@@ -89,25 +85,16 @@ def analyze_feasibility(
     blackout_limit: float = DEFAULT_BLACKOUT_LIMIT,
 ) -> FeasibilityReport:
     """Conservative analytic winnability check for one spec."""
-    dev = spec.data.get("device", {})
-    frame_rate = float(dev.get("frame_rate", 30.0))
-    deadline = float(dev.get("deadline", 0.25))
-    frame_bytes = FrameSpec(
-        resolution=int(dev.get("resolution", 224)),
-        jpeg_quality=float(dev.get("jpeg_quality", 85.0)),
-    ).bytes_on_wire
-    profile = DEVICE_PROFILES[dev.get("profile", "pi4b_r1_2")]
-    model = get_model(dev.get("model", "mobilenet_v3_small"))
-    from repro.models.device_profiles import local_rate
-
-    base_local = local_rate(profile, model)
-
-    gpu_cfg = spec.data.get("gpu", {})
-    gpu = GpuBatchModel(
-        base_latency=float(gpu_cfg.get("base_latency", GpuBatchModel.base_latency)),
-        per_item=float(gpu_cfg.get("per_item", GpuBatchModel.per_item)),
-        jitter_sigma=float(gpu_cfg.get("jitter_sigma", GpuBatchModel.jitter_sigma)),
-    )
+    scenario = compile_scenario(spec)
+    device = scenario.device
+    frame_rate = device.frame_rate
+    deadline = device.deadline
+    frame_bytes = device.frame_spec.bytes_on_wire
+    model = device.model
+    base_local = local_rate(device.profile, model)
+    gpu = scenario.gpu_model
+    network = scenario.network
+    load = scenario.load
 
     unanalyzed = sorted(
         {f["kind"] for f in spec.faults if f["kind"] in UNANALYZED_KINDS}
@@ -121,11 +108,8 @@ def analyze_feasibility(
             detail=f"process-kill faults not analyzed: {unanalyzed}",
         )
 
-    net_rows = network_rows(spec)
-    network = NetworkSchedule.from_rows([tuple(r) for r in net_rows]) if net_rows else None
-    ld_rows = load_rows(spec)
-    load = LoadSchedule.from_rows([tuple(r) for r in ld_rows]) if ld_rows else None
-
+    # the generator horizon, not ``device.stream_duration``: that is
+    # ``frames * (1 / rate)``, which can differ from it in the last bit
     duration = _spec_duration(spec)
     injectors = build_injectors(spec)  # reuse transform() for link faults
     by_kind = list(zip(spec.faults, injectors))

@@ -1,13 +1,13 @@
-"""The extended scenario language: every chaos run as one JSON artifact.
+"""The scenario language: every run, chaos run and search finding as one
+JSON artifact.
 
-:mod:`repro.io.config` serializes the *benign* declarative scenario
-(device, schedules, seed).  This module promotes that seed format to a
-full language — the superset a chaos or supervision run needs:
+A spec describes the declarative scenario (device, GPU, schedules,
+seed, fleet topology) and everything a chaos or supervision run adds:
 
-* **schedule generators** — ``network``/``load`` may be the flat phase
-  rows the base format uses, *or* a generator dict (``diurnal`` traffic
-  cycles, ``flash_crowd`` spikes, ``mobility``-driven link traces) the
-  compiler lowers to explicit phases;
+* **schedule generators** — ``network``/``load`` may be flat phase
+  rows, *or* a generator dict (``diurnal`` traffic cycles,
+  ``flash_crowd`` spikes, ``mobility``-driven link traces) the compiler
+  lowers to explicit phases;
 * **fault timelines** — a ``faults`` list composing the
   :mod:`repro.faults` window/timeline algebra declaratively (kind +
   parameters + ``(start, duration)`` windows);
@@ -15,6 +15,8 @@ full language — the superset a chaos or supervision run needs:
   device fleet that expands to per-device configs;
 * **stacks** — ``resilience`` / ``supervision`` switches for the
   defense layers.
+
+:mod:`repro.search.compiler` lowers a spec to a runnable scenario.
 
 Determinism contract: :meth:`ScenarioSpec.to_json` is canonical.  For
 any spec, ``from_json(to_json(spec)).to_json()`` is **byte-identical**
@@ -24,8 +26,7 @@ is idempotent.  Golden scenario files and the adversarial search both
 lean on this.
 
 Unknown keys are *errors everywhere*: a typoed field must never be
-silently dropped (the failure mode the base format had — see
-:func:`repro.io.config.scenario_from_dict`).
+silently dropped in favour of a default.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ TOPOLOGY_KEYS: Dict[str, Optional[type]] = {
     "probation": float,
 }
 
-#: top-level keys of the extended language (superset of the base format)
+#: top-level keys of the scenario language
 TOP_LEVEL_KEYS = (
     "controller",
     "seed",
@@ -256,7 +257,7 @@ def _norm_rows(rows: Any, row_len: int, where: str) -> List[List[float]]:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One normalized scenario in the extended language.
+    """One normalized scenario in the scenario language.
 
     Construct through :meth:`from_dict` / :meth:`from_json` (which
     validate and normalize) — the constructor trusts its input.
@@ -410,6 +411,16 @@ class ScenarioSpec:
             raise SpecError(
                 f"unknown model {model!r}; available: {sorted(MODEL_ZOO)}"
             )
+        policy = self.data.get("batch_policy")
+        if policy is not None:
+            from repro.server.batching import BatchPolicy
+
+            policies = sorted(p.value for p in BatchPolicy)
+            if policy not in policies:
+                raise SpecError(
+                    f"batch_policy: unknown policy {policy!r}; "
+                    f"valid policies: {policies}"
+                )
         topo = self.data.get("topology")
         if topo is not None:
             from repro.fleet.config import ROUTER_POLICIES

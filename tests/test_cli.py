@@ -327,6 +327,32 @@ def test_cli_compile_reports_spec_errors_nonzero(tmp_path, capsys):
     assert "spec error" in out and "contoller" in out
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("doc, named", [
+    ({"device": {"total_frame": 100}}, "total_frame"),
+    ([{"device": {"total_frames": 100}}], "must be an object"),
+    ({"device": {"profile": "nope"}}, "'nope'"),
+    ({"faults": [{"kind": "server_crash", "windows": [[1.0, 1.0]]}]}, "faults"),
+])
+def test_cli_run_and_sweep_report_spec_errors_nonzero(tmp_path, capsys, command, doc, named):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    argv = [command, "--config", str(config)]
+    if command == "sweep":
+        argv += ["--seeds", "1", "--workers", "1"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("spec error: ") and named in out
+
+
+def test_cli_compile_rejects_unknown_batch_policy(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"batch_policy": "lifo"}))
+    assert main(["compile", str(spec)]) == 1
+    out = capsys.readouterr().out
+    assert "batch_policy" in out and "deadline_aware" in out
+
+
 def test_cli_compile_requires_a_file():
     with pytest.raises(SystemExit):
         main(["compile"])

@@ -30,8 +30,8 @@ from repro.experiments.scenario import (
 )
 from repro.experiments.three_pi import three_pi_members
 from repro.fleet.config import FleetTopology
-from repro.io.config import scenario_to_dict
 from repro.netem.link import LinkConditions
+from repro.search.compiler import benign_spec
 from repro.server.batching import BatchPolicy
 from repro.trace import Tracer
 from repro.workloads.loadgen import LoadSchedule
@@ -171,9 +171,9 @@ def test_fleet_validation():
         Scenario(members=dup, controller_factory=ff_factory)
     with pytest.raises(ValueError):
         homogeneous_fleet(0)
-    fleet = Scenario(members=homogeneous_fleet(2), controller_factory=ff_factory)
+    # a plain run config has no multi-device form: population is refused
     with pytest.raises(ValueError):
-        scenario_to_dict(fleet, "FrameFeedback")
+        benign_spec({"population": {"size": 2}})
 
 
 def test_one_member_fleet_is_the_single_device_testbed():

@@ -1,15 +1,14 @@
-"""Compile-time validation of fleet topology in specs and config files.
+"""Compile-time validation of fleet topology in specs and run configs.
 
-Satellite #3: fault timelines that target unknown server names must be
-rejected at compile time — in both the scenario-language layer
-(:mod:`repro.search.language`) and the io layer (:mod:`repro.io.config`)
-— with an error that lists the valid names.
+Fault timelines that target unknown server names must be rejected at
+compile time, with an error that lists the valid names; a plain run
+config (``repro run --config``) compiles its topology through the same
+scenario language.
 """
 
 import pytest
 
-from repro.io.config import scenario_from_dict, scenario_to_dict
-from repro.search.compiler import compile_chaos
+from repro.search.compiler import benign_spec, compile_chaos, compile_flat, compile_scenario
 from repro.search.language import ScenarioSpec, SpecError
 
 
@@ -107,7 +106,7 @@ def test_spec_named_slowdown_and_contention_accept_server():
 
 
 # ----------------------------------------------------------------------
-# io config layer (repro.io.config)
+# plain run configs (repro run --config)
 # ----------------------------------------------------------------------
 def config_dict(**overrides):
     base = {
@@ -120,22 +119,33 @@ def config_dict(**overrides):
 
 
 def test_config_topology_round_trips():
-    scenario = scenario_from_dict(config_dict())
-    doc = scenario_to_dict(scenario, "FrameFeedback")
-    assert doc["topology"]["servers"] == ["edge0", "edge1"]
-    assert doc["topology"]["policy"] == "latency_aware"
-    assert doc["topology"]["probation"] == 2.5
-    again = scenario_from_dict(doc)
+    scenario = compile_scenario(benign_spec(config_dict()))
+    assert scenario.topology.servers == ("edge0", "edge1")
+    assert scenario.topology.config.policy == "latency_aware"
+    assert scenario.topology.config.probation == 2.5
+    doc = compile_flat(benign_spec(config_dict()))
+    again = compile_scenario(benign_spec(doc))
     assert again.topology == scenario.topology
 
 
 def test_config_topology_unknown_key_rejected():
     with pytest.raises(ValueError, match="probtion"):
-        scenario_from_dict(
+        benign_spec(
             config_dict(topology={"servers": ["edge0"], "probtion": 1.0})
         )
 
 
 def test_config_topology_empty_servers_rejected():
     with pytest.raises(ValueError, match="servers"):
-        scenario_from_dict(config_dict(topology={"servers": []}))
+        benign_spec(config_dict(topology={"servers": []}))
+
+
+def test_config_topology_string_failover_rejected():
+    """``bool("false")`` is True: a quoted boolean must be refused, not
+    run with failover on."""
+    with pytest.raises(SpecError, match=r"topology\.failover: expected bool"):
+        benign_spec(config_dict(topology={"servers": ["edge0"], "failover": "false"}))
+    off = compile_scenario(
+        benign_spec(config_dict(topology={"servers": ["edge0"], "failover": False}))
+    )
+    assert off.topology.config.failover is False

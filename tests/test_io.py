@@ -1,4 +1,5 @@
-"""Tests for result export and scenario serialization."""
+"""Tests for result export, and for loading a run config through the
+scenario language (the path ``repro run --config`` takes)."""
 
 import json
 
@@ -12,14 +13,14 @@ from repro.io import (
     export_run,
     load_timeseries_csv,
     qos_to_dict,
-    scenario_from_dict,
-    scenario_to_dict,
     timeseries_to_csv,
 )
 from repro.io.export import traces_to_csv
 from repro.metrics.timeseries import TimeSeries
 from repro.netem.profiles import CONGESTED
-from repro.workloads.schedules import steady_schedule, table_v_schedule
+from repro.search import ScenarioSpec, compile_flat, compile_scenario
+from repro.search.compiler import benign_spec
+from repro.workloads.schedules import TABLE_V_NETWORK, steady_schedule, table_v_schedule
 
 
 def _series(name, pairs):
@@ -108,17 +109,28 @@ def test_qos_to_dict_is_strict_json():
 
 
 # ----------------------------------------------------------------------
-# scenario config round trip
+# run configs compile through the scenario language
 # ----------------------------------------------------------------------
+def _run_config(raw):
+    """What ``repro run --config`` does with a loaded JSON document."""
+    return compile_scenario(benign_spec(raw))
+
+
 def test_scenario_round_trip_preserves_run():
+    """A spec describing a hand-built Scenario compiles to the same run."""
     original = Scenario(
         controller_factory=framefeedback_factory(),
         device=DeviceConfig(total_frames=600),
         network=table_v_schedule(),
         seed=7,
     )
-    data = scenario_to_dict(original, "FrameFeedback")
-    rebuilt = scenario_from_dict(json.loads(json.dumps(data)))
+    spec = {
+        "controller": "FrameFeedback",
+        "seed": 7,
+        "device": {"total_frames": 600},
+        "network": [list(row) for row in TABLE_V_NETWORK],
+    }
+    rebuilt = _run_config(json.loads(json.dumps(spec)))
     a = run_scenario(original)
     b = run_scenario(rebuilt)
     assert np.array_equal(a.traces.throughput.values, b.traces.throughput.values)
@@ -126,13 +138,14 @@ def test_scenario_round_trip_preserves_run():
 
 
 def test_scenario_dict_contents():
-    s = Scenario(
-        controller_factory=framefeedback_factory(),
-        device=DeviceConfig(total_frames=100),
-        network=table_v_schedule(),
-        seed=1,
-    )
-    d = scenario_to_dict(s, "FrameFeedback")
+    """``repro compile`` output: the spec's fields, generators lowered."""
+    spec = ScenarioSpec.from_dict({
+        "controller": "FrameFeedback",
+        "seed": 1,
+        "device": {"total_frames": 100},
+        "network": {"kind": "phases", "rows": [list(r) for r in TABLE_V_NETWORK]},
+    })
+    d = compile_flat(spec)
     assert d["controller"] == "FrameFeedback"
     assert d["device"]["total_frames"] == 100
     assert d["network"][0] == [0.0, 10.0, 0.0]
@@ -140,29 +153,25 @@ def test_scenario_dict_contents():
 
 
 def test_unknown_controller_rejected_both_ways():
-    s = Scenario(
-        controller_factory=framefeedback_factory(),
-        device=DeviceConfig(total_frames=100),
-    )
     with pytest.raises(ValueError):
-        scenario_to_dict(s, "NotAController")
+        ScenarioSpec.from_dict({"controller": "NotAController"})
     with pytest.raises(ValueError):
-        scenario_from_dict({"controller": "NotAController"})
+        _run_config({"controller": "NotAController"})
 
 
 def test_minimal_config_uses_defaults():
-    scenario = scenario_from_dict({})
+    scenario = _run_config({})
     assert scenario.device.frame_rate == 30.0
     assert scenario.device.total_frames == 4000
     assert scenario.network is None
 
 
 # ----------------------------------------------------------------------
-# unknown keys are errors, never silent no-ops (ISSUE 6 satellite)
+# unknown keys are errors, never silent no-ops
 # ----------------------------------------------------------------------
 def test_unknown_top_level_key_raises_and_names_valid_fields():
     with pytest.raises(ValueError) as err:
-        scenario_from_dict({"controler": "FrameFeedback", "seed": 3})
+        _run_config({"controler": "FrameFeedback", "seed": 3})
     msg = str(err.value)
     assert "controler" in msg
     assert "valid fields" in msg
@@ -171,36 +180,45 @@ def test_unknown_top_level_key_raises_and_names_valid_fields():
 
 def test_unknown_device_key_raises():
     with pytest.raises(ValueError, match=r"device field\(s\) \['frame_rat'\]"):
-        scenario_from_dict({"device": {"frame_rat": 15.0}})
+        _run_config({"device": {"frame_rat": 15.0}})
 
 
 def test_unknown_gpu_key_raises():
     with pytest.raises(ValueError, match=r"gpu field\(s\) \['base_latencyy'\]"):
-        scenario_from_dict({"gpu": {"base_latencyy": 0.01}})
+        _run_config({"gpu": {"base_latencyy": 0.01}})
 
 
 def test_extended_language_keys_are_rejected_by_the_base_format():
-    """`faults` belongs to the repro.search language, not the base
-    format — passing it here must fail loudly, not silently drop the
-    fault plan."""
+    """A plain run has no fault machinery: passing ``faults`` must fail
+    loudly, not silently drop the fault plan."""
     with pytest.raises(ValueError, match="faults"):
-        scenario_from_dict(
+        _run_config(
             {"faults": [{"kind": "server_crash", "windows": [[1.0, 1.0]]}]}
         )
 
 
+@pytest.mark.parametrize("key, value", [
+    ("population", {"size": 2}),
+    ("resilience", True),
+    ("supervision", False),
+])
+def test_plain_run_refuses_population_and_stack_keys(key, value):
+    with pytest.raises(ValueError, match=key):
+        _run_config({key: value})
+
+
 def test_typo_no_longer_silently_falls_back_to_default():
-    """The regression this satellite fixes: a typoed total_frames used
-    to be dropped, silently running the 4000-frame default."""
+    """A typoed total_frames must not be dropped, silently running the
+    4000-frame default."""
     with pytest.raises(ValueError):
-        scenario_from_dict({"device": {"total_frame": 100}})
+        _run_config({"device": {"total_frame": 100}})
 
 
 # ----------------------------------------------------------------------
 # generator dicts lower through the scenario compiler
 # ----------------------------------------------------------------------
 def test_network_generator_dict_is_lowered():
-    scenario = scenario_from_dict(
+    scenario = _run_config(
         {"duration": 20.0,
          "network": {"kind": "diurnal", "period": 20.0, "base_bandwidth": 10.0,
                      "dip": 6.0, "step": 5.0}}
@@ -211,7 +229,7 @@ def test_network_generator_dict_is_lowered():
 
 
 def test_load_generator_dict_is_lowered():
-    scenario = scenario_from_dict(
+    scenario = _run_config(
         {"duration": 30.0,
          "load": {"kind": "flash_crowd", "peak_rate": 90.0, "at": 5.0}}
     )
@@ -222,6 +240,6 @@ def test_load_generator_dict_is_lowered():
 
 def test_bad_generator_field_raises():
     with pytest.raises(ValueError, match="unknown generator kind"):
-        scenario_from_dict({"network": {"kind": "diurnals"}})
+        _run_config({"network": {"kind": "diurnals"}})
     with pytest.raises(ValueError, match="network"):
-        scenario_from_dict({"network": {"kind": "diurnal", "perod": 10.0}})
+        _run_config({"network": {"kind": "diurnal", "perod": 10.0}})

@@ -172,6 +172,54 @@ def test_compile_flat_lowers_generators_and_strips_extended_keys():
     assert scenario.seed == 5
 
 
+def test_compile_scenario_lowers_every_field():
+    """Each spec field reaches the Scenario; omitted ones keep defaults."""
+    from repro.device.config import DeviceConfig
+    from repro.fleet.config import FleetConfig, FleetTopology
+    from repro.models.device_profiles import DEVICE_PROFILES
+    from repro.models.frames import FrameSpec
+    from repro.models.latency import GpuBatchModel
+    from repro.models.zoo import MODEL_ZOO
+    from repro.server.batching import BatchPolicy
+
+    spec = ScenarioSpec.from_dict({
+        "controller": "AIMD", "seed": 9, "duration": 12.5,
+        "device": {"name": "cam", "profile": "pi3b_r1_2",
+                   "model": "mobilenet_v3_large", "frame_rate": 15,
+                   "deadline": 0.3, "measure_period": 2, "t_window_buckets": 4,
+                   "total_frames": 120, "resolution": 160, "jpeg_quality": 70},
+        "gpu": {"base_latency": 0.01, "per_item": 0.002, "jitter_sigma": 0.1},
+        "batch_policy": "fair", "uplink_queue_bytes": 50_000,
+        "topology": {"servers": ["a", "b"], "failover": False, "fail_threshold": 5},
+        "network": [[0, 8, 1]], "load": [[0, 20]],
+    })
+    scenario = compile_scenario(spec)
+    assert scenario.device == DeviceConfig(
+        name="cam", profile=DEVICE_PROFILES["pi3b_r1_2"],
+        model=MODEL_ZOO["mobilenet_v3_large"],
+        frame_spec=FrameSpec(resolution=160, jpeg_quality=70.0),
+        frame_rate=15.0, deadline=0.3, measure_period=2.0,
+        t_window_buckets=4, total_frames=120,
+    )
+    assert scenario.gpu_model == GpuBatchModel(0.01, 0.002, 0.1)
+    assert scenario.batch_policy is BatchPolicy.FAIR
+    assert (scenario.seed, scenario.duration, scenario.uplink_queue_bytes) == (
+        9, 12.5, 50_000.0
+    )
+    assert scenario.topology == FleetTopology(
+        ("a", "b"), FleetConfig(failover=False, fail_threshold=5)
+    )
+    assert scenario.network.at(0.0).bandwidth == 8.0
+    assert scenario.load.rate_at(0.0) == 20.0
+    assert scenario.controller_factory(scenario.device).name == "AIMD"
+
+    bare = compile_scenario(ScenarioSpec.from_dict({}))
+    assert bare.device == DeviceConfig() and bare.gpu_model == GpuBatchModel()
+    assert (bare.seed, bare.duration, bare.batch_policy, bare.topology) == (
+        0, None, BatchPolicy.FIFO, None
+    )
+
+
 def test_expand_population_round_robins_hardware():
     spec = ScenarioSpec.from_dict(
         {"device": {"total_frames": 100},

@@ -15,7 +15,7 @@ import json
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.search import ScenarioSpec, compile_flat
+from repro.search import ScenarioSpec, compile_flat, compile_scenario
 from repro.search.language import FAULT_KINDS
 
 # bounded, finite floats: the language accepts any float, but keeping
@@ -105,6 +105,16 @@ def scenario_dicts(draw):
             "frame_rate": draw(pos_float),
         }
     if draw(st.booleans()):
+        data.setdefault("device", {})["profile"] = draw(
+            st.sampled_from(["pi4b_r1_2", "pi3b_r1_2"]))
+    if draw(st.booleans()):
+        data["gpu"] = {"base_latency": draw(small_float),
+                       "jitter_sigma": draw(small_float)}
+    if draw(st.booleans()):
+        data["batch_policy"] = draw(st.sampled_from(["fifo", "fair", "deadline_aware"]))
+    if draw(st.booleans()):
+        data["uplink_queue_bytes"] = draw(pos_float)
+    if draw(st.booleans()):
         data["network"] = draw(network_fields())
     if draw(st.booleans()):
         data["load"] = draw(load_fields())
@@ -166,3 +176,28 @@ def test_compile_flat_is_deterministic(data):
     first = compile_flat(spec)
     second = compile_flat(ScenarioSpec.from_json(spec.to_json()))
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def _lowered(spec):
+    s = compile_scenario(spec)
+    return (
+        s.device,
+        s.gpu_model,
+        None if s.network is None else s.network.phases,
+        None if s.load is None else s.load.phases,
+        s.topology,
+        s.seed,
+        s.duration,
+        s.batch_policy,
+        s.uplink_queue_bytes,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario_dicts())
+def test_compiled_flat_form_compiles_to_the_same_scenario(data):
+    """``repro compile`` output is a spec that runs exactly as the
+    original: same device, GPU, schedules and topology."""
+    spec = ScenarioSpec.from_dict(data)
+    flat = ScenarioSpec.from_dict(compile_flat(spec))
+    assert _lowered(flat) == _lowered(spec)
