@@ -30,42 +30,30 @@ Experiments (one per paper table/figure) live in
 :mod:`repro.experiments`; substrates (DES kernel, NetEm-style link,
 GPU server, device pipelines) under :mod:`repro.sim`,
 :mod:`repro.netem`, :mod:`repro.server` and :mod:`repro.device`.
+
+Every name above is imported on first use, so ``import repro`` (or any
+one submodule, such as the wall-clock gateway) loads nothing else.
 """
 
-from repro.control.base import Controller, Measurement
-from repro.control.baselines import (
-    AllOrNothingController,
-    AlwaysOffloadController,
-    LocalOnlyController,
-)
-from repro.control.framefeedback import (
-    PAPER_SETTINGS,
-    FrameFeedbackController,
-    FrameFeedbackSettings,
-)
-from repro.device.config import DeviceConfig
-from repro.experiments.scenario import RunResult, Scenario, run_scenario
-from repro.netem.link import LinkConditions
-from repro.netem.schedule import NetworkSchedule
-from repro.workloads.loadgen import LoadSchedule
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllOrNothingController",
-    "AlwaysOffloadController",
-    "Controller",
-    "DeviceConfig",
-    "FrameFeedbackController",
-    "FrameFeedbackSettings",
-    "LinkConditions",
-    "LoadSchedule",
-    "LocalOnlyController",
-    "Measurement",
-    "NetworkSchedule",
-    "PAPER_SETTINGS",
-    "RunResult",
-    "Scenario",
-    "run_scenario",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.control.base": ("Controller", "Measurement"),
+        "repro.control.baselines": (
+            "AllOrNothingController", "AlwaysOffloadController", "LocalOnlyController",
+        ),
+        "repro.control.framefeedback": (
+            "PAPER_SETTINGS", "FrameFeedbackController", "FrameFeedbackSettings",
+        ),
+        "repro.device.config": ("DeviceConfig",),
+        "repro.experiments.scenario": ("RunResult", "Scenario", "run_scenario"),
+        "repro.netem.link": ("LinkConditions",),
+        "repro.netem.schedule": ("NetworkSchedule",),
+        "repro.workloads.loadgen": ("LoadSchedule",),
+    },
+)
+__all__ = __all__ + ["__version__"]

@@ -181,14 +181,12 @@ def _cmd_netem(args: argparse.Namespace) -> str:
 
 def _load_run_config(path: Optional[str], command: str):
     """The raw config at ``path`` and its validated plain-run spec."""
-    import json as _json
-
     from repro.search.compiler import benign_spec
+    from repro.search.language import read_spec_json
 
     if not path:
         raise SystemExit(f"{command} requires --config <file.json>")
-    with open(path) as fh:
-        raw = _json.load(fh)
+    raw = read_spec_json(path)
     return raw, benign_spec(raw)
 
 
@@ -196,10 +194,12 @@ def _cmd_sweep(args: argparse.Namespace):
     from repro.experiments.parallel import run_many, seed_sweep_configs
     from repro.experiments.report import ascii_table
     from repro.experiments.seeds import MetricSummary
+    from repro.search.compiler import compile_scenario
     from repro.search.language import SpecError
 
     try:
         base, spec = _load_run_config(args.config, "sweep")
+        compile_scenario(spec)  # values the dataclasses reject fail here
     except SpecError as exc:
         return f"spec error: {exc}", 1
     configs = seed_sweep_configs(base, range(args.seeds))
@@ -721,13 +721,14 @@ def _cmd_compile(args: argparse.Namespace):
     """
     import json as _json
 
-    from repro.search import compile_flat, expand_population, load_spec
+    from repro.search import compile_flat, compile_scenario, expand_population, load_spec
     from repro.search.language import SpecError
 
     if not args.scenario:
         raise SystemExit("compile requires a spec file: repro compile spec.json")
     try:
         spec = load_spec(args.scenario)
+        compile_scenario(spec)  # values the dataclasses reject fail here
         if args.expand:
             doc = expand_population(spec)
         else:

@@ -16,21 +16,17 @@ model on the device side:
   need.
 """
 
-from repro.device.camera import FrameSource
-from repro.device.config import DeviceConfig
-from repro.device.device import DeviceTraces, EdgeDevice
-from repro.device.energy import CpuUtilizationModel
-from repro.device.local import LocalPipeline
-from repro.device.offload import OffloadClient
-from repro.device.splitter import TokenBucketSplitter
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CpuUtilizationModel",
-    "DeviceConfig",
-    "DeviceTraces",
-    "EdgeDevice",
-    "FrameSource",
-    "LocalPipeline",
-    "OffloadClient",
-    "TokenBucketSplitter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.device.camera": ("FrameSource",),
+        "repro.device.config": ("DeviceConfig",),
+        "repro.device.device": ("DeviceTraces", "EdgeDevice"),
+        "repro.device.energy": ("CpuUtilizationModel",),
+        "repro.device.local": ("LocalPipeline",),
+        "repro.device.offload": ("OffloadClient",),
+        "repro.device.splitter": ("TokenBucketSplitter",),
+    },
+)

@@ -6,28 +6,21 @@ consume *time series* of per-second rates; EXPERIMENTS.md consumes
 *QoS summaries*.  Each has a dedicated module here.
 """
 
-from repro.metrics.breakdown import BreakdownCollector, LatencySample, TimeoutCause
-from repro.metrics.counters import EventCounter, WindowedRate
-from repro.metrics.qos import PhaseSummary, QosReport, fleet_extras, summarize_phases
-from repro.metrics.streaming import StreamingHistogram
-from repro.metrics.taxonomy import FailureKind, FailureTaxonomy
-from repro.metrics.timeseries import TimeSeries
-from repro.metrics.tracestats import span_duration_stats, trace_latency_summary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BreakdownCollector",
-    "EventCounter",
-    "FailureKind",
-    "FailureTaxonomy",
-    "LatencySample",
-    "PhaseSummary",
-    "QosReport",
-    "StreamingHistogram",
-    "TimeoutCause",
-    "TimeSeries",
-    "WindowedRate",
-    "fleet_extras",
-    "span_duration_stats",
-    "summarize_phases",
-    "trace_latency_summary",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.breakdown": (
+            "BreakdownCollector", "LatencySample", "TimeoutCause",
+        ),
+        "repro.metrics.counters": ("EventCounter", "WindowedRate"),
+        "repro.metrics.qos": (
+            "PhaseSummary", "QosReport", "fleet_extras", "summarize_phases",
+        ),
+        "repro.metrics.streaming": ("StreamingHistogram",),
+        "repro.metrics.taxonomy": ("FailureKind", "FailureTaxonomy"),
+        "repro.metrics.timeseries": ("TimeSeries",),
+        "repro.metrics.tracestats": ("span_duration_stats", "trace_latency_summary"),
+    },
+)

@@ -18,46 +18,21 @@ therefore provides calibrated cost models:
   frames.
 """
 
-from repro.models.accuracy import AccuracyModel, estimate_accuracy
-from repro.models.device_profiles import (
-    DEVICE_PROFILES,
-    PI_3B_1_2,
-    PI_4B_1_2,
-    PI_4B_1_4,
-    DeviceProfile,
-    local_rate,
-)
-from repro.models.frames import FrameSpec, frame_bytes, jpeg_bits_per_pixel
-from repro.models.latency import GpuBatchModel, LocalLatencyModel
-from repro.models.zoo import (
-    EFFICIENTNET_B0,
-    EFFICIENTNET_B4,
-    MOBILENET_V3_LARGE,
-    MOBILENET_V3_SMALL,
-    MODEL_ZOO,
-    ModelSpec,
-    get_model,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyModel",
-    "DEVICE_PROFILES",
-    "DeviceProfile",
-    "EFFICIENTNET_B0",
-    "EFFICIENTNET_B4",
-    "FrameSpec",
-    "GpuBatchModel",
-    "LocalLatencyModel",
-    "MOBILENET_V3_LARGE",
-    "MOBILENET_V3_SMALL",
-    "MODEL_ZOO",
-    "ModelSpec",
-    "PI_3B_1_2",
-    "PI_4B_1_2",
-    "PI_4B_1_4",
-    "estimate_accuracy",
-    "frame_bytes",
-    "get_model",
-    "jpeg_bits_per_pixel",
-    "local_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.models.accuracy": ("AccuracyModel", "estimate_accuracy"),
+        "repro.models.device_profiles": (
+            "DEVICE_PROFILES", "PI_3B_1_2", "PI_4B_1_2", "PI_4B_1_4", "DeviceProfile",
+            "local_rate",
+        ),
+        "repro.models.frames": ("FrameSpec", "frame_bytes", "jpeg_bits_per_pixel"),
+        "repro.models.latency": ("GpuBatchModel", "LocalLatencyModel"),
+        "repro.models.zoo": (
+            "EFFICIENTNET_B0", "EFFICIENTNET_B4", "MOBILENET_V3_LARGE",
+            "MOBILENET_V3_SMALL", "MODEL_ZOO", "ModelSpec", "get_model",
+        ),
+    },
+)

@@ -18,13 +18,12 @@ matching typical compressed ImageNet thumbnails.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
-_QUALITY_ANCHORS = np.array([10.0, 30.0, 50.0, 75.0, 85.0, 90.0, 95.0, 100.0])
-_BPP_ANCHORS = np.array([0.25, 0.50, 0.75, 1.20, 1.80, 2.40, 3.50, 6.00])
+_QUALITY_ANCHORS = (10.0, 30.0, 50.0, 75.0, 85.0, 90.0, 95.0, 100.0)
+_BPP_ANCHORS = (0.25, 0.50, 0.75, 1.20, 1.80, 2.40, 3.50, 6.00)
 
 #: fixed per-request overhead: JPEG/HTTP headers, request metadata
 HEADER_BYTES = 400
@@ -37,7 +36,18 @@ def jpeg_bits_per_pixel(quality: float) -> float:
     """Average JPEG bits/pixel at integer ``quality`` in [1, 100]."""
     if not 1 <= quality <= 100:
         raise ValueError(f"JPEG quality must be in [1, 100], got {quality}")
-    return float(np.interp(quality, _QUALITY_ANCHORS, _BPP_ANCHORS))
+    # numpy's interp, step for step, so the result is bit-identical:
+    # clamp below the first anchor, exact at an anchor, else the slope
+    # of the bracketing segment times the offset into it
+    x = float(quality)
+    j = bisect.bisect_right(_QUALITY_ANCHORS, x) - 1
+    if j < 0:
+        return _BPP_ANCHORS[0]
+    if j == len(_QUALITY_ANCHORS) - 1 or _QUALITY_ANCHORS[j] == x:
+        return _BPP_ANCHORS[j]
+    x0, y0 = _QUALITY_ANCHORS[j], _BPP_ANCHORS[j]
+    slope = (_BPP_ANCHORS[j + 1] - y0) / (_QUALITY_ANCHORS[j + 1] - x0)
+    return slope * (x - x0) + y0
 
 
 @functools.lru_cache(maxsize=256)

@@ -16,28 +16,18 @@ shows that nothing in the control layer depends on virtual time:
   validation (:mod:`~repro.realtime.twin`).  See ``docs/realtime.md``.
 """
 
-from repro.realtime.aio import (
-    AsyncFakeRemote,
-    AsyncLoopResult,
-    AsyncRealTimeLoop,
-    RemoteConditions,
-)
-from repro.realtime.client import (
-    AsyncSocketRemote,
-    FrameOutcome,
-    ResilientSocketRemote,
-)
-from repro.realtime.gateway import GatewayConfig, GatewayStats, InferenceGateway
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AsyncFakeRemote",
-    "AsyncLoopResult",
-    "AsyncRealTimeLoop",
-    "AsyncSocketRemote",
-    "FrameOutcome",
-    "GatewayConfig",
-    "GatewayStats",
-    "InferenceGateway",
-    "RemoteConditions",
-    "ResilientSocketRemote",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.realtime.aio": (
+            "AsyncFakeRemote", "AsyncLoopResult", "AsyncRealTimeLoop",
+            "RemoteConditions",
+        ),
+        "repro.realtime.client": (
+            "AsyncSocketRemote", "FrameOutcome", "ResilientSocketRemote",
+        ),
+        "repro.realtime.gateway": ("GatewayConfig", "GatewayStats", "InferenceGateway"),
+    },
+)

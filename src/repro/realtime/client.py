@@ -53,6 +53,14 @@ class FrameOutcome(enum.Enum):
     FALLBACK_LOCAL = "fallback_local"
 
 
+#: the outcome each reply status byte settles a frame as
+_OUTCOME_OF_STATUS = {
+    protocol.STATUS_OK: FrameOutcome.COMPLETED,
+    protocol.STATUS_REJECTED: FrameOutcome.REJECTED,
+    protocol.STATUS_OVERLOADED: FrameOutcome.OVERLOADED,
+    protocol.STATUS_EXPIRED: FrameOutcome.EXPIRED,
+}
+
 #: outcomes that indicate the remote path failed (feed the breaker)
 FAILURE_OUTCOMES = (
     FrameOutcome.TIMEOUT,
@@ -60,6 +68,74 @@ FAILURE_OUTCOMES = (
     FrameOutcome.OVERLOADED,
     FrameOutcome.EXPIRED,
 )
+
+
+class _ClientConnection(asyncio.Protocol):
+    """One pooled socket with at most one request in flight.
+
+    :meth:`send` writes a request and returns the future its reply
+    resolves; the connection goes back to its pool the moment the reply
+    is read, before the future's awaiter runs.
+    """
+
+    def __init__(self, owner: "AsyncSocketRemote") -> None:
+        self.owner = owner
+        self.transport: Optional[asyncio.Transport] = None
+        self.waiter: Optional["asyncio.Future[protocol.Reply]"] = None
+        self.buffer = b""
+        self.idle_since = 0.0
+        #: why the connection went, for a send after it did
+        self.lost: Optional[BaseException] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def send(self, data: bytes) -> "asyncio.Future[protocol.Reply]":
+        self.waiter = waiter = self.owner._loop.create_future()
+        if self.transport is None:
+            waiter.set_exception(self.lost)
+        else:
+            self.transport.write(data)
+        return waiter
+
+    def data_received(self, data: bytes) -> None:
+        if self.buffer:
+            data = self.buffer + data
+        if len(data) < protocol.REPLY_SIZE:
+            self.buffer = data
+            return
+        self.buffer = b""
+        waiter, self.waiter = self.waiter, None
+        if waiter is None or waiter.done() or len(data) > protocol.REPLY_SIZE:
+            # bytes nobody asked for: the stream is out of step
+            self.close()
+            if waiter is not None and not waiter.done():
+                waiter.set_exception(protocol.ProtocolError("unsolicited reply bytes"))
+            return
+        try:
+            reply = protocol.decode_reply(data)
+        except protocol.ProtocolError as exc:
+            self.close()
+            waiter.set_exception(exc)
+            return
+        self.owner._release(self)
+        waiter.set_result(reply)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        self.lost = exc or protocol.ProtocolError(
+            f"connection closed mid-reply ({len(self.buffer)} bytes)"
+        )
+        waiter, self.waiter = self.waiter, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(self.lost)
+
+    def is_closing(self) -> bool:
+        return self.transport is None or self.transport.is_closing()
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
 
 
 class AsyncSocketRemote:
@@ -85,53 +161,78 @@ class AsyncSocketRemote:
         self.pool_idle = pool_idle
         self.pool_limit = pool_limit
         self._payload = b"\x00" * frame_bytes
-        self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter, float]] = []
+        self._pool: List[_ClientConnection] = []
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     async def exchange(self, deadline: Optional[float]) -> protocol.Reply:
         """One request/response round trip (raises on transport error).
 
-        The caller bounds the whole call with ``asyncio.wait_for``; the
-        connect step carries its own smaller timeout so a dead address
-        fails fast instead of eating the whole deadline budget.
+        The caller bounds the whole call; the connect step carries its
+        own smaller timeout so a dead address fails fast instead of
+        eating the whole deadline budget.
         """
         conn = self._acquire()
         if conn is None:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(*self.address), timeout=self.connect_timeout
+            loop = asyncio.get_running_loop()
+            _transport, conn = await asyncio.wait_for(
+                loop.create_connection(lambda: _ClientConnection(self), *self.address),
+                timeout=self.connect_timeout,
             )
-        else:
-            reader, writer = conn
+        reply = conn.send(protocol.encode_request(self.tenant, self._payload, deadline))
         try:
-            writer.write(protocol.encode_request(self.tenant, self._payload, deadline))
-            await writer.drain()
-            reply = await protocol.read_reply(reader)
+            return await reply
         except BaseException:
-            writer.close()
+            if reply.cancelled():
+                conn.close()  # its reply is still owed: never reuse it
             raise
-        self._release(reader, writer)
-        return reply
 
-    def _acquire(self):
-        loop = asyncio.get_running_loop()
+    def launch(
+        self, deadline: Optional[float]
+    ) -> "Tuple[asyncio.Future[protocol.Reply], Optional[_ClientConnection]]":
+        """Start one round trip without waiting for it.
+
+        On a pooled connection this is a plain write returning the reply
+        future and the connection it is owed on; otherwise it is an
+        :meth:`exchange` Task that connects first (connection None).
+        Abandon an unfinished one with :meth:`abandon`.
+        """
+        conn = self._acquire()
+        if conn is None:
+            return asyncio.ensure_future(self.exchange(deadline)), None
+        return conn.send(protocol.encode_request(self.tenant, self._payload, deadline)), conn
+
+    @staticmethod
+    def abandon(reply: "asyncio.Future[protocol.Reply]",
+                conn: Optional[_ClientConnection]) -> None:
+        """Give up on a launched round trip; its connection is closed."""
+        if not reply.done():
+            reply.cancel()
+            if conn is not None:
+                conn.close()
+        elif not reply.cancelled():
+            reply.exception()  # a loser's error is not worth a log line
+
+    def _acquire(self) -> Optional[_ClientConnection]:
+        self._loop = loop = asyncio.get_running_loop()
         now = loop.time()
         while self._pool:
-            reader, writer, last_used = self._pool.pop()
-            if now - last_used > self.pool_idle or writer.is_closing():
-                writer.close()
+            conn = self._pool.pop()
+            if now - conn.idle_since > self.pool_idle or conn.is_closing():
+                conn.close()
                 continue
-            return reader, writer
+            return conn
         return None
 
-    def _release(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        if writer.is_closing() or len(self._pool) >= self.pool_limit:
-            writer.close()
+    def _release(self, conn: _ClientConnection) -> None:
+        if conn.is_closing() or len(self._pool) >= self.pool_limit:
+            conn.close()
             return
-        self._pool.append((reader, writer, asyncio.get_running_loop().time()))
+        conn.idle_since = self._loop.time()
+        self._pool.append(conn)
 
     async def close(self) -> None:
         while self._pool:
-            _reader, writer, _t = self._pool.pop()
-            writer.close()
+            self._pool.pop().close()
 
 
 class ResilientSocketRemote:
@@ -220,7 +321,7 @@ class ResilientSocketRemote:
         """Submit-driven half-open trial probe (no hedging, no budget)."""
         self.breaker.on_probe_sent(loop.time())
         self._next_probe_at = float("inf")  # one probe in flight at a time
-        outcome, _hint = await self._single_attempt(self.deadline)
+        outcome, _hint = await self._attempt_with_retry(loop, hedge=False)
         ok = outcome is FrameOutcome.COMPLETED
         self.breaker.record_probe(ok, loop.time())
         if not ok:
@@ -241,79 +342,91 @@ class ResilientSocketRemote:
         if kind is not None:
             self.taxonomy.record(kind)
 
-    async def _single_attempt(self, budget: float):
-        """One exchange bounded by ``budget``; never raises."""
-        try:
-            reply = await asyncio.wait_for(
-                self.remote.exchange(deadline=budget), timeout=budget
-            )
-        except (asyncio.TimeoutError, ConnectionError, OSError, protocol.ProtocolError):
-            return FrameOutcome.TIMEOUT, None
-        return self._classify(reply), reply.retry_after
-
     @staticmethod
-    def _classify(reply: protocol.Reply) -> FrameOutcome:
-        return {
-            protocol.STATUS_OK: FrameOutcome.COMPLETED,
-            protocol.STATUS_REJECTED: FrameOutcome.REJECTED,
-            protocol.STATUS_OVERLOADED: FrameOutcome.OVERLOADED,
-            protocol.STATUS_EXPIRED: FrameOutcome.EXPIRED,
-        }[reply.status]
+    def _verdict(reply: "asyncio.Future[protocol.Reply]"):
+        """Outcome and hint of one finished attempt; transport errors
+        are a TIMEOUT (no useful reply), anything else propagates."""
+        exc = reply.exception()
+        if exc is None:
+            result = reply.result()
+            return _OUTCOME_OF_STATUS[result.status], result.retry_after
+        if isinstance(exc, (asyncio.TimeoutError, ConnectionError, OSError,
+                            protocol.ProtocolError)):
+            return FrameOutcome.TIMEOUT, None
+        raise exc
 
     # ------------------------------------------------------------------
-    async def _attempt_with_retry(self, loop: asyncio.AbstractEventLoop):
+    async def _attempt_with_retry(self, loop: asyncio.AbstractEventLoop,
+                                  hedge: bool = True):
         """Deadline-budgeted hedged retransmission; first OK wins.
 
         Mirrors the simulator's :class:`~repro.resilience.layer` retry
         discipline: the hedge fires at ``retry_after_frac`` of the
         deadline, only if at least ``min_reply_frac`` of the budget
-        remains and the token bucket grants it.
+        remains and the token bucket grants it.  The attempts' reply
+        futures race one timer at a time (the hedge point, then the
+        deadline); no Task is made on a pooled connection.
         """
         start = loop.time()
         budget = self.deadline
-        attempts = [asyncio.ensure_future(self._single_attempt(budget))]
-        hedge_wait = self.config.retry_after_frac * budget
-        done, _pending = await asyncio.wait(attempts, timeout=hedge_wait)
-        if not done and self.config.max_retries > 0:
-            now = loop.time()
-            remaining = budget - (now - start)
-            if remaining < self.config.min_reply_frac * budget:
-                self.taxonomy.record(FailureKind.RETRY_WINDOW_CLOSED)
-            elif not self.retry_budget.try_acquire(now):
-                self.taxonomy.record(FailureKind.RETRY_DENIED)
-            else:
-                self.taxonomy.record(FailureKind.RETRY_SENT)
-                attempts.append(
-                    asyncio.ensure_future(self._single_attempt(remaining))
-                )
-        # race the in-flight attempts to the overall deadline: the first
-        # COMPLETED wins immediately; otherwise the best non-OK verdict
         deadline_at = start + budget
+        hedge_at = start + self.config.retry_after_frac * budget if hedge else None
+        attempts = [self.remote.launch(budget)]
         fallback: Optional[Tuple[FrameOutcome, Optional[float]]] = None
-        pending = {t for t in attempts if not t.done()}
-        for task in attempts:
-            if task.done():
-                outcome, hint = task.result()
-                if outcome is FrameOutcome.COMPLETED:
-                    return outcome, hint
-                fallback = fallback or (outcome, hint)
-        while pending:
-            timeout = deadline_at - loop.time()
-            if timeout <= 0:
-                break
-            done, pending = await asyncio.wait(
-                pending, timeout=timeout, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                outcome, hint = task.result()
-                if outcome is FrameOutcome.COMPLETED:
-                    for stray in pending:
-                        stray.cancel()
-                    return outcome, hint
-                fallback = fallback or (outcome, hint)
-        for stray in pending:
-            stray.cancel()
+        try:
+            while attempts:
+                when = deadline_at if hedge_at is None else hedge_at
+                if loop.time() < when:
+                    wake, timer = _first_of(loop, attempts, when)
+                    try:
+                        await wake
+                    finally:
+                        timer.cancel()
+                live = []
+                for attempt in attempts:
+                    if not attempt[0].done():
+                        live.append(attempt)
+                        continue
+                    outcome, hint = self._verdict(attempt[0])
+                    if outcome is FrameOutcome.COMPLETED:
+                        return outcome, hint
+                    fallback = fallback or (outcome, hint)
+                attempts = live
+                now = loop.time()
+                if hedge_at is not None and now >= hedge_at:
+                    hedge_at = None
+                    if attempts and self.config.max_retries > 0:
+                        self._hedge(now, deadline_at - now, budget, attempts)
+                elif hedge_at is None and now >= deadline_at:
+                    break
+        finally:
+            for reply, conn in attempts:
+                self.remote.abandon(reply, conn)
         return fallback if fallback is not None else (FrameOutcome.TIMEOUT, None)
+
+    def _hedge(self, now: float, remaining: float, budget: float, attempts: list) -> None:
+        """Send the hedged retransmission if the window and budget allow."""
+        if remaining < self.config.min_reply_frac * budget:
+            self.taxonomy.record(FailureKind.RETRY_WINDOW_CLOSED)
+        elif not self.retry_budget.try_acquire(now):
+            self.taxonomy.record(FailureKind.RETRY_DENIED)
+        else:
+            self.taxonomy.record(FailureKind.RETRY_SENT)
+            attempts.append(self.remote.launch(remaining))
 
     async def close(self) -> None:
         await self.remote.close()
+
+
+def _first_of(loop: asyncio.AbstractEventLoop, attempts: list, when: float):
+    """A future done when any attempt's reply is, or at loop time
+    ``when``, and the timer that covers the second case."""
+    wake = loop.create_future()
+
+    def fire(_: object = None) -> None:
+        if not wake.done():
+            wake.set_result(None)
+
+    for reply, _conn in attempts:
+        reply.add_done_callback(fire)
+    return wake, loop.call_at(when, fire)

@@ -6,8 +6,10 @@ and a shutdown story, following the deadline-constrained-offloading
 shape of Sedlak et al. (arXiv:2510.01885) and the token-bucket
 admission discipline of Chakrabarti et al. (arXiv:2010.13737):
 
-* **asyncio-native** — one event loop, every connection a coroutine,
-  thousands of concurrent clients without a thread per socket;
+* **asyncio-native** — one event loop, every connection an
+  :class:`asyncio.Protocol` driven by callbacks (no Task per connection
+  or per frame), thousands of concurrent clients without a thread per
+  socket;
 * **wire protocol v2** (:mod:`repro.realtime.protocol`) — tenant id +
   deadline budget in, status byte + retry-after hint out;
 * **per-tenant token-bucket admission** — the same continuous-refill
@@ -18,8 +20,9 @@ admission discipline of Chakrabarti et al. (arXiv:2010.13737):
 * **bounded queue with deadline-aware shedding** — when the accept
   queue is full the gateway drops the frame that is going to miss its
   deadline anyway (soonest ``deadline_at``), never blindly the newest;
-* **timeouts everywhere** — reads, writes and the GPU loop are all
-  bounded, so one wedged client can never wedge the gateway;
+* **timeouts everywhere** — reads and writes are bounded per
+  connection and the GPU model is a fixed delay, so one wedged client
+  can never wedge the gateway;
 * **closed accounting** — every decoded request reaches exactly one
   terminal status, including through a graceful stop (drained as
   REJECTED) and an aborted one (connections reset, which the client
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.realtime import protocol
 from repro.resilience.budget import RetryBudget
@@ -62,7 +65,8 @@ class GatewayConfig:
     #: bound on reading one request frame (covers idle keep-alive waits
     #: and mid-frame stalls alike)
     read_timeout: float = 30.0
-    #: bound on flushing one response frame
+    #: bound on a paused write: how long the peer may leave a response
+    #: unread with the send buffer above its high-water mark
     write_timeout: float = 5.0
 
     def __post_init__(self) -> None:
@@ -133,16 +137,16 @@ class GatewayStats:
 class _Pending:
     """One admitted frame waiting for the GPU."""
 
-    __slots__ = ("future", "deadline_at", "enqueued_at", "tenant")
+    __slots__ = ("conn", "deadline_at", "enqueued_at", "tenant")
 
     def __init__(
         self,
-        future: "asyncio.Future[Tuple[bytes, Optional[float]]]",
+        conn: "_Connection",
         deadline_at: Optional[float],
         enqueued_at: float,
         tenant: str,
     ) -> None:
-        self.future = future
+        self.conn = conn
         self.deadline_at = deadline_at
         self.enqueued_at = enqueued_at
         self.tenant = tenant
@@ -159,18 +163,199 @@ class _Pending:
         return (1, self.enqueued_at)
 
 
+class _Connection(asyncio.Protocol):
+    """One client connection: decode, serve one request at a time, reply.
+
+    Requests are decoded as bytes arrive but served strictly one after
+    another: the next is taken only once the previous reply is written
+    (and the transport is not paused), so replies leave in request
+    order.  Reading is bounded by one lazily re-armed timer per
+    connection; writing by a timer armed only while the transport is
+    paused.
+    """
+
+    def __init__(self, gateway: "InferenceGateway") -> None:
+        self.gateway = gateway
+        self.loop = gateway._loop
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = protocol.RequestDecoder()
+        #: decoded requests not yet served
+        self.backlog: Deque[protocol.Request] = deque()
+        #: a request is in the gateway's queue or GPU, reply owed
+        self.inflight = False
+        #: the transport's buffer is above its high-water mark
+        self.paused = False
+        #: the peer sent a malformed frame, or closed inside one
+        self.broken = False
+        self.eof = False
+        #: loop time the connection started waiting for the next frame
+        #: (None while it is not waiting)
+        self.read_since: Optional[float] = None
+        self.read_timer: Optional[asyncio.TimerHandle] = None
+        self.write_timer: Optional[asyncio.TimerHandle] = None
+        #: chaos read stall before the next request, and whether the
+        #: stall for the next request has already been served
+        self.stall: Optional[asyncio.TimerHandle] = None
+        self.stalled = False
+        #: advance() is running (a settle inside it must not re-enter)
+        self.serving = False
+
+    # --- transport callbacks -------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        gateway = self.gateway
+        gateway.stats.connections += 1
+        # burst-loss chaos: reset this connection before reading a byte
+        gateway._reset_credit += gateway.reset_fraction
+        if gateway._reset_credit >= 1.0:
+            gateway._reset_credit -= 1.0
+            gateway.stats.resets += 1
+            transport.abort()
+            return
+        self.transport = transport
+        gateway._connections.add(self)
+        self.advance()
+
+    def data_received(self, data: bytes) -> None:
+        if self.broken:
+            return
+        try:
+            self.decoder.feed(data, self.backlog)
+        except protocol.ProtocolError:
+            # answer what came before the bad frame, then drop the line
+            self.broken = True
+            self.transport.pause_reading()
+        self.advance()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.decoder.mid_frame:
+            self.broken = True
+        self.advance()
+        return True  # keep the write side open for owed replies
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.write_timer = self.loop.call_later(
+            self.gateway.config.write_timeout, self.abort
+        )
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.write_timer is not None:
+            self.write_timer.cancel()
+            self.write_timer = None
+        self.advance()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.transport = None
+        for handle in (self.read_timer, self.write_timer, self.stall):
+            if handle is not None:
+                handle.cancel()
+        self.read_timer = self.write_timer = self.stall = None
+        self.backlog.clear()
+        self.gateway._connection_lost(self)
+
+    # --- serving -------------------------------------------------------
+    def advance(self) -> None:
+        """Serve backlog requests until one has to wait for something."""
+        if self.serving:
+            return  # a reply settled mid-serve: the running loop goes on
+        self.serving = True
+        try:
+            self._serve()
+        finally:
+            self.serving = False
+
+    def _serve(self) -> None:
+        gateway = self.gateway
+        while (
+            self.transport is not None
+            and not self.inflight
+            and not self.paused
+            and self.stall is None
+        ):
+            if gateway._stopping:
+                self.close()
+                return
+            if gateway.read_stall > 0.0 and not self.stalled:
+                self.read_since = None
+                self.stall = self.loop.call_later(gateway.read_stall, self._stall_done)
+                return
+            if not self.backlog:
+                if self.broken:
+                    gateway.stats.protocol_errors += 1
+                    self.close()
+                elif self.eof:
+                    self.close()
+                elif self.read_since is None:
+                    self.read_since = self.loop.time()
+                    if self.read_timer is None:
+                        self.read_timer = self.loop.call_at(
+                            self.read_since + gateway.config.read_timeout,
+                            self._read_timer_fired,
+                        )
+                return
+            self.stalled = False
+            self.read_since = None
+            # in flight before it is queued: a queue shed may settle it
+            # (through reply) before _submit returns
+            self.inflight = True
+            answer = gateway._submit(self.backlog.popleft(), self)
+            if answer is not None:
+                self.inflight = False
+                self.transport.write(protocol.encode_reply(*answer))
+
+    def reply(self, status: bytes, hint: Optional[float]) -> None:
+        """Settle callback: write the owed reply, then serve on."""
+        self.inflight = False
+        if self.transport is not None:
+            self.transport.write(protocol.encode_reply(status, hint))
+            self.advance()
+
+    def close(self) -> None:
+        """Flush what is written, then close; nothing more is served."""
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            transport.close()
+
+    def abort(self) -> None:
+        """Reset the connection; replies owed to it are dropped."""
+        transport, self.transport = self.transport, None
+        if transport is not None:
+            transport.abort()
+
+    def _stall_done(self) -> None:
+        self.stall = None
+        self.stalled = True
+        self.advance()
+
+    def _read_timer_fired(self) -> None:
+        self.read_timer = None
+        if self.read_since is None or self.transport is None:
+            return  # not waiting; advance() re-arms when it waits again
+        due = self.read_since + self.gateway.config.read_timeout
+        if self.loop.time() < due:
+            self.read_timer = self.loop.call_at(due, self._read_timer_fired)
+            return
+        self.gateway.stats.read_timeouts += 1
+        self.close()
+
+
 class InferenceGateway:
     """Asyncio TCP gateway with admission, shedding and batching."""
 
     def __init__(self, config: Optional[GatewayConfig] = None) -> None:
         self.config = config or GatewayConfig()
         self.stats = GatewayStats()
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._gpu_task: Optional[asyncio.Task] = None
         self._queue: Deque[_Pending] = deque()
-        self._queue_event = asyncio.Event()
-        self._handlers: Set[asyncio.Task] = set()
-        self._writers: Set[asyncio.StreamWriter] = set()
+        #: the frames on the GPU now, and the timer that finishes them
+        self._batch: List[_Pending] = []
+        self._gpu: Optional[asyncio.Handle] = None
+        self._connections: Set[_Connection] = set()
+        #: resolved when the last connection goes during stop()
+        self._all_closed: Optional[asyncio.Future] = None
         self._admission: Dict[str, RetryBudget] = {}
         self._stopping = False
         # --- chaos knobs (driven by realtime.chaos.WallClockInjector) --
@@ -178,7 +363,7 @@ class InferenceGateway:
         self.slowdown_factor = 1.0
         #: added to every batch's execution time (latency_spike)
         self.extra_latency = 0.0
-        #: sleep before reading each request frame (bandwidth collapse
+        #: delay before reading each request frame (bandwidth collapse
         #: approximated as a byte-level read stall)
         self.read_stall = 0.0
         #: fraction of new connections reset on arrival (burst loss);
@@ -193,10 +378,10 @@ class InferenceGateway:
         if self._server is not None:
             raise RuntimeError("gateway already started")
         self._stopping = False
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.config.host, self.config.port
         )
-        self._gpu_task = asyncio.ensure_future(self._gpu_loop())
         return self
 
     @property
@@ -209,40 +394,37 @@ class InferenceGateway:
         """Stop serving; ``abort=True`` emulates a crash (kill -9).
 
         Graceful stop drains the queue with REJECTED so every admitted
-        frame still gets a terminal reply; abort resets every open
-        connection mid-flight — the client-visible shape of a process
-        kill — and settles queued frames as REJECTED internally so the
-        gateway's own accounting stays closed.
+        frame still gets a terminal reply, then closes each connection
+        once its owed reply is written; abort resets every open
+        connection first — the client-visible shape of a process kill —
+        and settles the GPU's and the queue's frames as REJECTED
+        internally so the gateway's own accounting stays closed.
         """
         if self._server is None:
             return
+        server, self._server = self._server, None
         self._stopping = True
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        if self._gpu_task is not None:
-            self._gpu_task.cancel()
-            try:
-                await self._gpu_task
-            except asyncio.CancelledError:
-                pass
-            self._gpu_task = None
+        server.close()
+        if abort:
+            for conn in list(self._connections):
+                conn.abort()
+        if self._gpu is not None:
+            self._gpu.cancel()
+            self._gpu = None
+        batch, self._batch = self._batch, []
+        for pending in batch:
+            self._settle(pending, "rejected", protocol.STATUS_REJECTED)
         while self._queue:
             self._settle(self._queue.popleft(), "rejected", protocol.STATUS_REJECTED)
-        if abort:
-            for writer in list(self._writers):
-                transport = writer.transport
-                if transport is not None:
-                    transport.abort()
-        for task in list(self._handlers):
-            if abort:
-                task.cancel()
-        if self._handlers:
-            await asyncio.wait(list(self._handlers), timeout=2.0)
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
-        self._handlers.clear()
+        for conn in list(self._connections):
+            conn.advance()  # idle connections close now
+        if self._connections:
+            self._all_closed = self._loop.create_future()
+            await asyncio.wait([self._all_closed], timeout=2.0)
+            self._all_closed = None
+        for conn in list(self._connections):
+            conn.abort()
+        await server.wait_closed()
 
     async def __aenter__(self) -> "InferenceGateway":
         return await self.start()
@@ -250,63 +432,24 @@ class InferenceGateway:
     async def __aexit__(self, *exc_info: object) -> None:
         await self.stop()
 
-    # ------------------------------------------------------------------
-    # per-connection handler
-    # ------------------------------------------------------------------
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        self.stats.connections += 1
-        # burst-loss chaos: reset this connection before reading a byte
-        self._reset_credit += self.reset_fraction
-        if self._reset_credit >= 1.0:
-            self._reset_credit -= 1.0
-            self.stats.resets += 1
-            if writer.transport is not None:
-                writer.transport.abort()
-            return
-        self._writers.add(writer)
-        try:
-            while not self._stopping:
-                if self.read_stall > 0.0:
-                    await asyncio.sleep(self.read_stall)
-                try:
-                    request = await asyncio.wait_for(
-                        protocol.read_request(reader), timeout=self.config.read_timeout
-                    )
-                except asyncio.TimeoutError:
-                    self.stats.read_timeouts += 1
-                    return
-                except protocol.ProtocolError:
-                    self.stats.protocol_errors += 1
-                    return
-                if request is None:
-                    return  # clean EOF
-                status, hint = await self._process(request)
-                writer.write(protocol.encode_reply(status, hint))
-                try:
-                    await asyncio.wait_for(
-                        writer.drain(), timeout=self.config.write_timeout
-                    )
-                except asyncio.TimeoutError:
-                    return
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except Exception:
-                pass
+    def _connection_lost(self, conn: _Connection) -> None:
+        self._connections.discard(conn)
+        if not self._connections and self._all_closed is not None:
+            if not self._all_closed.done():
+                self._all_closed.set_result(None)
 
-    async def _process(self, request: protocol.Request):
-        """Admit, queue and await one frame's terminal status."""
-        loop = asyncio.get_running_loop()
-        now = loop.time()
+    # ------------------------------------------------------------------
+    # admission and queue
+    # ------------------------------------------------------------------
+    def _submit(
+        self, request: protocol.Request, conn: _Connection
+    ) -> Optional[Tuple[bytes, Optional[float]]]:
+        """Admit and queue one frame.
+
+        Returns its reply when admission denies it outright, or None
+        when it was queued (``conn.reply`` is called once it settles).
+        """
+        now = self._loop.time()
         self.stats.received += 1
         # --- per-tenant token-bucket admission ------------------------
         if self.config.tenant_rate is not None:
@@ -323,8 +466,7 @@ class InferenceGateway:
                 return protocol.STATUS_OVERLOADED, max(hint, 0.0)
         # --- bounded queue with deadline-aware shedding ---------------
         deadline_at = now + request.deadline if request.deadline is not None else None
-        pending = _Pending(loop.create_future(), deadline_at, now, request.tenant)
-        self._queue.append(pending)
+        self._queue.append(_Pending(conn, deadline_at, now, request.tenant))
         if len(self._queue) > self.config.queue_limit:
             victim = min(self._queue, key=_Pending.shed_key)
             self._queue.remove(victim)
@@ -333,47 +475,39 @@ class InferenceGateway:
                 len(self._queue) / self.config.batch_limit + 1.0
             ) * self.config.batch_seconds
             self._settle(victim, "overloaded", protocol.STATUS_OVERLOADED, drain)
-        self._queue_event.set()
-        status, hint = await pending.future
-        return status, hint
+        if self._gpu is None and not self._batch:
+            self._gpu = self._loop.call_soon(self._start_batch)
+        return None
 
     # ------------------------------------------------------------------
-    # GPU loop
+    # GPU
     # ------------------------------------------------------------------
-    async def _gpu_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            if not self._queue:
-                self._queue_event.clear()
-                await self._queue_event.wait()
-            batch = []
-            now = loop.time()
-            while self._queue and len(batch) < self.config.batch_limit:
-                pending = self._queue.popleft()
-                if pending.future.done():
-                    continue  # settled by a shed between waits
-                if pending.deadline_at is not None and pending.deadline_at <= now:
-                    # an answer nobody can use: shed, don't compute
-                    self._settle(pending, "expired", protocol.STATUS_EXPIRED)
-                    continue
-                batch.append(pending)
-            if not batch:
+    def _start_batch(self) -> None:
+        """Form the next batch and start its fixed GPU delay."""
+        self._gpu = None
+        batch = self._batch
+        now = self._loop.time()
+        while self._queue and len(batch) < self.config.batch_limit:
+            pending = self._queue.popleft()
+            if pending.deadline_at is not None and pending.deadline_at <= now:
+                # an answer nobody can use: shed, don't compute
+                self._settle(pending, "expired", protocol.STATUS_EXPIRED)
                 continue
+            batch.append(pending)
+        if batch:
             gpu_seconds = (
                 self.config.base_latency + self.config.per_item * len(batch)
             ) * self.slowdown_factor + self.extra_latency
-            try:
-                await asyncio.sleep(gpu_seconds)
-            except asyncio.CancelledError:
-                # stop() killed the GPU mid-batch: the popped frames are
-                # no longer in the queue, so settle them here or they
-                # would leak out of the accounting
-                for pending in batch:
-                    self._settle(pending, "rejected", protocol.STATUS_REJECTED)
-                raise
-            self.stats.batches += 1
-            for pending in batch:
-                self._settle(pending, "completed", protocol.STATUS_OK)
+            self._gpu = self._loop.call_later(gpu_seconds, self._finish_batch)
+
+    def _finish_batch(self) -> None:
+        self._gpu = None
+        batch, self._batch = self._batch, []
+        self.stats.batches += 1
+        for pending in batch:
+            self._settle(pending, "completed", protocol.STATUS_OK)
+        if self._queue and self._gpu is None:
+            self._start_batch()
 
     # ------------------------------------------------------------------
     def _settle(
@@ -384,7 +518,5 @@ class InferenceGateway:
         hint: Optional[float] = None,
     ) -> None:
         """Resolve one frame to its single terminal status."""
-        if pending.future.done():  # pragma: no cover - defensive
-            return
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        pending.future.set_result((status, hint))
+        pending.conn.reply(status, hint)

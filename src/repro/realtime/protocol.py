@@ -33,7 +33,6 @@ connection; the gateway answers each exactly once, in order.
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -134,50 +133,96 @@ REPLY_SIZE = _RESP.size
 REQUEST_HEAD_SIZE = _REQ_HEAD.size
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Read and validate one request frame; None on clean EOF.
+class RequestDecoder:
+    """Incremental request decoder: feed it bytes as they arrive.
 
-    Raises :class:`ProtocolError` on a malformed frame.  The payload is
-    drained but not retained (only its size carries information).
+    Holds at most one partial header (plus tenant id) between calls; a
+    payload is counted off as it streams past and never buffered, since
+    only its size carries information.  Validation is the same as for a
+    whole frame: the header is checked as soon as its 10 bytes are in.
     """
-    try:
-        head = await reader.readexactly(REQUEST_HEAD_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise ProtocolError(f"truncated request header ({len(exc.partial)} bytes)")
-    magic, tenant_len, deadline_us, length = _REQ_HEAD.unpack(head)
-    if magic != MAGIC:
-        raise ProtocolError(f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x})")
-    if not 1 <= tenant_len <= MAX_TENANT:
-        raise ProtocolError(f"bad tenant length {tenant_len}")
-    if length > MAX_PAYLOAD:
-        raise ProtocolError(f"payload {length} exceeds MAX_PAYLOAD {MAX_PAYLOAD}")
-    try:
-        raw_tenant = await reader.readexactly(tenant_len)
-        remaining = length
-        while remaining:
-            chunk = await reader.read(min(remaining, 1 << 16))
-            if not chunk:
-                raise ProtocolError("EOF inside payload")
-            remaining -= len(chunk)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("EOF inside request body")
-    try:
-        tenant = raw_tenant.decode("ascii")
-    except UnicodeDecodeError:
-        raise ProtocolError(f"non-ASCII tenant id {raw_tenant!r}")
-    return Request(
-        tenant=tenant,
-        payload_bytes=length,
-        deadline=deadline_us / _US if deadline_us else None,
-    )
 
+    __slots__ = ("_head", "_tenant_len", "_deadline_us", "_length", "_skip", "_request")
 
-async def read_reply(reader: asyncio.StreamReader) -> Reply:
-    """Read one response frame (raises ProtocolError on EOF/garbage)."""
-    try:
-        raw = await reader.readexactly(REPLY_SIZE)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(f"connection closed mid-reply ({len(exc.partial)} bytes)")
-    return decode_reply(raw)
+    def __init__(self) -> None:
+        #: header (then tenant) bytes of the frame being decoded
+        self._head = bytearray()
+        self._tenant_len = 0
+        self._deadline_us = 0
+        self._length = 0
+        #: payload bytes still to be counted off for ``_request``
+        self._skip = 0
+        self._request: Optional[Request] = None
+
+    @property
+    def mid_frame(self) -> bool:
+        """True while part of a frame has arrived but not all of it."""
+        return bool(self._head) or self._skip > 0
+
+    def feed(self, data: bytes, out: Optional[list] = None) -> list:
+        """Decode ``data``, appending each completed :class:`Request`.
+
+        Returns ``out`` (a new list when not given).  Raises
+        :class:`ProtocolError` on a malformed frame; the requests that
+        completed before it are already in ``out``.
+        """
+        if out is None:
+            out = []
+        pos, end = 0, len(data)
+        head = self._head
+        while pos < end:
+            if self._skip:
+                step = min(self._skip, end - pos)
+                pos += step
+                self._skip -= step
+                if not self._skip:
+                    out.append(self._request)
+                    self._request = None
+                continue
+            if len(head) < REQUEST_HEAD_SIZE:
+                take = min(REQUEST_HEAD_SIZE - len(head), end - pos)
+                head += data[pos:pos + take]
+                pos += take
+                if len(head) < REQUEST_HEAD_SIZE:
+                    break
+                self._check_head()
+                continue
+            take = min(REQUEST_HEAD_SIZE + self._tenant_len - len(head), end - pos)
+            head += data[pos:pos + take]
+            pos += take
+            if len(head) == REQUEST_HEAD_SIZE + self._tenant_len:
+                request = self._finish_head()
+                if self._length:
+                    self._skip, self._request = self._length, request
+                else:
+                    out.append(request)
+        return out
+
+    def eof(self) -> None:
+        """The peer closed: raise :class:`ProtocolError` inside a frame."""
+        if self.mid_frame:
+            raise ProtocolError("EOF inside a request frame")
+
+    def _check_head(self) -> None:
+        magic, tenant_len, deadline_us, length = _REQ_HEAD.unpack(self._head)
+        if magic != MAGIC:
+            raise ProtocolError(f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x})")
+        if not 1 <= tenant_len <= MAX_TENANT:
+            raise ProtocolError(f"bad tenant length {tenant_len}")
+        if length > MAX_PAYLOAD:
+            raise ProtocolError(f"payload {length} exceeds MAX_PAYLOAD {MAX_PAYLOAD}")
+        self._tenant_len, self._deadline_us, self._length = tenant_len, deadline_us, length
+
+    def _finish_head(self) -> Request:
+        raw_tenant = bytes(self._head[REQUEST_HEAD_SIZE:])
+        self._head.clear()
+        try:
+            tenant = raw_tenant.decode("ascii")
+        except UnicodeDecodeError:
+            raise ProtocolError(f"non-ASCII tenant id {raw_tenant!r}")
+        deadline_us = self._deadline_us
+        return Request(
+            tenant=tenant,
+            payload_bytes=self._length,
+            deadline=deadline_us / _US if deadline_us else None,
+        )

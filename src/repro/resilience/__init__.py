@@ -22,15 +22,14 @@ Enable it per device via
 with ``ChaosScenario(resilience=...)`` or ``repro chaos --resilience``.
 """
 
-from repro.resilience.breaker import BreakerState, CircuitBreaker
-from repro.resilience.budget import RetryBudget
-from repro.resilience.config import ResilienceConfig
-from repro.resilience.layer import ResilienceLayer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BreakerState",
-    "CircuitBreaker",
-    "ResilienceConfig",
-    "ResilienceLayer",
-    "RetryBudget",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.breaker": ("BreakerState", "CircuitBreaker"),
+        "repro.resilience.budget": ("RetryBudget",),
+        "repro.resilience.config": ("ResilienceConfig",),
+        "repro.resilience.layer": ("ResilienceLayer",),
+    },
+)

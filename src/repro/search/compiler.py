@@ -22,8 +22,9 @@ is a deterministic function of the spec alone.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.device.config import DeviceConfig
 from repro.experiments.chaos import ChaosScenario
@@ -37,7 +38,7 @@ from repro.faults.server import GpuContention, ServerCrash, ServerSlowdown
 from repro.faults.windows import FaultTimeline
 from repro.fleet.config import FleetConfig, FleetTopology
 from repro.models.device_profiles import DEVICE_PROFILES
-from repro.models.frames import FrameSpec
+from repro.models.frames import FrameSpec, frame_bytes
 from repro.models.latency import GpuBatchModel
 from repro.models.zoo import MODEL_ZOO
 from repro.netem.schedule import NetworkSchedule
@@ -337,14 +338,38 @@ def compile_scenario(spec: ScenarioSpec) -> Scenario:
     if topo is not None:
         kwargs["topology"] = FleetTopology(
             servers=tuple(topo["servers"]),
-            config=FleetConfig(**{k: v for k, v in topo.items() if k != "servers"}),
+            config=_build(
+                "topology", FleetConfig, {k: v for k, v in topo.items() if k != "servers"}
+            ),
         )
+    frame_spec = _build("device", _frame_spec, frame)
     return Scenario(
         controller_factory=extended_controllers()[spec.controller],
-        device=DeviceConfig(frame_spec=FrameSpec(**frame), **dev),
+        device=_build("device", functools.partial(DeviceConfig, frame_spec=frame_spec), dev),
         gpu_model=GpuBatchModel(**data.get("gpu", {})),
         **kwargs,
     )
+
+
+def _frame_spec(**fields: Any) -> FrameSpec:
+    """A :class:`FrameSpec` whose size model accepts it."""
+    spec = FrameSpec(**fields)
+    frame_bytes(spec.resolution, spec.jpeg_quality)  # the size model's checks
+    return spec
+
+
+def _build(where: str, make: Callable[..., Any], fields: Dict[str, Any]) -> Any:
+    """``make(**fields)``, a ``ValueError`` from it re-raised as a
+    :class:`SpecError` naming the first field that fails on its own."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        for key, value in fields.items():
+            try:
+                make(**{key: value})
+            except ValueError:
+                raise SpecError(f"{where}.{key}: {exc}") from None
+        raise SpecError(f"{where}: {exc}") from None
 
 
 def compile_chaos(spec: ScenarioSpec) -> ChaosScenario:

@@ -510,7 +510,15 @@ class ScenarioSpec:
         return hash(self.to_json())
 
 
+def read_spec_json(path: str) -> Any:
+    """The JSON document in a spec file; malformed JSON is a SpecError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_spec(path: str) -> ScenarioSpec:
     """Read and validate a scenario spec file."""
-    with open(path) as fh:
-        return ScenarioSpec.from_dict(json.load(fh))
+    return ScenarioSpec.from_dict(read_spec_json(path))

@@ -345,6 +345,43 @@ def test_cli_run_and_sweep_report_spec_errors_nonzero(tmp_path, capsys, command,
     assert out.startswith("spec error: ") and named in out
 
 
+@pytest.mark.parametrize("command", ["compile", "run", "sweep"])
+@pytest.mark.parametrize("doc, named", [
+    # values the spec language accepts but the dataclasses reject
+    ({"device": {"frame_rate": 0}}, "device.frame_rate"),
+    ({"topology": {"servers": ["a"], "probe_period": 0}}, "topology.probe_period"),
+])
+def test_cli_reports_dataclass_rejections_as_spec_errors(
+    tmp_path, capsys, command, doc, named
+):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc))
+    argv = {
+        "compile": ["compile", str(config)],
+        "run": ["run", "--config", str(config)],
+        "sweep": ["sweep", "--config", str(config), "--seeds", "1", "--workers", "1"],
+    }[command]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("spec error: ") and named in out
+    assert out.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["compile", "run", "sweep"])
+def test_cli_reports_invalid_json_as_one_line_spec_error(tmp_path, capsys, command):
+    config = tmp_path / "truncated.json"
+    config.write_text('{"device": ')
+    argv = {
+        "compile": ["compile", str(config)],
+        "run": ["run", "--config", str(config)],
+        "sweep": ["sweep", "--config", str(config), "--seeds", "1", "--workers", "1"],
+    }[command]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("spec error: ") and "not valid JSON" in out
+    assert out.count("\n") == 1
+
+
 def test_cli_compile_rejects_unknown_batch_policy(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"batch_policy": "lifo"}))

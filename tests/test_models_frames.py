@@ -85,3 +85,18 @@ def test_frame_bytes_is_memoized_but_still_validates():
             frame_bytes(224, 0)
         with pytest.raises(ValueError):
             frame_bytes(-1, 85)
+
+
+def test_bpp_is_bit_identical_to_numpy_interp():
+    """The pure-Python curve reproduces ``np.interp`` bit for bit."""
+    import random
+
+    import numpy as np
+
+    from repro.models.frames import _BPP_ANCHORS, _QUALITY_ANCHORS
+
+    rng = random.Random(0)
+    qualities = list(range(1, 101)) + [rng.uniform(1.0, 100.0) for _ in range(1000)]
+    for quality in qualities:
+        expected = float(np.interp(quality, _QUALITY_ANCHORS, _BPP_ANCHORS))
+        assert jpeg_bits_per_pixel(quality).hex() == expected.hex(), quality
