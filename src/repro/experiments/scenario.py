@@ -299,7 +299,7 @@ class ScenarioRuntime:
         """Snapshot every observable into a :class:`RunResult`.
 
         Raises :class:`RuntimeError` when a device's frame accounting
-        does not close.
+        or a server's request accounting does not close.
         """
         devices: Dict[str, QosReport] = {}
         for member in self.members:
@@ -307,6 +307,12 @@ class ScenarioRuntime:
             devices[member.device.config.name] = member.device.qos_report(elapsed)
         first = self.device
         servers = self.pool.servers if self.pool is not None else [self.server]
+        for server in servers:
+            if not server.accounting_closed:
+                raise RuntimeError(
+                    f"server {server.name!r}: a received request is neither "
+                    "answered, dropped, queued nor on the GPU"
+                )
         frames_run = sum(s.gpu.frames_run for s in servers)
         batches_run = sum(s.gpu.batches_run for s in servers)
         return RunResult(

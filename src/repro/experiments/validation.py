@@ -853,7 +853,7 @@ def _check_sensitivity(runs: Runs):
                 seed=0,
             )
         )
-        runtime.server.batch_limit = limit
+        runtime.server.gpu.batch_limit = limit
         return runtime.run().qos
 
     default = table_v()  # 250 ms deadline, 3 s T window

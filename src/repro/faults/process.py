@@ -83,7 +83,7 @@ class ControllerKill(FaultInjector):
 
 
 class ServerKill(FaultInjector):
-    """Kill the server's service loop, losing its queue, per window.
+    """Crash the server, losing its queue and its GPU batch, per window.
 
     Harsher than :class:`~repro.faults.server.ServerCrash` (a stall):
     queued and in-flight requests are dropped unanswered and arrivals

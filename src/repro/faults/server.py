@@ -1,6 +1,6 @@
 """Server-layer injectors: crash/stall, slowdown, GPU contention.
 
-:class:`ServerCrash` is §II-A.3's blunt form (the service loop stops
+:class:`ServerCrash` is §II-A.3's blunt form (the server stops
 draining; arrivals pile up and get rejected on resume).
 :class:`ServerSlowdown` and :class:`GpuContention` are the graded
 forms from the Cotter et al. accuracy-vs-performance axis: the GPU
@@ -27,7 +27,7 @@ OutageWindow = FaultWindow
 
 
 class ServerCrash(FaultInjector):
-    """Stall the server's service loop for each window (blackout).
+    """Pause the server for each window (blackout).
 
     With ``server=<name>`` the stall targets one member of a fleet
     pool (resource ``server.loop:<name>``; no longer a total failure —

@@ -136,8 +136,8 @@ class ServerPool:
                 if not cfg.failover:
                     continue
                 if not health.ejected:
-                    # catches pause-style crashes (ServerCrash) that never
-                    # touch the service process: the heartbeat goes stale
+                    # catches pause-style crashes (ServerCrash) that
+                    # never crash the server: the heartbeat goes stale
                     if health.heartbeat.is_stale(now, cfg.stale_grace_periods):
                         self.mark_down(server.name)
                     continue

@@ -21,11 +21,13 @@ Both are calibrated stochastic cost models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.models.device_profiles import DeviceProfile, local_rate
 from repro.models.zoo import ModelSpec
+
+if TYPE_CHECKING:  # annotations only: the gateway imports this without numpy
+    import numpy as np
 
 
 def _lognormal_factor(rng: np.random.Generator, sigma: float) -> float:

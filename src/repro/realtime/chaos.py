@@ -299,7 +299,10 @@ def default_realtime_spec(seed: int = 0) -> ScenarioSpec:
             "seed": seed,
             "duration": 7.0,
             "device": {"frame_rate": 10.0, "deadline": 0.25},
-            "gpu": {"base_latency": 0.022, "per_item": 0.0055},
+            "gpu": {
+                "base_latency": GatewayConfig.base_latency,
+                "per_item": GatewayConfig.per_item,
+            },
             "population": {"size": 6, "name_prefix": "dev"},
             "faults": [{"kind": "server_crash", "windows": [[2.0, 1.5]]}],
         }
@@ -309,13 +312,16 @@ def default_realtime_spec(seed: int = 0) -> ScenarioSpec:
 def configs_from_spec(
     spec: ScenarioSpec,
 ) -> Tuple[GatewayConfig, LoadgenConfig]:
-    """Lower a spec's device/gpu/population blocks to run configs."""
+    """Lower a spec's device/gpu/population blocks to run configs.
+
+    GPU terms the spec leaves out keep :class:`GatewayConfig`'s
+    defaults, which are the simulator's.
+    """
     dev = spec.data.get("device", {})
     gpu = spec.data.get("gpu", {})
     pop = spec.data.get("population", {})
     gateway = GatewayConfig(
-        base_latency=gpu.get("base_latency", 0.022),
-        per_item=gpu.get("per_item", 0.0055),
+        **{key: gpu[key] for key in ("base_latency", "per_item") if key in gpu}
     )
     loadgen = LoadgenConfig(
         clients=pop.get("size", 6),

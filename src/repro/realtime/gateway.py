@@ -20,6 +20,8 @@ admission discipline of Chakrabarti et al. (arXiv:2010.13737):
 * **bounded queue with deadline-aware shedding** — when the accept
   queue is full the gateway drops the frame that is going to miss its
   deadline anyway (soonest ``deadline_at``), never blindly the newest;
+  this is the ``BOUNDED_QUEUE`` policy of the server core it shares
+  with the simulator (:mod:`repro.server.core`);
 * **timeouts everywhere** — reads and writes are bounded per
   connection and the GPU model is a fixed delay, so one wedged client
   can never wedge the gateway;
@@ -28,9 +30,10 @@ admission discipline of Chakrabarti et al. (arXiv:2010.13737):
   REJECTED) and an aborted one (connections reset, which the client
   classifies itself).
 
-The "GPU" is a calibrated affine sleep (``base_latency + per_item *
-batch_size``), so the simulator's server model and the gateway agree
-by construction — that shared calibration is what makes the
+The "GPU" is a timer for the simulator's own batch cost model
+(:class:`~repro.models.latency.GpuBatchModel`, ``base_latency + per_item
+* batch_size`` without jitter), so the simulator's server and the
+gateway agree by construction — that shared core is what makes the
 sim-vs-wall-clock twin test (:mod:`repro.realtime.twin`) meaningful.
 """
 
@@ -39,10 +42,24 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
+from repro.models.latency import GpuBatchModel
 from repro.realtime import protocol
 from repro.resilience.budget import RetryBudget
+from repro.server.batching import DEFAULT_BATCH_LIMIT, DEFAULT_QUEUE_LIMIT, BatchPolicy
+from repro.server.core import ServerCore
+from repro.server.requests import InferenceRequest, RequestOutcome
+
+#: the one model served: its GPU cost is the cost model's unit, so a
+#: batch of ``n`` costs exactly ``base_latency + per_item * n``
+_MODEL = "mobilenet_v3_small"
+#: counter and wire status of each outcome the core sheds; under
+#: ``BOUNDED_QUEUE`` it rejects only queue heads whose deadline passed
+_SHED: Dict[RequestOutcome, Tuple[str, bytes]] = {
+    RequestOutcome.OVERLOADED: ("overloaded", protocol.STATUS_OVERLOADED),
+    RequestOutcome.REJECTED: ("expired", protocol.STATUS_EXPIRED),
+}
 
 
 @dataclass(frozen=True)
@@ -51,13 +68,13 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    #: adaptive-batching cap (mirrors the simulator's batch_limit)
-    batch_limit: int = 15
+    #: adaptive-batching cap (the simulator's batch_limit)
+    batch_limit: int = DEFAULT_BATCH_LIMIT
     #: GPU latency model: ``base_latency + per_item * batch_size``
-    base_latency: float = 0.022
-    per_item: float = 0.0055
+    base_latency: float = GpuBatchModel.base_latency
+    per_item: float = GpuBatchModel.per_item
     #: accept-queue bound; beyond it the deadline-aware shed kicks in
-    queue_limit: int = 64
+    queue_limit: int = DEFAULT_QUEUE_LIMIT
     #: per-tenant admitted frame rate (frames/s; None disables admission)
     tenant_rate: Optional[float] = None
     #: per-tenant admission burst (tokens)
@@ -82,11 +99,6 @@ class GatewayConfig:
             raise ValueError(f"tenant_burst must be positive, got {self.tenant_burst}")
         if self.read_timeout <= 0 or self.write_timeout <= 0:
             raise ValueError("read/write timeouts must be positive")
-
-    @property
-    def batch_seconds(self) -> float:
-        """Wall-clock cost of one full batch (drain-rate estimate)."""
-        return self.base_latency + self.per_item * self.batch_limit
 
 
 @dataclass
@@ -132,35 +144,6 @@ class GatewayStats:
             "read_timeouts": self.read_timeouts,
             "batches": self.batches,
         }
-
-
-class _Pending:
-    """One admitted frame waiting for the GPU."""
-
-    __slots__ = ("conn", "deadline_at", "enqueued_at", "tenant")
-
-    def __init__(
-        self,
-        conn: "_Connection",
-        deadline_at: Optional[float],
-        enqueued_at: float,
-        tenant: str,
-    ) -> None:
-        self.conn = conn
-        self.deadline_at = deadline_at
-        self.enqueued_at = enqueued_at
-        self.tenant = tenant
-
-    def shed_key(self) -> Tuple[int, float]:
-        """Victim ordering: soonest real deadline first, then oldest.
-
-        A frame with an explicit deadline that is about to lapse is the
-        one that will miss it anyway; among hint-less frames the oldest
-        has been waiting longest and is closest to uselessness.
-        """
-        if self.deadline_at is not None:
-            return (0, self.deadline_at)
-        return (1, self.enqueued_at)
 
 
 class _Connection(asyncio.Protocol):
@@ -349,9 +332,14 @@ class InferenceGateway:
         self.stats = GatewayStats()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._queue: Deque[_Pending] = deque()
-        #: the frames on the GPU now, and the timer that finishes them
-        self._batch: List[_Pending] = []
+        config = self.config
+        self._core = ServerCore(
+            GpuBatchModel(config.base_latency, config.per_item, jitter_sigma=0.0),
+            batch_limit=config.batch_limit,
+            policy=BatchPolicy.BOUNDED_QUEUE,
+            queue_limit=config.queue_limit,
+        )
+        #: the pending batch start, or the timer that finishes the batch
         self._gpu: Optional[asyncio.Handle] = None
         self._connections: Set[_Connection] = set()
         #: resolved when the last connection goes during stop()
@@ -411,11 +399,8 @@ class InferenceGateway:
         if self._gpu is not None:
             self._gpu.cancel()
             self._gpu = None
-        batch, self._batch = self._batch, []
-        for pending in batch:
-            self._settle(pending, "rejected", protocol.STATUS_REJECTED)
-        while self._queue:
-            self._settle(self._queue.popleft(), "rejected", protocol.STATUS_REJECTED)
+        for req in self._core.drain():
+            self._settle(req, "rejected", protocol.STATUS_REJECTED)
         for conn in list(self._connections):
             conn.advance()  # idle connections close now
         if self._connections:
@@ -464,18 +449,17 @@ class InferenceGateway:
                 self.stats.admission_denied += 1
                 hint = (1.0 - bucket.tokens(now)) / self.config.tenant_rate
                 return protocol.STATUS_OVERLOADED, max(hint, 0.0)
-        # --- bounded queue with deadline-aware shedding ---------------
+        # --- the core's bounded queue, deadline-aware shedding --------
         deadline_at = now + request.deadline if request.deadline is not None else None
-        self._queue.append(_Pending(conn, deadline_at, now, request.tenant))
-        if len(self._queue) > self.config.queue_limit:
-            victim = min(self._queue, key=_Pending.shed_key)
-            self._queue.remove(victim)
+        # positional: the hot path; request_id is the gateway's own count
+        frame = InferenceRequest(
+            request.tenant, _MODEL, now, request.payload_bytes, conn.reply,
+            -1, 0, self.stats.received, now, deadline_at,
+        )
+        for victim, outcome, hint in self._core.submit(frame, now):
             self.stats.shed_overflow += 1
-            drain = (
-                len(self._queue) / self.config.batch_limit + 1.0
-            ) * self.config.batch_seconds
-            self._settle(victim, "overloaded", protocol.STATUS_OVERLOADED, drain)
-        if self._gpu is None and not self._batch:
+            self._settle(victim, *_SHED[outcome], hint)
+        if self._gpu is None and not self._core.busy:
             self._gpu = self._loop.call_soon(self._start_batch)
         return None
 
@@ -483,40 +467,36 @@ class InferenceGateway:
     # GPU
     # ------------------------------------------------------------------
     def _start_batch(self) -> None:
-        """Form the next batch and start its fixed GPU delay."""
+        """Form the next batch and arm the timer that finishes it."""
         self._gpu = None
-        batch = self._batch
-        now = self._loop.time()
-        while self._queue and len(batch) < self.config.batch_limit:
-            pending = self._queue.popleft()
-            if pending.deadline_at is not None and pending.deadline_at <= now:
-                # an answer nobody can use: shed, don't compute
-                self._settle(pending, "expired", protocol.STATUS_EXPIRED)
-                continue
-            batch.append(pending)
+        started = self._core.start_batch(self._loop.time())
+        if started is None:
+            return
+        batch, shed, seconds = started
+        for req, outcome, hint in shed:
+            self._settle(req, *_SHED[outcome], hint)
         if batch:
-            gpu_seconds = (
-                self.config.base_latency + self.config.per_item * len(batch)
-            ) * self.slowdown_factor + self.extra_latency
-            self._gpu = self._loop.call_later(gpu_seconds, self._finish_batch)
+            self._gpu = self._loop.call_later(
+                seconds * self.slowdown_factor + self.extra_latency, self._finish_batch
+            )
 
     def _finish_batch(self) -> None:
         self._gpu = None
-        batch, self._batch = self._batch, []
+        batch = self._core.finish()
         self.stats.batches += 1
-        for pending in batch:
-            self._settle(pending, "completed", protocol.STATUS_OK)
-        if self._queue and self._gpu is None:
+        for req in batch:
+            self._settle(req, "completed", protocol.STATUS_OK)
+        if self._gpu is None and self._core.queue_depth(_MODEL):
             self._start_batch()
 
     # ------------------------------------------------------------------
     def _settle(
         self,
-        pending: _Pending,
+        req: InferenceRequest,
         counter: str,
         status: bytes,
         hint: Optional[float] = None,
     ) -> None:
         """Resolve one frame to its single terminal status."""
         setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        pending.conn.reply(status, hint)
+        req.respond(status, hint)

@@ -34,14 +34,16 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.significance import equivalent_within
+from repro.models.latency import GpuBatchModel
 from repro.search.language import ScenarioSpec
 
 #: default equivalence margin on the violation fraction (8 points)
 DEFAULT_MARGIN = 0.08
 
-#: GPU slowdown factor used by the directional check: pushes one batch
-#: past the 250 ms deadline budget on both executions
-#: (``(0.022 + 0.0055) * 12 = 0.33 s`` for even a single-frame batch)
+#: GPU slowdown factor used by the directional check: large enough that
+#: even a single-frame batch of the default GPU model,
+#: ``(base_latency + per_item) * DEGRADED_FACTOR``, outlasts the 250 ms
+#: deadline budget on both executions
 DEGRADED_FACTOR = 12.0
 
 
@@ -57,7 +59,12 @@ def default_twin_spec(seed: int = 0, duration: float = 4.0) -> ScenarioSpec:
             "seed": seed,
             "duration": duration,
             "device": {"frame_rate": 10.0, "deadline": 0.25},
-            "gpu": {"base_latency": 0.022, "per_item": 0.0055, "jitter_sigma": 0.0},
+            # the default GPU model without jitter, which the gateway lacks
+            "gpu": {
+                "base_latency": GpuBatchModel.base_latency,
+                "per_item": GpuBatchModel.per_item,
+                "jitter_sigma": 0.0,
+            },
             "network": [[0.0, 1000.0, 0.0]],
             "population": {"size": 4, "name_prefix": "dev"},
         }

@@ -415,7 +415,10 @@ class ScenarioSpec:
         if policy is not None:
             from repro.server.batching import BatchPolicy
 
-            policies = sorted(p.value for p in BatchPolicy)
+            # bounded_queue is the wall-clock gateway's, not a server's
+            policies = sorted(
+                p.value for p in BatchPolicy if p is not BatchPolicy.BOUNDED_QUEUE
+            )
             if policy not in policies:
                 raise SpecError(
                     f"batch_policy: unknown policy {policy!r}; "

@@ -7,20 +7,19 @@ queue is **rejected** (not delayed).  A single GPU executes batches
 serially with an affine batch-latency model; multi-tenancy is simply
 many clients feeding the same queues, which is what makes server load
 (`T_l`) a distinct timeout source from networking (`T_n`).
+
+The discipline is one clock-free :class:`ServerCore`, driven by the
+simulator's :class:`EdgeServer` and by the wall-clock gateway.
 """
 
-from repro.server.batching import AdaptiveBatcher, BatchPolicy
-from repro.server.gpu import GpuExecutor
-from repro.server.requests import InferenceRequest, RequestOutcome, Response
-from repro.server.server import EdgeServer, ServerStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveBatcher",
-    "BatchPolicy",
-    "EdgeServer",
-    "GpuExecutor",
-    "InferenceRequest",
-    "RequestOutcome",
-    "Response",
-    "ServerStats",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.batching": ("AdaptiveBatcher", "BatchPolicy"),
+        "repro.server.core": ("ServerCore",),
+        "repro.server.requests": ("InferenceRequest", "RequestOutcome", "Response"),
+        "repro.server.server": ("EdgeServer", "ServerStats"),
+    },
+)

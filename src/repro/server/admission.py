@@ -27,6 +27,7 @@ from typing import Dict, Optional
 from repro.models.latency import GpuBatchModel
 from repro.server.server import EdgeServer
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 
 
 class ReservationBroker:
@@ -54,7 +55,9 @@ class ReservationBroker:
         self._asks: Dict[str, float] = {}
         self._background_rate = 0.0
         self._prev_counts: Dict[str, int] = {}
-        env.process(self._measure_loop(), name="reservation-broker")
+        # URGENT: the first period is armed before the start instant's
+        # ordinary events, so the broker's ticks keep their place
+        env.call_at(env.now, self._arm, priority=EventPriority.URGENT)
 
     # ------------------------------------------------------------------
     @property
@@ -105,15 +108,16 @@ class ReservationBroker:
         self._asks.pop(tenant, None)
 
     # ------------------------------------------------------------------
-    def _measure_loop(self):
-        env = self.env
-        while True:
-            yield env.sleep(self.measure_period)
-            counts = dict(self.server.stats.per_tenant_received)
-            delta = 0.0
-            for tenant, total in counts.items():
-                if tenant in self._asks:
-                    continue  # reserved traffic is accounted separately
-                delta += total - self._prev_counts.get(tenant, 0)
-            self._prev_counts = counts
-            self._background_rate = delta / self.measure_period
+    def _arm(self, _event: Optional[Event] = None) -> None:
+        self.env.call_later(self.measure_period, self._measure)
+
+    def _measure(self, _event: Event) -> None:
+        counts = dict(self.server.stats.per_tenant_received)
+        delta = 0.0
+        for tenant, total in counts.items():
+            if tenant in self._asks:
+                continue  # reserved traffic is accounted separately
+            delta += total - self._prev_counts.get(tenant, 0)
+        self._prev_counts = counts
+        self._background_rate = delta / self.measure_period
+        self._arm()

@@ -28,6 +28,8 @@ from repro.server.requests import InferenceRequest
 
 #: the paper's per-batch frame cap
 DEFAULT_BATCH_LIMIT = 15
+#: queue bound of the ``BOUNDED_QUEUE`` policy
+DEFAULT_QUEUE_LIMIT = 64
 
 
 class BatchPolicy(enum.Enum):
@@ -37,6 +39,11 @@ class BatchPolicy(enum.Enum):
     #: shed at batch formation — a doomed frame in the batch wastes GPU
     #: time and, worse, displaces a frame that could still make it
     DEADLINE_AWARE = "deadline_aware"
+    #: the wall-clock gateway's, not the paper's (Sedlak et al.,
+    #: arXiv:2510.01885): a queue over ``queue_limit`` sheds the soonest
+    #: deadline; a batch takes up to the cap from the head, shedding
+    #: lapsed heads, and leaves the rest queued
+    BOUNDED_QUEUE = "bounded_queue"
 
 
 class AdaptiveBatcher:
@@ -46,11 +53,13 @@ class AdaptiveBatcher:
         self,
         batch_limit: int = DEFAULT_BATCH_LIMIT,
         policy: BatchPolicy = BatchPolicy.FIFO,
+        queue_limit: int = DEFAULT_QUEUE_LIMIT,
     ) -> None:
         if batch_limit < 1:
             raise ValueError(f"batch limit must be >= 1, got {batch_limit}")
         self.batch_limit = batch_limit
         self.policy = policy
+        self.queue_limit = queue_limit
         self._queue: Deque[InferenceRequest] = deque()
 
     # ------------------------------------------------------------------
@@ -61,9 +70,25 @@ class AdaptiveBatcher:
     def pending(self) -> int:
         return len(self._queue)
 
-    def enqueue(self, request: InferenceRequest) -> None:
-        """Add a request to the accumulating queue."""
-        self._queue.append(request)
+    def enqueue(self, request: InferenceRequest) -> Optional[InferenceRequest]:
+        """Add a request; return the one a full ``BOUNDED_QUEUE`` sheds.
+
+        The victim is the soonest ``deadline_at`` (it will miss anyway),
+        else the earliest arrival — possibly the newcomer itself.
+        """
+        queue = self._queue
+        queue.append(request)
+        if self.policy is not BatchPolicy.BOUNDED_QUEUE or len(queue) <= self.queue_limit:
+            return None
+        victim = min(queue, key=_shed_key)
+        queue.remove(victim)
+        return victim
+
+    def drain(self) -> List[InferenceRequest]:
+        """Empty the queue and return what it held, oldest first."""
+        drained = list(self._queue)
+        self._queue.clear()
+        return drained
 
     @staticmethod
     def expired(request: InferenceRequest, now: Optional[float]) -> bool:
@@ -89,9 +114,15 @@ class AdaptiveBatcher:
         exactly as §IV-A prescribes.  Under ``DEADLINE_AWARE`` (and
         given ``now``), requests whose ``deadline_at`` has already
         passed are shed into the rejected set before the cap applies.
+        ``BOUNDED_QUEUE`` leaves what exceeds the cap queued.
         """
-        drained = list(self._queue)
-        self._queue.clear()
+        if self.policy is BatchPolicy.BOUNDED_QUEUE:
+            queue, taken, lapsed = self._queue, [], []
+            while queue and len(taken) < self.batch_limit:
+                req = queue.popleft()
+                (lapsed if self.expired(req, now) else taken).append(req)
+            return taken, lapsed
+        drained = self.drain()
 
         expired: List[InferenceRequest] = []
         if self.policy is BatchPolicy.DEADLINE_AWARE and now is not None:
@@ -132,3 +163,10 @@ class AdaptiveBatcher:
         # preserve arrival order among the rejected for deterministic stats
         rejected.sort(key=lambda r: r.request_id)
         return batch, rejected
+
+
+def _shed_key(request: InferenceRequest) -> Tuple[int, float]:
+    """``BOUNDED_QUEUE`` victim order: soonest deadline, then oldest."""
+    if request.deadline_at is not None:
+        return (0, request.deadline_at)
+    return (1, request.arrived_at)

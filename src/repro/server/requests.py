@@ -31,14 +31,15 @@ class InferenceRequest:
     ``respond`` is invoked exactly once, at the server-side completion
     (or rejection) instant, with the :class:`Response`.  For offloading
     devices the callback pushes the response onto the downlink; for
-    background tenants it just counts.
+    background tenants it just counts.  The gateway's takes the wire
+    status and retry-after hint instead.
     """
 
     tenant: str
     model_name: str
     sent_at: float
     payload_bytes: int
-    respond: Callable[["Response"], None]
+    respond: Callable[..., None]
     frame_id: int = -1
     #: which transmission of the frame this is (0 = original send,
     #: 1.. = hedged/deferred retries); lets per-frame traces tell a

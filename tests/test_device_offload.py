@@ -90,7 +90,7 @@ def test_server_rejection_counts_as_timeout_immediately():
     gpu = GpuBatchModel(base_latency=0.08, per_item=0.0, jitter_sigma=0.0)
     h = Harness(gpu=gpu)
     # Server batch limit 1: second/third concurrent requests rejected.
-    h.server.batch_limit = 1
+    h.server.gpu.batch_limit = 1
 
     def feeder(env):
         h.send(frame_id=0)

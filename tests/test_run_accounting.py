@@ -85,3 +85,23 @@ def test_collect_raises_when_accounting_does_not_close():
     runtime.members[1].device.frames_seen += 1
     with pytest.raises(RuntimeError, match="pi1"):
         runtime.collect(4.0)
+
+
+def test_server_books_close_through_a_crash_mid_batch_and_a_lost_request_raises():
+    """collect() also checks each server: a crash mid-batch counts the
+    batch on the GPU as dropped, and a request that vanishes raises."""
+    runtime = build_runtime(
+        Scenario(controller_factory=ff_factory, device=DeviceConfig(total_frames=600))
+    )
+    server = runtime.server
+    runtime.env.run(until=5.0)
+    while not server.gpu.busy:
+        runtime.env.step()
+    assert server.crash() > 0
+    runtime.env.run(until=7.0)
+    server.restart()
+    runtime.env.run(until=10.0)
+    runtime.collect(10.0)
+    server.gpu._received += 1  # a request neither answered nor held
+    with pytest.raises(RuntimeError, match="edge-server"):
+        runtime.collect(10.0)

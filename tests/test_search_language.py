@@ -38,6 +38,15 @@ def test_unknown_nested_keys_rejected():
         ScenarioSpec.from_dict({"population": {"size": 2, "profile": ["x"]}})
 
 
+def test_batch_policy_is_one_of_the_servers():
+    with pytest.raises(SpecError, match="unknown policy 'lifo'"):
+        ScenarioSpec.from_dict({"batch_policy": "lifo"})
+    # the gateway's discipline is not a simulated server's option
+    with pytest.raises(SpecError, match="unknown policy 'bounded_queue'") as err:
+        ScenarioSpec.from_dict({"batch_policy": "bounded_queue"})
+    assert "['deadline_aware', 'fair', 'fifo']" in str(err.value)
+
+
 def test_unknown_fault_kind_and_params_rejected():
     with pytest.raises(SpecError, match="unknown fault kind"):
         ScenarioSpec.from_dict(

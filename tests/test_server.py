@@ -66,6 +66,23 @@ def test_requests_during_execution_form_next_batch():
     assert all(r.batch_size == 3 for r in responses[1:])
 
 
+def test_next_batch_forms_inside_the_finishing_batch():
+    """The next batch forms at the previous one's end, before a request
+    arriving later in that same instant (which waits for the batch after)."""
+    env = Environment()
+    gpu = GpuBatchModel(base_latency=0.1, per_item=0.0, jitter_sigma=0.0)
+    server = make_server(env, cost_model=gpu)
+    responses = []
+    submit(server, env, collector=responses)  # on the GPU until 0.1
+    env.run(until=0.05)
+    submit(server, env, collector=responses)  # queued: the next batch
+    env.call_at(0.1, lambda _ev: submit(server, env, collector=responses))
+    env.run(until=1.0)
+    assert [(r.completed_at, r.batch_size) for r in responses] == [
+        (0.1, 1), (0.2, 1), (pytest.approx(0.3), 1)
+    ]
+
+
 def test_overflow_rejected_at_batch_formation():
     env = Environment()
     gpu = GpuBatchModel(base_latency=0.1, per_item=0.0, jitter_sigma=0.0)
@@ -196,3 +213,65 @@ def test_fair_policy_protects_polite_tenant_from_flooder():
     fair = _polite_tenant_served(BatchPolicy.FAIR)
     assert fair > fifo
     assert fair > 0.95
+
+
+def test_crash_mid_batch_counts_the_batch_on_the_gpu():
+    """The batch already taken off the queue is lost with the host, and
+    counted: the counters close after a crash inside a batch."""
+    env = Environment()
+    server = make_server(env)
+    responses = []
+    for _ in range(5):
+        submit(server, env, collector=responses)
+    env.run(until=0.01)  # the 5 are on the GPU (~49 ms batch)
+    assert server.queue_depth() == 0
+    assert server.crash() == 5
+    env.run(until=1.0)
+    stats = server.stats
+    assert responses == []
+    assert (stats.received, stats.dropped_on_crash) == (5, 5)
+    assert stats.completed + stats.rejected + stats.overloaded == 0
+    assert server.accounting_closed
+    assert server.gpu.batches_run == 0
+
+
+def test_accounting_closes_through_queue_gpu_and_crash():
+    env = Environment()
+    gpu = GpuBatchModel(base_latency=0.1, per_item=0.0, jitter_sigma=0.0)
+    server = make_server(env, cost_model=gpu, batch_limit=2)
+    for _ in range(3):
+        submit(server, env)
+    env.run(until=0.05)  # 2 on the GPU, 1 rejected
+    for _ in range(4):
+        submit(server, env)
+    assert server.accounting_closed  # 2 on the GPU, 4 queued
+    env.run(until=0.15)  # 2 completed, 2 on the GPU, 2 more rejected
+    assert server.accounting_closed
+    assert server.crash() == 2
+    server.restart()
+    submit(server, env)
+    env.run(until=1.0)
+    stats = server.stats
+    assert (stats.received, stats.completed, stats.rejected, stats.dropped_on_crash) == (
+        8, 3, 3, 2
+    )
+    assert server.accounting_closed
+
+
+def test_deadline_aware_batch_with_every_request_expired_runs_nothing():
+    """A sweep whose batch is all shed moves on without a GPU batch."""
+    env = Environment()
+    gpu = GpuBatchModel(base_latency=0.1, per_item=0.0, jitter_sigma=0.0)
+    server = make_server(env, cost_model=gpu, batch_policy=BatchPolicy.DEADLINE_AWARE)
+    responses = []
+    submit(server, env, collector=responses)  # occupies the GPU until 0.1
+    env.run(until=0.01)
+    for _ in range(3):
+        req = submit(server, env, collector=responses)
+        req.deadline_at = 0.05  # lapses while it waits
+    env.run(until=1.0)
+    assert [r.outcome for r in responses] == [RequestOutcome.COMPLETED] + [
+        RequestOutcome.REJECTED
+    ] * 3
+    assert server.gpu.batches_run == 1
+    assert server.accounting_closed

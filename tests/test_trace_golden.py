@@ -39,8 +39,10 @@ def _golden_path(name: str) -> Path:
     return GOLDEN_DIR / f"trace_{name}.json"
 
 
-@pytest.mark.parametrize("scenario", sorted(TRACE_SCENARIOS))
-def test_trace_matches_committed_golden(scenario):
+def _replay_and_compare(scenario, monkeypatch, slowpath):
+    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+    if slowpath:
+        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
     fresh = run_trace_scenario(scenario)
     fresh_bytes = dumps_trace(fresh)
     path = _golden_path(scenario)
@@ -62,6 +64,19 @@ def test_trace_matches_committed_golden(scenario):
     # byte-level check on top of the structural one: catches formatting
     # drift (indent, key order, float repr) that diff_traces forgives
     assert path.read_text() == fresh_bytes
+
+
+@pytest.mark.parametrize("scenario", sorted(TRACE_SCENARIOS))
+def test_trace_matches_committed_golden(scenario, monkeypatch):
+    _replay_and_compare(scenario, monkeypatch, slowpath=False)
+
+
+@pytest.mark.parametrize("scenario", sorted(TRACE_SCENARIOS))
+def test_trace_matches_committed_golden_slow_kernel(scenario, monkeypatch):
+    """The pre-optimization kernel paths (``REPRO_SIM_SLOWPATH=1``) give
+    the same bytes: server pause and crash run on timers, which the
+    slow path turns into processes."""
+    _replay_and_compare(scenario, monkeypatch, slowpath=True)
 
 
 @pytest.mark.parametrize("scenario", sorted(TRACE_SCENARIOS))
