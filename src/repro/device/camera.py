@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One captured frame."""
+class Frame(NamedTuple):
+    """One captured frame (immutable; a tuple, so cheap to build)."""
 
     frame_id: int
     captured_at: float
@@ -50,41 +49,47 @@ class FrameSource:
         self.frames_emitted = 0
         self.done = env.event()
         self._paused_until = 0.0
-        self._name = name
-        # Next frame id lives on the instance (not a loop local) so a
+        #: EnvStats counts this source's timers under its name
+        self.event_owner = name
+        # Next frame id lives on the instance (not a local) so a
         # crash/restart cycle continues the stream where it stopped
         # instead of re-emitting ids the pipeline has already seen.
         self._next_id = 0
-        self._proc = env.process(self._run(), name=name)
+        self._period = 1.0 / frame_rate
+        #: the pending start, tick or pause timer; None once the stream
+        #: is done or the sensor crashed
+        self._timer: Optional[Event] = None
+        self._arm_start()
 
     # ------------------------------------------------------------------
     @property
     def alive(self) -> bool:
-        """True while the sensor process is running."""
-        return self._proc.is_alive
+        """True while the sensor has a timer pending (a frame to come)."""
+        return self._timer is not None
 
     def crash(self) -> None:
-        """Kill the sensor process mid-stream (fault injection).
+        """Stop the sensor mid-stream (fault injection).
 
         Unlike :meth:`pause`, nothing is scheduled to bring it back:
         frames simply stop until :meth:`restart`.  Crashing a finished
         stream is a no-op.
         """
-        if self._proc.is_alive:
-            self._proc.kill()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def restart(self) -> None:
-        """Respawn the sensor, continuing from the next unemitted frame.
+        """Start the sensor again, continuing from the next unemitted frame.
 
         Frame ids stay continuous across the outage; on a bounded
         stream the tail is pushed past the downtime (frames that fall
         beyond the run horizon are then never captured).  Restarting a
-        stream that already finished is a no-op.
+        stream that is running or already finished is a no-op.
         """
-        if self._proc.is_alive or self.done.triggered:
+        if self._timer is not None or self.done.triggered:
             return
         self._paused_until = 0.0
-        self._proc = self.env.process(self._run(), name=self._name)
+        self._arm_start()
 
     def pause(self, duration: float) -> None:
         """Freeze the sensor for ``duration`` seconds (fault injection).
@@ -101,18 +106,36 @@ class FrameSource:
     def paused(self) -> bool:
         return self.env.now < self._paused_until
 
-    def _run(self):
-        env = self.env
-        period = 1.0 / self.frame_rate
-        while self.total_frames is None or self._next_id < self.total_frames:
-            yield env.sleep(period)
-            while env.now < self._paused_until:
-                yield env.sleep(self._paused_until - env.now)
-            frame = Frame(
-                frame_id=self._next_id, captured_at=env.now, nbytes=self._size_of()
-            )
-            self.frames_emitted += 1
-            self.sink(frame)
-            self._next_id += 1
-        if not self.done.triggered:
-            self.done.succeed(self.frames_emitted)
+    # ------------------------------------------------------------------
+    # the frame clock: a chain of timers, one per frame (plus one per
+    # pause), each at the instant the old sensor process's sleep ended
+    # ------------------------------------------------------------------
+    def _arm_start(self) -> None:
+        # URGENT at this instant, where a process kick-start sat, so the
+        # first tick is armed at the same place among this instant's
+        # events as the process's first sleep was
+        self._timer = self.env.call_at(
+            self.env.now, self._arm_next, priority=EventPriority.URGENT
+        )
+
+    def _arm_next(self, _event: Optional[Event] = None) -> None:
+        """Arm the next frame's tick, or end a finished stream."""
+        if self.total_frames is None or self._next_id < self.total_frames:
+            self._timer = self.env.call_later(self._period, self._tick)
+        else:
+            self._timer = None
+            if not self.done.triggered:
+                self.done.succeed(self.frames_emitted)
+
+    def _tick(self, event: Event) -> None:
+        now = self.env.now
+        if now < self._paused_until:
+            # frozen: wait out the pause, then check it again
+            self._timer = self.env.call_later(self._paused_until - now, self._tick)
+            return
+        frame = Frame(self._next_id, now, self._size_of())
+        self.frames_emitted += 1
+        self.sink(frame)
+        self._next_id += 1
+        if self._timer is event:  # else the sink crashed the sensor
+            self._arm_next()

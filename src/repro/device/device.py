@@ -21,6 +21,7 @@ from repro.metrics.qos import QosReport
 from repro.metrics.streaming import StreamingHistogram
 from repro.metrics.taxonomy import FailureKind
 from repro.metrics.timeseries import TimeSeries
+from repro.models.frames import frame_bytes
 from repro.models.latency import LocalLatencyModel
 from repro.netem.link import Link
 from repro.resilience.layer import ResilienceLayer
@@ -174,8 +175,6 @@ class EdgeDevice:
     # ------------------------------------------------------------------
     def _frame_nbytes(self) -> int:
         """Per-frame size under the current capture quality."""
-        from repro.models.frames import frame_bytes
-
         spec = self.config.frame_spec
         base = frame_bytes(spec.resolution, self.capture_quality)
         if self._video_sampler is None:

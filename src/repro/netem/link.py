@@ -172,6 +172,8 @@ class Link:
         self.rng = rng
         self.box = box
         self.name = name
+        #: EnvStats counts this link's timers under this name
+        self.event_owner = f"link:{name}"
         self.queue_bytes_cap = queue_bytes_cap
         self.stats = LinkStats()
         #: frames waiting behind the one on the wire
@@ -319,8 +321,9 @@ class Link:
         stats.retransmissions += retransmissions
         return t, delivered
 
-    @staticmethod
-    def _deliver(event: Event) -> None:
+    def _deliver(self, event: Event) -> None:
+        # a bound method, not a staticmethod: EnvStats finds the owner
+        # of a timer through its callback's ``__self__``
         payload, deliver = event.value
         deliver(payload)
 

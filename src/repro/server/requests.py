@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 _request_ids = itertools.count()
 
@@ -58,9 +58,9 @@ class InferenceRequest:
             raise ValueError(f"negative payload {self.payload_bytes}")
 
 
-@dataclass(frozen=True)
-class Response:
-    """The server's answer to one request."""
+class Response(NamedTuple):
+    """The server's answer to one request (immutable; a tuple, so cheap
+    to build — the server makes one per request)."""
 
     request_id: int
     frame_id: int

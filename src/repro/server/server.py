@@ -66,6 +66,8 @@ class EdgeServer:
     ) -> None:
         self.env = env
         self.name = name
+        #: EnvStats counts the service timers under this name
+        self.event_owner = f"{name}:service"
         #: stamp this server's name on trace spans (fleet runs, where
         #: "which host served this frame" matters; single-server runs
         #: leave it off so existing goldens stay byte-stable)

@@ -2,17 +2,23 @@
 
 Hot-path notes (see ``docs/performance.md`` for the full cost model):
 
+* :meth:`Environment.run` pops and dispatches events itself, one loop
+  iteration per event rather than one :meth:`Environment.step` call;
 * cancelled events are *lazily deleted* — they stay in the heap as dead
-  entries that :meth:`Environment.step` skips, and the heap is compacted
+  entries that the run loop skips, and the heap is compacted in place
   once dead entries dominate;
+* :meth:`Environment.call_later` / :meth:`Environment.call_at` build
+  their timer event field by field and push it themselves: one Python
+  frame per timer;
 * :meth:`Environment.sleep` resumes the active process through a
   reusable pre-wired event instead of a fresh ``Timeout`` + callback
   registration per tick;
 * the opt-in :class:`EnvStats` block counts scheduling activity without
-  adding more than a ``None``-check to the uninstrumented hot path.
+  adding more than a ``None``-check to the uninstrumented hot path
+  (timers take the accounted path while it is on).
 
 Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the sleep
-fast path and makes every :meth:`Environment.call_later` /
+and timer fast paths and makes every :meth:`Environment.call_later` /
 :meth:`Environment.call_at` timer one process plus its timer event,
 which is the escape hatch the determinism tests diff against.  The
 fork lives here alone: components never ask which path they run on.
@@ -55,9 +61,13 @@ class EnvStats:
 
     Every field is maintained by the kernel itself, so cancellation and
     lazy-deletion bookkeeping (``events_cancelled``/``events_skipped``/
-    ``heap_compactions``) are exact.  ``events_by_process`` attributes each scheduled event to the
-    process that was active when it was scheduled, which is the first
-    thing to read when one component floods the heap.  ``str()`` is the
+    ``heap_compactions``) are exact.  ``events_by_process`` counts
+    scheduled events by owner, which is the first thing to read when
+    one component floods the heap: a timer whose callback is a bound
+    method of an object with an ``event_owner`` name (``link:uplink``,
+    ``<server>:service``, ``<device>:camera``, ``background-load``) is
+    counted under that name, and any other event under the process that
+    was active when it was scheduled.  ``str()`` is the
     one-line :meth:`summary`; :meth:`as_dict` is the JSON form that
     ``repro --json profile`` emits.
     """
@@ -69,7 +79,8 @@ class EnvStats:
     events_skipped: int = 0
     heap_compactions: int = 0
     peak_heap_size: int = 0
-    #: scheduling process name -> events scheduled while it was active
+    #: owner name -> events it scheduled (events by owner: a timer's
+    #: ``event_owner``, else the active process's name)
     events_by_process: Counter = field(default_factory=Counter)
 
     def summary(self) -> str:
@@ -101,6 +112,11 @@ class EnvStats:
 
 #: dead entries tolerated before a cancel may trigger compaction
 _COMPACT_DEAD_MIN = 512
+
+#: timer priority default, a plain int like the ones schedule() pushes
+_NORMAL = int(EventPriority.NORMAL)
+_new_event = Event.__new__
+_heappush = heapq.heappush
 
 #: when not None, every new Environment gets an EnvStats block that is
 #: also appended here — how ``repro profile`` reaches the environments
@@ -140,6 +156,8 @@ class Environment:
             self._stats = None
         #: escape hatch: force the pre-optimization code paths
         self._slowpath = bool(os.environ.get("REPRO_SIM_SLOWPATH"))
+        #: timers skip the accounted path (no stats, no slow path)
+        self._fast_timers = self._stats is None and not self._slowpath
         #: opt-in per-frame span tracer (:class:`repro.trace.Tracer`).
         #: None by default; every instrumentation point in the testbed
         #: guards on it, so the untraced hot path pays one attribute
@@ -171,6 +189,7 @@ class Environment:
         """Attach (or return the existing) :class:`EnvStats` block."""
         if self._stats is None:
             self._stats = EnvStats()
+            self._fast_timers = False
         return self._stats
 
     def queue_size(self) -> int:
@@ -196,8 +215,8 @@ class Environment:
     def sleep(self, delay: float) -> Event:
         """Resume the active process ``delay`` seconds from now.
 
-        The allocation-free fast path for periodic loops (camera frame
-        clock, controller period, GPU batch former): the process's
+        The allocation-free fast path for periodic process loops (the
+        controller period, the supervisor's watchdog): the process's
         pre-wired resume event is rescheduled instead of building a
         ``Timeout`` + callback list + registration per tick.  Outside a
         process (or under ``REPRO_SIM_SLOWPATH=1``) this degrades to a
@@ -212,70 +231,86 @@ class Environment:
             return Timeout(self, delay)
         return proc.sleep(delay)
 
-    def sleep_until(self, when: float) -> Event:
-        """Resume the active process at exactly the absolute time ``when``.
-
-        The absolute twin of :meth:`sleep` for a process that adds up its
-        own wakeup time (the link serializer sums a whole frame's packet
-        and stall times): sleeping ``when - now`` would be re-rounded
-        through ``now + (when - now)`` and can land one ulp off ``when``.
-        Same fast path, slow path and single-waiter rules as
-        :meth:`sleep`; a ``when`` in the past raises ``ValueError``.
-        """
-        proc = self._active_process
-        if proc is None:
-            return Timeout(self, when - self._now, at=when)
-        return proc.sleep_until(when)
-
     def call_later(
         self,
         delay: float,
         fn: Callable[[Event], None],
         value: Any = None,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _NORMAL,
     ) -> Event:
         """Run ``fn(event)`` after ``delay`` seconds; cancellable.
 
-        The one-shot timer primitive behind the offload deadline
-        watchdog and hedge timers: one heap entry, no process, and
-        :meth:`Event.cancel` retires it for O(1) when the guarded
-        outcome settles first.  ``value`` rides on the event
-        (``event.value`` inside the callback) so callers need no
-        closure per timer.
+        The one-shot timer primitive behind every per-frame component
+        (camera, link, server, offload watchdogs, local inference): one
+        heap entry, no process, and :meth:`Event.cancel` retires it for
+        O(1) when the guarded outcome settles first.  ``value`` rides on
+        the event (``event.value`` inside the callback) so callers need
+        no closure per timer.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        return self._arm(self._now + delay, fn, value, priority)
+        if not self._fast_timers:
+            return self._arm(self._now + delay, fn, value, priority)
+        # Built field by field (as Process.__init__ builds its
+        # kick-start) and pushed here: one Python frame per timer.
+        ev = _new_event(Event)
+        ev.env = self
+        ev.callbacks = [fn]
+        ev._value = value
+        ev._ok = True
+        ev._scheduled = True
+        ev._defused = False
+        ev._cancelled = False
+        _heappush(self._queue, (self._now + delay, priority, self._seq, ev))
+        self._seq += 1
+        return ev
 
     def call_at(
         self,
         when: float,
         fn: Callable[[Event], None],
         value: Any = None,
-        priority: int = EventPriority.NORMAL,
+        priority: int = _NORMAL,
     ) -> Event:
         """Run ``fn(event)`` at exactly the absolute time ``when``.
 
-        The absolute twin of :meth:`call_later`, as :meth:`sleep_until`
-        is to :meth:`sleep`: a caller that adds up its own firing time
-        (the link sums a frame's packet and stall times) would see
-        ``now + (when - now)`` re-rounded one ulp off ``when``.  A
-        ``when`` in the past raises ``ValueError``.
+        The absolute twin of :meth:`call_later`: a caller that adds up
+        its own firing time (the link sums a frame's packet and stall
+        times, the background load its arrival plus the network delay)
+        would see ``now + (when - now)`` re-rounded one ulp off
+        ``when``.  A ``when`` in the past raises ``ValueError``.
         """
         if when < self._now:
             raise ValueError(f"timer time {when!r} is in the past (now={self._now!r})")
-        return self._arm(when, fn, value, priority)
+        if not self._fast_timers:
+            return self._arm(when, fn, value, priority)
+        # call_later's body, repeated rather than shared: a shared helper
+        # would be a second Python frame per timer
+        ev = _new_event(Event)
+        ev.env = self
+        ev.callbacks = [fn]
+        ev._value = value
+        ev._ok = True
+        ev._scheduled = True
+        ev._defused = False
+        ev._cancelled = False
+        _heappush(self._queue, (when, priority, self._seq, ev))
+        self._seq += 1
+        return ev
 
     def _arm(
         self, when: float, fn: Callable[[Event], None], value: Any, priority: int
     ) -> Event:
-        """Schedule a one-shot timer event at ``when``.
+        """The accounted timer path (stats on, or the slow path).
 
-        Under ``REPRO_SIM_SLOWPATH=1`` the timer is a process waiting on
-        the event instead of a bare callback; the event is scheduled
-        right after the process's kick-start, so it keeps its place
-        among same-instant events, and cancelling it leaves the process
-        waiting forever — a cancelled timer fires nothing on either path.
+        The timer is counted under its owner: the ``event_owner`` name
+        of the object whose bound method ``fn`` is, else the active
+        process, as for any other event.  Under ``REPRO_SIM_SLOWPATH=1``
+        the timer is a process waiting on the event instead of a bare
+        callback; the event is scheduled right after the process's
+        kick-start, so it keeps its place among same-instant events, and
+        cancelling it leaves the process waiting forever — a cancelled
+        timer fires nothing on either path.
         """
         ev = Event(self)
         ev._ok = True
@@ -284,7 +319,14 @@ class Environment:
             self.process(_timer(ev, fn), name="timer")
         else:
             ev.callbacks.append(fn)
-        self.schedule(ev, priority=priority, at=when)
+        ev._scheduled = True
+        heapq.heappush(self._queue, (when, int(priority), self._seq, ev))
+        self._seq += 1
+        if self._stats is not None:
+            owner = getattr(getattr(fn, "__self__", None), "event_owner", None)
+            if owner is None and self._active_process is not None:
+                owner = self._active_process.name
+            self._account(owner)
         return ev
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -305,28 +347,26 @@ class Environment:
         event: Event,
         priority: int = EventPriority.NORMAL,
         delay: float = 0.0,
-        at: Optional[float] = None,
     ) -> None:
-        """Put a triggered event on the heap, ``delay`` seconds ahead.
-
-        ``at`` pins the absolute time instead (the caller checks that it
-        is not in the past); see :meth:`sleep_until`.
-        """
+        """Put a triggered event on the heap, ``delay`` seconds ahead."""
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
-        when = self._now + delay if at is None else at
-        heapq.heappush(self._queue, (when, int(priority), self._seq, event))
+        heapq.heappush(self._queue, (self._now + delay, int(priority), self._seq, event))
         self._seq += 1
-        stats = self._stats
-        if stats is not None:
-            stats.events_scheduled += 1
-            depth = len(self._queue) - self._dead
-            if depth > stats.peak_heap_size:
-                stats.peak_heap_size = depth
+        if self._stats is not None:
             active = self._active_process
-            if active is not None:
-                stats.events_by_process[active.name] += 1
+            self._account(None if active is None else active.name)
+
+    def _account(self, owner: Optional[str]) -> None:
+        """Count one scheduled event (stats on), under ``owner`` if any."""
+        stats = self._stats
+        stats.events_scheduled += 1
+        depth = len(self._queue) - self._dead
+        if depth > stats.peak_heap_size:
+            stats.peak_heap_size = depth
+        if owner is not None:
+            stats.events_by_process[owner] += 1
 
     def _note_cancel(self) -> None:
         """Account one lazy deletion; compact when dead entries dominate."""
@@ -337,9 +377,13 @@ class Environment:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop dead entries and re-heapify (O(live) amortized)."""
-        self._queue = [entry for entry in self._queue if not entry[3]._cancelled]
-        heapq.heapify(self._queue)
+        """Drop dead entries and re-heapify (O(live) amortized).
+
+        In place: the run loop holds the queue list across dispatches.
+        """
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[3]._cancelled]
+        heapq.heapify(queue)
         self._dead = 0
         if self._stats is not None:
             self._stats.heap_compactions += 1
@@ -424,12 +468,32 @@ class Environment:
                 self.schedule(stop, priority=EventPriority.LOW, delay=horizon - self._now)
             stop.add_callback(self._stop_callback)
 
+        # The dispatch loop of step(), inlined: one iteration per event
+        # instead of one method call.  The stop callback ends it by
+        # raising StopSimulation; _compact() works in place, so the
+        # local queue stays the live heap.
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while True:
-                try:
-                    self.step()
-                except EmptySchedule:
-                    break
+            while queue:
+                when, _prio, _seq, event = heappop(queue)
+                if event._cancelled:
+                    # dead entry: drop it without touching the clock
+                    self._dead -= 1
+                    if self._stats is not None:
+                        self._stats.events_skipped += 1
+                    continue
+                if when < self._now:  # pragma: no cover - heap guarantees monotonicity
+                    raise RuntimeError("time went backwards")
+                self._now = when
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if self._stats is not None:
+                    self._stats.events_processed += 1
+                if not event._ok and not event._defused:
+                    # An error nobody waited on: surface it rather than lose it.
+                    raise event._value
         except StopSimulation as exc:
             return exc.value
         finally:

@@ -233,28 +233,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation.
-
-    ``at`` (with ``delay == at - now``) schedules at exactly the absolute
-    time ``at`` instead of at the re-rounded ``now + delay``.
-    """
+    """An event that fires ``delay`` time units after creation."""
 
     __slots__ = ("delay",)
 
-    def __init__(
-        self,
-        env: "Environment",
-        delay: float,
-        value: Any = None,
-        at: Optional[float] = None,
-    ) -> None:
+    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         super().__init__(env)
         self.delay = float(delay)
         self._ok = True
         self._value = value
-        env.schedule(self, priority=EventPriority.NORMAL, delay=self.delay, at=at)
+        env.schedule(self, priority=EventPriority.NORMAL, delay=self.delay)
 
 
 class Condition(Event):

@@ -163,21 +163,6 @@ class Process(Event):
         env.schedule(ev, priority=EventPriority.NORMAL, delay=delay)
         return ev
 
-    def sleep_until(self, when: float) -> Event:
-        """:meth:`sleep` to exactly the absolute time ``when``.
-
-        Reuses the same pre-wired timer; under ``REPRO_SIM_SLOWPATH=1``
-        it is a :class:`Timeout` pinned at ``when``.
-        """
-        env = self.env
-        if env._slowpath:
-            return Timeout(env, when - env._now, at=when)
-        if when < env._now:
-            raise ValueError(f"wakeup time {when!r} is in the past (now={env._now!r})")
-        ev = self._rearm_sleep()
-        env.schedule(ev, priority=EventPriority.NORMAL, at=when)
-        return ev
-
     def _rearm_sleep(self) -> _SleepEvent:
         """The reusable sleep timer, rewired for one more wait."""
         if self._sleep_cbs is None:

@@ -23,6 +23,7 @@ import numpy as np
 from repro.server.requests import InferenceRequest, Response
 from repro.server.server import EdgeServer
 from repro.sim.core import Environment
+from repro.sim.events import Event
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,18 @@ class LoadSchedule:
 class BackgroundLoad:
     """Poisson background request stream driven by a :class:`LoadSchedule`.
 
-    One process sleeps straight to each request's delivery at the
-    server (arrival + :attr:`NETWORK_DELAY`), so a request costs one
-    event.  Arrival times are drawn lazily from the load's own rng
-    stream; since nothing else draws from it, drawing ahead (see
-    :attr:`sent`) changes no outcome.
+    Each request is one ``call_at`` timer at its delivery to the server
+    (arrival + :attr:`NETWORK_DELAY`), armed when the previous one is
+    delivered, so a request costs one event and the load no process.
+    Arrival times are drawn lazily from the load's own rng stream;
+    since nothing else draws from it, drawing ahead (see :attr:`sent`)
+    changes no outcome.
     """
 
     #: fixed one-way delay of the (unshaped) background tenants' network
     NETWORK_DELAY = 0.006
+    #: EnvStats counts the delivery timers under this name
+    event_owner = "background-load"
 
     def __init__(
         self,
@@ -118,7 +122,7 @@ class BackgroundLoad:
         #: arrival times drawn but not yet delivered, oldest first
         self._ahead: Deque[float] = deque()
         self._arrivals = self._arrival_times(env.now)
-        env.process(self._run(), name="background-load")
+        self._arm_next()
 
     @property
     def sent(self) -> int:
@@ -164,18 +168,19 @@ class BackgroundLoad:
             t = t + gap
             yield t
 
-    def _run(self):
-        """Deliver each request at its arrival plus the network delay."""
-        env = self.env
+    def _arm_next(self) -> None:
+        """Arm the timer at the oldest undelivered request's delivery."""
         ahead = self._ahead
-        while True:
-            if not ahead:
-                arrival = next(self._arrivals, None)
-                if arrival is None:
-                    return
-                ahead.append(arrival)
-            yield env.sleep_until(ahead[0] + self.NETWORK_DELAY)
-            self._submit_one(ahead.popleft())
+        if not ahead:
+            arrival = next(self._arrivals, None)
+            if arrival is None:
+                return  # the schedule ended at rate 0
+            ahead.append(arrival)
+        self.env.call_at(ahead[0] + self.NETWORK_DELAY, self._deliver)
+
+    def _deliver(self, _event: Event) -> None:
+        self._submit_one(self._ahead.popleft())
+        self._arm_next()
 
     def _next_change_after(self, now: float) -> float:
         for t in self.schedule.change_times:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.device import CpuUtilizationModel, FrameSource, LocalPipeline, TokenBucketSplitter
+from repro.device.camera import Frame
 from repro.models.device_profiles import PI_4B_1_2
 from repro.models.latency import LocalLatencyModel
 from repro.models.zoo import MOBILENET_V3_SMALL
@@ -95,6 +96,74 @@ def test_camera_rejects_bad_rate():
     env = Environment()
     with pytest.raises(ValueError):
         FrameSource(env, 0.0, nbytes=1, sink=lambda f: None)
+
+
+def test_camera_runs_on_timers_one_event_per_frame(monkeypatch):
+    """No process: one start timer, then one timer per frame, all
+    counted under the source's name; ``done`` is the one other event."""
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("FrameSource started a process")
+
+    monkeypatch.setattr(Environment, "process", no_process)
+    env = Environment(stats=True)
+    src = FrameSource(env, 30.0, nbytes=1, sink=lambda f: None, total_frames=50, name="cam")
+    assert env.run(until=src.done) == 50
+    assert env.stats.events_by_process == {"cam": 50 + 1}
+    assert env.stats.events_scheduled == 50 + 2
+    assert not src.alive
+
+
+def test_camera_crash_restart_and_pause_keep_the_stream_whole():
+    env = Environment()
+    frames = []
+    src = FrameSource(env, 10.0, nbytes=1, sink=frames.append, total_frames=40)
+    env.run(until=1.05)
+    assert src.alive and len(frames) == 10
+    src.crash()
+    src.crash()  # idempotent
+    assert not src.alive
+    env.run(until=2.0)
+    assert len(frames) == 10  # nothing while dead
+    src.restart()
+    src.restart()  # a running sensor ignores it
+    env.run(until=2.55)
+    src.pause(1.0)
+    done = env.run(until=src.done)
+    assert done == src.frames_emitted == 40
+    assert [f.frame_id for f in frames] == list(range(40))
+    # restarted at 2.0 (first frame a period later), paused 2.55-3.55
+    # (the tick due at 2.6 waits for 3.55); the tail is delayed past
+    # both outages
+    restart_frames = [f.captured_at for f in frames[10:]]
+    assert restart_frames[:6] == pytest.approx([2.1, 2.2, 2.3, 2.4, 2.5, 3.55])
+    assert frames[-1].captured_at == pytest.approx(3.55 + 24 * 0.1)
+    assert env.now == frames[-1].captured_at
+    assert not src.alive
+    src.restart()  # a finished stream stays finished
+    assert not src.alive
+
+
+def test_camera_crash_from_inside_the_sink_stops_the_stream():
+    env = Environment()
+    frames = []
+
+    def sink(frame):
+        frames.append(frame)
+        if frame.frame_id == 2:
+            src.crash()
+
+    src = FrameSource(env, 10.0, nbytes=1, sink=sink, total_frames=10)
+    env.run(until=5.0)
+    assert [f.frame_id for f in frames] == [0, 1, 2]
+    assert not src.alive and not src.done.triggered
+
+
+def test_frames_are_immutable():
+    frame = Frame(1, 0.5, 100)
+    assert frame == Frame(frame_id=1, captured_at=0.5, nbytes=100)
+    with pytest.raises(AttributeError):
+        frame.frame_id = 2
 
 
 # ----------------------------------------------------------------------

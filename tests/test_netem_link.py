@@ -509,10 +509,9 @@ def test_uplink_schedules_at_most_two_events_per_frame():
 
     A fig3-style run (Table V's phases, ten times shorter) with every
     frame offloaded, budgeted over the uplink and the downlink that
-    carries the responses.  Every event a link schedules is counted — its
-    timers by their ``Link`` callbacks, and anything scheduled while a
-    ``link:*`` process is active — so a return to a serializer process
-    or to per-packet wakeups breaks the budget.
+    carries the responses.  ``EnvStats`` counts every timer a link arms
+    under the link's name, so a return to a serializer process or to
+    per-packet wakeups breaks the budget.
     """
     from repro.control.baselines import AlwaysOffloadController
     from repro.device.config import DeviceConfig
@@ -532,22 +531,9 @@ def test_uplink_schedules_at_most_two_events_per_frame():
             duration=device.stream_duration + 1.0,
         )
     )
-    env = runtime.env
-    schedule_event = env.schedule
-    link_events = 0
-
-    def counting_schedule(event, *args, **kwargs):
-        nonlocal link_events
-        active = env.active_process
-        if (active is not None and active.name.startswith("link:")) or any(
-            getattr(cb, "__qualname__", "").startswith("Link.")
-            for cb in event.callbacks or ()
-        ):
-            link_events += 1
-        schedule_event(event, *args, **kwargs)
-
-    env.schedule = counting_schedule
+    stats = runtime.env.enable_stats()
     runtime.run()
+    link_events = stats.events_by_process["link:uplink"] + stats.events_by_process["link:downlink"]
     uplink = runtime.uplink.stats
     frames = uplink.frames_sent + runtime.downlink.stats.frames_sent
     assert uplink.frames_sent > 300

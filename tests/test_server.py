@@ -37,6 +37,19 @@ def test_single_request_completes():
     assert server.stats.completed == 1
 
 
+def test_responses_are_immutable():
+    env = Environment()
+    server = make_server(env)
+    responses = []
+    submit(server, env, collector=responses)
+    env.run(until=1.0)
+    (response,) = responses
+    assert response.ok and not response.overloaded
+    assert response.retry_after is None
+    with pytest.raises(AttributeError):
+        response.outcome = RequestOutcome.REJECTED
+
+
 def test_response_time_matches_batch_model():
     env = Environment()
     gpu = GpuBatchModel(base_latency=0.02, per_item=0.005, jitter_sigma=0.0)

@@ -6,12 +6,13 @@ runs under the fast path is pinned separately in
 """
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from repro.sim import Environment, EnvStats, Interrupt
-from repro.sim.core import _COMPACT_DEAD_MIN
+from repro.sim.core import _COMPACT_DEAD_MIN, EmptySchedule
 from repro.sim.process import _SleepEvent
 
 
@@ -230,7 +231,7 @@ def test_finished_process_is_freed_without_a_collection(end):
     def worker(env):
         yield env.sleep(1.0)
         yield env.timeout(1.0)
-        yield env.sleep_until(5.0)
+        yield env.sleep(3.0)
 
     env = Environment()
     gen = worker(env)
@@ -342,7 +343,7 @@ def test_slowpath_env_var_disables_fast_paths(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# sleep_until: absolute-time wakeups
+# call_at: absolute-time timers on both paths
 # ----------------------------------------------------------------------
 #: a link frame of 9 packets of 37.5 ms starting at this instant ends at
 #: a time that ``now + (end - now)`` misses by one ulp
@@ -357,7 +358,7 @@ def _frame_end(start, packets=9, pkt_time=0.0375):
 
 
 @pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
-def test_sleep_until_resumes_at_exactly_when(monkeypatch, slowpath):
+def test_call_at_fires_at_exactly_when_on_both_paths(monkeypatch, slowpath):
     if slowpath:
         monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
     else:
@@ -365,98 +366,125 @@ def test_sleep_until_resumes_at_exactly_when(monkeypatch, slowpath):
     env = Environment()
     woke = []
 
-    def framer(env):
-        yield env.sleep_until(_ULP_NOW)
+    def frame_end(ev):
+        woke.append((env.now, ev.value))
+
+    def frame_start(ev):
         woke.append(env.now)
         end = _frame_end(env.now)
-        assert env.now + (end - env.now) != end  # a relative sleep misses
-        ev = env.sleep_until(end)
-        assert (type(ev) is _SleepEvent) != slowpath
-        yield ev
-        woke.append((env.now, end))
+        assert env.now + (end - env.now) != end  # a relative timer misses
+        env.call_at(end, frame_end, value=end)
 
-    env.process(framer(env))
+    env.call_at(_ULP_NOW, frame_start)
     env.run()
     assert woke[0] == _ULP_NOW
     now, end = woke[1]
     assert now == end
 
 
-def test_sleep_until_rejects_a_past_when(monkeypatch):
+def test_call_at_rejects_a_past_when_on_the_slow_path(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
     env = Environment()
     env.run(until=1.0)
-    with pytest.raises(ValueError):
-        env.sleep_until(0.5)  # outside a process
-
-    def late(env):
-        with pytest.raises(ValueError, match="in the past"):
-            env.sleep_until(env.now - 1e-9)
-        yield env.sleep_until(env.now)  # now itself is fine
-
-    env.run(until=env.process(late(env)))
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    slow = Environment()
-
-    def slow_late(env):
-        yield env.sleep(1.0)
-        with pytest.raises(ValueError):
-            env.sleep_until(0.5)
-
-    slow.run(until=slow.process(slow_late(slow)))
+    with pytest.raises(ValueError, match="in the past"):
+        env.call_at(0.5, lambda ev: None)
+    fired = []
+    env.call_at(1.0, lambda ev: fired.append(env.now))  # now itself is fine
+    env.run()
+    assert fired == [1.0]
 
 
-def test_sleep_until_reuses_the_sleep_event():
-    env = Environment()
-    seen = []
+# ----------------------------------------------------------------------
+# run(): the inlined dispatch loop against a manual step() loop
+# ----------------------------------------------------------------------
+def _busy_world(env, log):
+    """Colliding timers at four priorities, a process, a failed event
+    nobody waits on, and enough cancellations from inside a callback to
+    compact the heap mid-run."""
+    rng = random.Random(7)
+
+    def fire(ev):
+        log.append((env.now, ev.value))
+        if ev.value % 11 == 0:
+            env.call_later(rng.choice([0.0, 0.25]), fire, value=ev.value + 10_000)
+
+    doomed = []
+    for i in range(1500):
+        when = rng.choice([0.5, 1.0, 1.0, 1.5, 2.0, 3.0])
+        ev = env.call_at(when, fire, value=i, priority=rng.randrange(4))
+        if i % 3:
+            doomed.append(ev)
+
+    def cull(ev):
+        log.append((env.now, "cull"))
+        for victim in doomed:
+            victim.cancel()
+
+    def explode(ev):
+        log.append((env.now, "explode"))
+        env.event().fail(KeyError("nobody waits"))
 
     def ticker(env):
-        for i in range(4):
-            ev = env.sleep(1.0) if i % 2 else env.sleep_until(env.now + 1.0)
-            seen.append(id(ev))
-            yield ev
+        for _ in range(8):
+            yield env.sleep(0.4)
+            log.append((env.now, "tick"))
 
-    env.process(ticker(env))
-    env.run()
-    assert len(set(seen)) == 1
-    assert env.now == 4.0
+    env.call_at(0.75, cull)
+    env.call_at(1.25, explode)
+    env.process(ticker(env), name="ticker")
 
 
-def test_sleep_until_outside_process_degrades_to_timeout():
-    env = Environment()
-    t = env.sleep_until(_ULP_NOW)
-    assert type(t) is not _SleepEvent
-    env.run()
-    assert t.processed
-    assert env.now == _ULP_NOW
-
-
-@pytest.mark.parametrize("how", ["interrupt", "kill"])
-def test_sleep_until_is_cancelled_like_sleep(how):
-    env = Environment(stats=True)
-    log = []
-
-    def victim(env):
+def _step_until_empty(env):
+    while True:
         try:
-            yield env.sleep_until(100.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.sleep_until(env.now + 1.0)  # a fresh timer
-        log.append(("woke", env.now))
+            env.step()
+        except EmptySchedule:
+            return
 
-    def attacker(env, target):
-        yield env.timeout(2.0)
-        getattr(target, how)()
 
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    if how == "interrupt":
-        assert log == [("interrupted", 2.0), ("woke", 3.0)]
-    else:
-        assert log == [] and not v.is_alive
-    assert env.queue_size() == 0
-    assert env.stats.events_cancelled == 1
-    assert env.now == (3.0 if how == "interrupt" else 2.0)
+def _counters(env):
+    s = env.stats
+    return (s.events_processed, s.events_skipped, s.heap_compactions, env.now)
+
+
+def test_run_dispatches_in_the_order_of_a_manual_step_loop():
+    logs, counters = [], []
+    for drive in (lambda env: env.run(), _step_until_empty):
+        env = Environment(stats=True)
+        log = []
+        _busy_world(env, log)
+        with pytest.raises(KeyError, match="nobody waits"):
+            drive(env)  # the undefused failure surfaces at t=1.25
+        assert env.now == 1.25
+        drive(env)  # and the run carries on from there
+        logs.append(log)
+        counters.append(_counters(env))
+    assert logs[0] == logs[1]
+    assert counters[0] == counters[1]
+    assert env.stats.heap_compactions >= 1  # compacted mid-run
+    assert (0.75, "cull") in logs[0]
+    assert len(logs[0]) > 500
+
+
+def test_run_until_an_event_matches_a_manual_step_loop():
+    results = []
+    for manual in (False, True):
+        env = Environment(stats=True)
+        log = []
+        _busy_world(env, log)
+        env.run(until=1.0)
+        stop = env.timeout(0.2, value="stop")
+        if manual:
+            while not stop.processed:
+                env.step()
+            value = stop.value
+        else:
+            value = env.run(until=stop)
+        # events_processed is left out: run() ends inside the stop
+        # event's callback, before that event is counted
+        results.append((value, log, _counters(env)[1:], env.queue_size()))
+    assert results[0] == results[1]
+    assert results[0][0] == "stop"
 
 
 # ----------------------------------------------------------------------

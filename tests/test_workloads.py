@@ -138,8 +138,8 @@ class PerRequestLoad:
     :class:`BackgroundLoad`: a process sleeps from arrival to arrival,
     counts each request as sent the moment it arrives, builds it there
     and hands it to a ``call_later`` timer for the network delay.
-    :class:`BackgroundLoad` sleeps straight to each delivery and must be
-    indistinguishable from this.
+    :class:`BackgroundLoad` arms one timer straight at each delivery and
+    must be indistinguishable from this.
     """
 
     NETWORK_DELAY = 0.006
@@ -273,11 +273,11 @@ def test_background_load_matches_per_request_reference(
 
 
 def test_background_load_costs_one_event_per_request():
-    """One sleep per request, straight to its delivery.
+    """One timer per request, straight at its delivery.
 
-    The server is a stub that only counts, so every event scheduled
-    under the load's process is one of its own sleeps (a real server's
-    batcher wakeup would be scheduled there too).
+    ``EnvStats`` counts the load's own timers under its name (a real
+    server's wakeups are counted under the server's), and the load
+    starts no process.
     """
 
     class CountingServer:
@@ -294,6 +294,8 @@ def test_background_load_costs_one_event_per_request():
     )
     env.run(until=40.0)
     assert server.requests > 2000
-    # the sleep pending at the horizon is the one extra
+    # the timer pending at the horizon is the one extra
     assert env.stats.events_by_process["background-load"] == server.requests + 1
+    # ... and besides them only run()'s stop event: no process kick-start
+    assert env.stats.events_scheduled == server.requests + 2
     assert load.sent >= server.requests
