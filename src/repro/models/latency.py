@@ -77,6 +77,8 @@ class GpuBatchModel:
         self, model: ModelSpec, batch_size: int, rng: np.random.Generator
     ) -> float:
         """One batch execution's wall-clock seconds."""
+        if self.jitter_sigma <= 0:
+            return self.batch_latency(model, batch_size)  # no draw either way
         return self.batch_latency(model, batch_size) * _lognormal_factor(
             rng, self.jitter_sigma
         )

@@ -70,18 +70,36 @@ FAILURE_OUTCOMES = (
 )
 
 
+class _Wake:
+    """A waiting frame's wake-up: resolves the future its coroutine is
+    parked on.  A reply, a reset and the client's timer all call it."""
+
+    __slots__ = ("future",)
+
+    def __init__(self, future: asyncio.Future) -> None:
+        self.future = future
+
+    def __call__(self, _reply: object = None) -> None:
+        future = self.future
+        if not future.done():
+            future.set_result(None)
+
+
 class _ClientConnection(asyncio.Protocol):
     """One pooled socket with at most one request in flight.
 
     :meth:`send` writes a request and returns the future its reply
     resolves; the connection goes back to its pool the moment the reply
-    is read, before the future's awaiter runs.
+    is read, and the waiting frame's wake-up is called right there, in
+    the read callback.
     """
 
     def __init__(self, owner: "AsyncSocketRemote") -> None:
         self.owner = owner
         self.transport: Optional[asyncio.Transport] = None
         self.waiter: Optional["asyncio.Future[protocol.Reply]"] = None
+        #: called once :attr:`waiter` is resolved
+        self.wake: Optional[_Wake] = None
         self.buffer = b""
         self.idle_since = 0.0
         #: why the connection went, for a send after it did
@@ -90,11 +108,15 @@ class _ClientConnection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
 
-    def send(self, data: bytes) -> "asyncio.Future[protocol.Reply]":
+    def send(self, data: bytes,
+             wake: Optional[_Wake] = None) -> "asyncio.Future[protocol.Reply]":
         self.waiter = waiter = self.owner._loop.create_future()
         if self.transport is None:
             waiter.set_exception(self.lost)
+            if wake is not None:
+                wake()
         else:
+            self.wake = wake
             self.transport.write(data)
         return waiter
 
@@ -106,20 +128,23 @@ class _ClientConnection(asyncio.Protocol):
             return
         self.buffer = b""
         waiter, self.waiter = self.waiter, None
+        wake, self.wake = self.wake, None
         if waiter is None or waiter.done() or len(data) > protocol.REPLY_SIZE:
             # bytes nobody asked for: the stream is out of step
             self.close()
             if waiter is not None and not waiter.done():
                 waiter.set_exception(protocol.ProtocolError("unsolicited reply bytes"))
-            return
-        try:
-            reply = protocol.decode_reply(data)
-        except protocol.ProtocolError as exc:
-            self.close()
-            waiter.set_exception(exc)
-            return
-        self.owner._release(self)
-        waiter.set_result(reply)
+        else:
+            try:
+                reply = protocol.decode_reply(data)
+            except protocol.ProtocolError as exc:
+                self.close()
+                waiter.set_exception(exc)
+            else:
+                self.owner._release(self)
+                waiter.set_result(reply)
+        if wake is not None:
+            wake()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.transport = None
@@ -127,8 +152,11 @@ class _ClientConnection(asyncio.Protocol):
             f"connection closed mid-reply ({len(self.buffer)} bytes)"
         )
         waiter, self.waiter = self.waiter, None
+        wake, self.wake = self.wake, None
         if waiter is not None and not waiter.done():
             waiter.set_exception(self.lost)
+        if wake is not None:
+            wake()
 
     def is_closing(self) -> bool:
         return self.transport is None or self.transport.is_closing()
@@ -171,9 +199,9 @@ class AsyncSocketRemote:
         own smaller timeout so a dead address fails fast instead of
         eating the whole deadline budget.
         """
-        conn = self._acquire()
+        loop = asyncio.get_running_loop()
+        conn = self._acquire(loop, loop.time())
         if conn is None:
-            loop = asyncio.get_running_loop()
             _transport, conn = await asyncio.wait_for(
                 loop.create_connection(lambda: _ClientConnection(self), *self.address),
                 timeout=self.connect_timeout,
@@ -187,19 +215,24 @@ class AsyncSocketRemote:
             raise
 
     def launch(
-        self, deadline: Optional[float]
+        self, loop: asyncio.AbstractEventLoop, now: float,
+        deadline: Optional[float], wake: _Wake,
     ) -> "Tuple[asyncio.Future[protocol.Reply], Optional[_ClientConnection]]":
-        """Start one round trip without waiting for it.
+        """Start one round trip without waiting for it; ``wake`` is
+        called once its reply future is resolved.
 
         On a pooled connection this is a plain write returning the reply
         future and the connection it is owed on; otherwise it is an
         :meth:`exchange` Task that connects first (connection None).
         Abandon an unfinished one with :meth:`abandon`.
         """
-        conn = self._acquire()
+        conn = self._acquire(loop, now)
         if conn is None:
-            return asyncio.ensure_future(self.exchange(deadline)), None
-        return conn.send(protocol.encode_request(self.tenant, self._payload, deadline)), conn
+            task = asyncio.ensure_future(self.exchange(deadline))
+            task.add_done_callback(wake)
+            return task, None
+        request = protocol.encode_request(self.tenant, self._payload, deadline)
+        return conn.send(request, wake), conn
 
     @staticmethod
     def abandon(reply: "asyncio.Future[protocol.Reply]",
@@ -208,13 +241,14 @@ class AsyncSocketRemote:
         if not reply.done():
             reply.cancel()
             if conn is not None:
+                conn.wake = None
                 conn.close()
         elif not reply.cancelled():
             reply.exception()  # a loser's error is not worth a log line
 
-    def _acquire(self) -> Optional[_ClientConnection]:
-        self._loop = loop = asyncio.get_running_loop()
-        now = loop.time()
+    def _acquire(self, loop: asyncio.AbstractEventLoop,
+                 now: float) -> Optional[_ClientConnection]:
+        self._loop = loop
         while self._pool:
             conn = self._pool.pop()
             if now - conn.idle_since > self.pool_idle or conn.is_closing():
@@ -266,6 +300,11 @@ class ResilientSocketRemote:
         self.submitted = 0
         self.counts: Dict[FrameOutcome, int] = {o: 0 for o in FrameOutcome}
         self._next_probe_at = 0.0
+        #: each waiting frame's wake-up and the loop time it is next due
+        #: (its hedge point or its deadline); the one timer is armed at
+        #: or before the earliest of them
+        self._due: Dict[_Wake, float] = {}
+        self._timer: Optional[asyncio.TimerHandle] = None
 
     # ------------------------------------------------------------------
     @property
@@ -291,7 +330,20 @@ class ResilientSocketRemote:
         loop = asyncio.get_running_loop()
         self.submitted += 1
         try:
-            outcome = await self._submit_inner(loop)
+            now = loop.time()
+            breaker = self.breaker
+            if breaker.is_closed:
+                outcome, retry_after, now = await self._attempt_with_retry(loop, now)
+                if outcome is FrameOutcome.COMPLETED:
+                    breaker.record_success(now)
+                else:
+                    self._record_failure_kind(outcome)
+                    breaker.record_failure(now, retry_after)
+            elif breaker.is_open and now >= self._next_probe_at:
+                outcome = await self._probe(loop, now)
+            else:
+                self.taxonomy.record(FailureKind.BREAKER_FALLBACK)
+                outcome = FrameOutcome.FALLBACK_LOCAL
         except asyncio.CancelledError:
             # a cancelled offload still settles (the loop was torn down
             # mid-flight); classify as timeout so accounting stays closed
@@ -301,29 +353,14 @@ class ResilientSocketRemote:
         self.counts[outcome] += 1
         return outcome
 
-    async def _submit_inner(self, loop: asyncio.AbstractEventLoop) -> FrameOutcome:
-        now = loop.time()
-        if not self.breaker.is_closed:
-            if self.breaker.is_open and now >= self._next_probe_at:
-                return await self._probe(loop)
-            self.taxonomy.record(FailureKind.BREAKER_FALLBACK)
-            return FrameOutcome.FALLBACK_LOCAL
-        outcome, retry_after = await self._attempt_with_retry(loop)
-        if outcome is FrameOutcome.COMPLETED:
-            self.breaker.record_success(loop.time())
-        else:
-            self._record_failure_kind(outcome)
-            self.breaker.record_failure(loop.time(), retry_after)
-        return outcome
-
     # ------------------------------------------------------------------
-    async def _probe(self, loop: asyncio.AbstractEventLoop) -> FrameOutcome:
+    async def _probe(self, loop: asyncio.AbstractEventLoop, now: float) -> FrameOutcome:
         """Submit-driven half-open trial probe (no hedging, no budget)."""
-        self.breaker.on_probe_sent(loop.time())
+        self.breaker.on_probe_sent(now)
         self._next_probe_at = float("inf")  # one probe in flight at a time
-        outcome, _hint = await self._attempt_with_retry(loop, hedge=False)
+        outcome, _hint, now = await self._attempt_with_retry(loop, now, hedge=False)
         ok = outcome is FrameOutcome.COMPLETED
-        self.breaker.record_probe(ok, loop.time())
+        self.breaker.record_probe(ok, now)
         if not ok:
             self.taxonomy.record(FailureKind.PROBE_FAILED)
             self._record_failure_kind(outcome)
@@ -357,31 +394,34 @@ class ResilientSocketRemote:
 
     # ------------------------------------------------------------------
     async def _attempt_with_retry(self, loop: asyncio.AbstractEventLoop,
-                                  hedge: bool = True):
+                                  now: float, hedge: bool = True):
         """Deadline-budgeted hedged retransmission; first OK wins.
 
         Mirrors the simulator's :class:`~repro.resilience.layer` retry
         discipline: the hedge fires at ``retry_after_frac`` of the
         deadline, only if at least ``min_reply_frac`` of the budget
-        remains and the token bucket grants it.  The attempts' reply
-        futures race one timer at a time (the hedge point, then the
-        deadline); no Task is made on a pooled connection.
+        remains and the token bucket grants it.  The frame sleeps until
+        a reply or a reset wakes it from the read callback, or the
+        client's timer does at its hedge point, then at its deadline.
+        No Task is made on a pooled connection.  Returns the outcome,
+        its retry-after hint and the loop time it was settled at.
         """
-        start = loop.time()
         budget = self.deadline
-        deadline_at = start + budget
-        hedge_at = start + self.config.retry_after_frac * budget if hedge else None
-        attempts = [self.remote.launch(budget)]
+        deadline_at = now + budget
+        hedge_at = now + self.config.retry_after_frac * budget if hedge else None
+        wake = _Wake(loop.create_future())
+        attempts = [self.remote.launch(loop, now, budget, wake)]
         fallback: Optional[Tuple[FrameOutcome, Optional[float]]] = None
         try:
             while attempts:
                 when = deadline_at if hedge_at is None else hedge_at
-                if loop.time() < when:
-                    wake, timer = _first_of(loop, attempts, when)
+                if now < when:
+                    self._sleep_until(loop, wake, when)
                     try:
-                        await wake
+                        await wake.future
                     finally:
-                        timer.cancel()
+                        self._due.pop(wake, None)
+                    now = loop.time()
                 live = []
                 for attempt in attempts:
                     if not attempt[0].done():
@@ -389,22 +429,27 @@ class ResilientSocketRemote:
                         continue
                     outcome, hint = self._verdict(attempt[0])
                     if outcome is FrameOutcome.COMPLETED:
-                        return outcome, hint
+                        return outcome, hint, now
                     fallback = fallback or (outcome, hint)
                 attempts = live
-                now = loop.time()
+                if wake.future.done():
+                    # every wake so far is seen above; the next sleep
+                    # (and a hedge failing at once) needs a fresh future
+                    wake.future = loop.create_future()
                 if hedge_at is not None and now >= hedge_at:
                     hedge_at = None
                     if attempts and self.config.max_retries > 0:
-                        self._hedge(now, deadline_at - now, budget, attempts)
+                        self._hedge(loop, now, deadline_at - now, budget, attempts, wake)
                 elif hedge_at is None and now >= deadline_at:
                     break
         finally:
             for reply, conn in attempts:
                 self.remote.abandon(reply, conn)
-        return fallback if fallback is not None else (FrameOutcome.TIMEOUT, None)
+        outcome, hint = fallback if fallback is not None else (FrameOutcome.TIMEOUT, None)
+        return outcome, hint, now
 
-    def _hedge(self, now: float, remaining: float, budget: float, attempts: list) -> None:
+    def _hedge(self, loop: asyncio.AbstractEventLoop, now: float, remaining: float,
+               budget: float, attempts: list, wake: _Wake) -> None:
         """Send the hedged retransmission if the window and budget allow."""
         if remaining < self.config.min_reply_frac * budget:
             self.taxonomy.record(FailureKind.RETRY_WINDOW_CLOSED)
@@ -412,21 +457,40 @@ class ResilientSocketRemote:
             self.taxonomy.record(FailureKind.RETRY_DENIED)
         else:
             self.taxonomy.record(FailureKind.RETRY_SENT)
-            attempts.append(self.remote.launch(remaining))
+            attempts.append(self.remote.launch(loop, now, remaining, wake))
+
+    # ------------------------------------------------------------------
+    def _sleep_until(self, loop: asyncio.AbstractEventLoop, wake: _Wake, when: float) -> None:
+        """Have the client's timer wake ``wake`` at loop time ``when``.
+
+        The timer is re-armed only when ``when`` is earlier than it is
+        armed for: frames that settle before their due time leave it
+        armed, and it re-arms itself when it fires.
+        """
+        self._due[wake] = when
+        timer = self._timer
+        if timer is None or when < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self._timer = loop.call_at(when, self._timer_fired, loop)
+
+    def _timer_fired(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Wake every frame now due; re-arm for the earliest left."""
+        now = loop.time()
+        due = self._due
+        earliest = None
+        for wake, when in list(due.items()):
+            if when <= now:
+                del due[wake]
+                wake()
+            elif earliest is None or when < earliest:
+                earliest = when
+        self._timer = None if earliest is None else loop.call_at(
+            earliest, self._timer_fired, loop
+        )
 
     async def close(self) -> None:
+        if self._timer is not None and not self._due:
+            self._timer.cancel()
+            self._timer = None
         await self.remote.close()
-
-
-def _first_of(loop: asyncio.AbstractEventLoop, attempts: list, when: float):
-    """A future done when any attempt's reply is, or at loop time
-    ``when``, and the timer that covers the second case."""
-    wake = loop.create_future()
-
-    def fire(_: object = None) -> None:
-        if not wake.done():
-            wake.set_result(None)
-
-    for reply, _conn in attempts:
-        reply.add_done_callback(fire)
-    return wake, loop.call_at(when, fire)

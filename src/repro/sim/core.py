@@ -495,6 +495,10 @@ class Environment:
                     # An error nobody waited on: surface it rather than lose it.
                     raise event._value
         except StopSimulation as exc:
+            # the stop event ended the loop from inside its callback,
+            # before the loop could count it
+            if self._stats is not None:
+                self._stats.events_processed += 1
             return exc.value
         finally:
             # Teardown: detach the stop callback only when the stop

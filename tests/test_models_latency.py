@@ -89,3 +89,17 @@ def test_gpu_sample_jitter_averages_out(rng):
     mean = gpu.batch_latency(MOBILENET_V3_SMALL, 15)
     samples = [gpu.sample(MOBILENET_V3_SMALL, 15, rng) for _ in range(10_000)]
     assert np.mean(samples) == pytest.approx(mean, rel=0.02)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.5])
+def test_gpu_sample_without_jitter_is_the_batch_latency_bit_for_bit(rng, sigma):
+    from repro.models.latency import _lognormal_factor
+    from repro.models.zoo import MODEL_ZOO
+
+    gpu = GpuBatchModel(base_latency=0.0173, per_item=0.00491, jitter_sigma=sigma)
+    state = rng.bit_generator.state
+    for model in MODEL_ZOO.values():
+        for batch_size in (1, 2, 7, 15, 64):
+            jittered = gpu.batch_latency(model, batch_size) * _lognormal_factor(rng, sigma)
+            assert gpu.sample(model, batch_size, rng).hex() == jittered.hex()
+    assert rng.bit_generator.state == state  # neither path draws

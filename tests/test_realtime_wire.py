@@ -207,6 +207,111 @@ def test_cancelled_submit_settles_as_timeout_and_drops_its_connection():
     run(scenario())
 
 
+def test_pooled_connection_reset_mid_frame_settles_at_once():
+    """A reset on the connection a frame is waiting on settles that frame
+    when the reset is read, not at the next hedge point or deadline."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        config = GatewayConfig(base_latency=0.5, per_item=0.0)
+        gateway = await InferenceGateway(config).start()
+        remote = ResilientSocketRemote(gateway.address, deadline=2.0, frame_bytes=64)
+        try:
+            # warm the pool: the next frame goes out on a pooled connection
+            assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            start = loop.time()
+            inflight = asyncio.ensure_future(remote.submit_frame())
+            settled_at = []
+            inflight.add_done_callback(lambda _: settled_at.append(loop.time()))
+            await asyncio.sleep(0.1)
+            await gateway.stop(abort=True)
+            outcome = await inflight
+        finally:
+            await remote.close()
+            await gateway.stop()
+        assert outcome is FrameOutcome.TIMEOUT
+        # the hedge point is 1.0 s after the start
+        assert settled_at[0] - start < 0.5
+        assert remote.accounting_closed
+
+    run(scenario())
+
+
+def _two_frames_in_flight(cancel):
+    """Two frames on one client, the second 0.1 s after the first, each
+    still queued behind the GPU at its hedge point (0.5 x 0.4 s);
+    ``cancel`` names the frame cancelled 0.12 s in, before any hedge."""
+
+    async def scenario():
+        config = GatewayConfig(base_latency=0.3, per_item=0.0)
+        async with InferenceGateway(config) as gateway:
+            remote = ResilientSocketRemote(
+                gateway.address,
+                deadline=0.4,
+                config=ResilienceConfig.wallclock(),
+                frame_bytes=64,
+            )
+            frames = {"first": asyncio.ensure_future(remote.submit_frame())}
+            await asyncio.sleep(0.1)
+            frames["second"] = asyncio.ensure_future(remote.submit_frame())
+            await asyncio.sleep(0.02)
+            if cancel is not None:
+                frames[cancel].cancel()
+            outcomes = {}
+            for name, frame in frames.items():
+                try:
+                    outcomes[name] = await frame
+                except asyncio.CancelledError:
+                    outcomes[name] = "cancelled"
+            await remote.close()
+        assert remote.accounting_closed
+        assert gateway.stats.accounting_closed
+        return outcomes, remote
+
+    return run(scenario())
+
+
+def test_two_frames_in_flight_each_hedge_at_their_own_point():
+    outcomes, remote = _two_frames_in_flight(cancel=None)
+    # the first completes on its first attempt at 0.3 s; the second is
+    # still in the GPU at its deadline (0.5 s)
+    assert outcomes == {"first": FrameOutcome.COMPLETED, "second": FrameOutcome.TIMEOUT}
+    assert remote.taxonomy.as_dict()[FailureKind.RETRY_SENT.value] == 2
+
+
+def test_cancelling_one_of_two_frames_in_flight_keeps_the_others_hedge():
+    for cancel, survivor, outcome in (
+        ("first", "second", FrameOutcome.TIMEOUT),
+        ("second", "first", FrameOutcome.COMPLETED),
+    ):
+        outcomes, remote = _two_frames_in_flight(cancel=cancel)
+        assert outcomes == {cancel: "cancelled", survivor: outcome}
+        assert remote.taxonomy.as_dict()[FailureKind.RETRY_SENT.value] == 1
+        assert remote.counts[FrameOutcome.TIMEOUT] == (
+            2 if outcome is FrameOutcome.TIMEOUT else 1
+        )
+
+
+def test_settled_and_cancelled_frames_leave_nothing_in_the_client_timer():
+    async def scenario():
+        config = GatewayConfig(base_latency=0.05, per_item=0.0)
+        async with InferenceGateway(config) as gateway:
+            remote = ResilientSocketRemote(gateway.address, deadline=1.0, frame_bytes=64)
+            for _ in range(3):
+                assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            inflight = asyncio.ensure_future(remote.submit_frame())
+            await asyncio.sleep(0.02)
+            assert len(remote._due) == 1
+            inflight.cancel()
+            await asyncio.gather(inflight, return_exceptions=True)
+            assert remote._due == {}
+            await remote.close()
+            assert remote._timer is None
+            assert remote.accounting_closed
+
+    run(scenario())
+
+
 def test_steady_state_frames_create_no_tasks():
     """A frame on a warm pooled connection is plain callbacks on both
     ends: a counting task factory sees no Task created."""
@@ -234,5 +339,52 @@ def test_steady_state_frames_create_no_tasks():
         assert created == []
         assert gateway.stats.connections == 1
         assert gateway.stats.completed == 220
+
+    run(scenario())
+
+
+def test_warm_frame_costs_one_timer_and_two_call_soons():
+    """A warm frame costs the loop no Task, one timer handle (the GPU's
+    batch delay) and two ``call_soon`` handles (the gateway's batch
+    start and the client's wake-up), counted on the running loop."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        tasks, timers, soon = [], {}, []
+
+        def counting_factory(loop, coro, **kwargs):
+            tasks.append(getattr(coro, "__qualname__", repr(coro)))
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def counted(method, sink):
+            def wrapper(*args, **kwargs):
+                handle = method(*args, **kwargs)
+                sink(handle)
+                return handle
+            return wrapper
+
+        def add_timer(handle):
+            # call_later goes through call_at: count each handle once
+            timers[id(handle)] = handle
+
+        config = GatewayConfig(base_latency=0.0, per_item=0.0, tenant_rate=1e7)
+        async with InferenceGateway(config) as gateway:
+            remote = ResilientSocketRemote(gateway.address, deadline=5.0, frame_bytes=11_700)
+            for _ in range(20):  # warm-up: connect and fill the pool
+                assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            loop.set_task_factory(counting_factory)
+            loop.call_soon = counted(loop.call_soon, soon.append)
+            loop.call_at = counted(loop.call_at, add_timer)
+            loop.call_later = counted(loop.call_later, add_timer)
+            try:
+                for _ in range(200):
+                    assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            finally:
+                del loop.call_soon, loop.call_at, loop.call_later
+                loop.set_task_factory(None)
+            await remote.close()
+        assert tasks == []
+        assert len(timers) <= 200
+        assert len(soon) <= 400
 
     run(scenario())

@@ -466,6 +466,11 @@ def test_run_dispatches_in_the_order_of_a_manual_step_loop():
     assert len(logs[0]) > 500
 
 
+def _books_close(env):
+    s = env.stats
+    return s.events_scheduled - s.events_cancelled - env.queue_size() == s.events_processed
+
+
 def test_run_until_an_event_matches_a_manual_step_loop():
     results = []
     for manual in (False, True):
@@ -473,6 +478,7 @@ def test_run_until_an_event_matches_a_manual_step_loop():
         log = []
         _busy_world(env, log)
         env.run(until=1.0)
+        assert _books_close(env)
         stop = env.timeout(0.2, value="stop")
         if manual:
             while not stop.processed:
@@ -480,11 +486,24 @@ def test_run_until_an_event_matches_a_manual_step_loop():
             value = stop.value
         else:
             value = env.run(until=stop)
-        # events_processed is left out: run() ends inside the stop
-        # event's callback, before that event is counted
-        results.append((value, log, _counters(env)[1:], env.queue_size()))
+        assert _books_close(env)
+        results.append((value, log, _counters(env), env.queue_size()))
     assert results[0] == results[1]
     assert results[0][0] == "stop"
+
+
+@pytest.mark.parametrize("until", ["number", "event"])
+def test_run_until_counts_its_stop_event_as_processed(until):
+    env = Environment(stats=True)
+    env.timeout(0.5)
+    env.timeout(2.0)
+    stop = 1.0 if until == "number" else env.timeout(1.0)
+    env.run(until=stop)
+    assert env.stats.events_processed == 2  # the 0.5 s timeout and the stop
+    assert _books_close(env)
+    env.run()
+    assert env.stats.events_processed == 3
+    assert _books_close(env)
 
 
 # ----------------------------------------------------------------------
