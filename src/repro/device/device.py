@@ -100,7 +100,7 @@ class EdgeDevice:
         #: optional resilient offload path (None = the paper's device)
         self.resilience: Optional[ResilienceLayer] = None
         if config.resilience is not None:
-            self.resilience = ResilienceLayer(config.resilience, config.frame_rate)
+            self.resilience = ResilienceLayer(config.resilience)
             self.resilience.breaker.on_open = self._on_breaker_open
         self._breaker_probing = False
         self.offload = OffloadClient(
@@ -412,9 +412,11 @@ class EdgeDevice:
 
     @property
     def _park_target(self) -> float:
-        """Standing-probe target while the offload path is down."""
+        """Standing-probe target while the offload path is down: the
+        resilience layer's ``open_target_frac`` of ``F_s`` (the paper's
+        0.1 F_s without one)."""
         if self.resilience is not None:
-            return self.resilience.open_target
+            return self.resilience.config.open_target_frac * self.config.frame_rate
         return 0.1 * self.config.frame_rate
 
     # ------------------------------------------------------------------
@@ -436,18 +438,16 @@ class EdgeDevice:
         verdict (the offload watchdog bounds that wait by the deadline)
         so at most one trial is ever in flight.
         """
-        resilience = self.resilience
-        breaker = resilience.breaker
+        breaker = self.resilience.breaker
         while not breaker.is_closed:
             yield self.env.sleep(breaker.current_backoff)
             if breaker.is_closed:
                 break
             verdict = self.env.event()
 
+            # the offload client books the trial's outcome with the
+            # breaker (ResilienceLayer.settle); the loop only waits on it
             def on_result(ok: bool, verdict=verdict) -> None:
-                breaker.record_probe(ok, self.env.now)
-                if not ok:
-                    resilience.record(FailureKind.PROBE_FAILED)
                 if not verdict.triggered:
                     verdict.succeed()
 

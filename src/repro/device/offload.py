@@ -30,6 +30,11 @@ additionally
   250 ms in silence;
 * feeds every definitive outcome to the circuit breaker and the
   failure taxonomy.
+
+The retry gate, the reply verdict and the settle bookkeeping are the
+layer's (:mod:`repro.resilience.layer`), shared with the wall-clock
+client; this class adds the kernel timers, the links, fleet failover,
+the latency breakdown and tracing.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from repro.device.camera import Frame
 from repro.metrics.breakdown import BreakdownCollector
 from repro.metrics.taxonomy import FailureKind
 from repro.netem.link import Link
-from repro.resilience.layer import ResilienceLayer
+from repro.resilience.config import ResilienceConfig
+from repro.resilience.layer import COMPLETED, LATE, RESEND, ResilienceLayer, verdict
 from repro.server.requests import InferenceRequest, Response
 from repro.server.server import EdgeServer
 from repro.sim.core import Environment
@@ -50,10 +56,15 @@ from repro.sim.events import Event
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.router import Router
 
-#: remaining-deadline fraction below which a failover re-send is
-#: pointless; matches ``ResilienceConfig.min_reply_frac`` so the fleet
-#: tier makes the same budget call without requiring a resilience layer
-FAILOVER_MIN_REPLY_FRAC = 0.3
+#: each cause a frame can fail by: its taxonomy kind, its offload
+#: span's status, and its frame span's status and attributes
+_FAILURES = {
+    "deadline": (FailureKind.SILENT_TIMEOUT, "timeout", "timeout", {"cause": "deadline"}),
+    "overloaded": (FailureKind.OVERLOADED, "overloaded", "timeout", {"cause": "overloaded"}),
+    "rejected": (FailureKind.REJECTED, "rejected", "rejected", {}),
+    "crash": (FailureKind.CRASH_DROPPED, "crash", "crash-dropped", {}),
+    "no-route": (FailureKind.NO_ROUTE, "no-route", "timeout", {"cause": "no-route"}),
+}
 
 
 @dataclass
@@ -168,14 +179,8 @@ class OffloadClient:
         dropped = 0
         tracer = self.env.tracer
         for frame_id in list(self._outstanding):
-            record = self._outstanding.pop(frame_id)
-            record.settled = True
-            if record.watchdog is not None:
-                record.watchdog.cancel()
-                record.watchdog = None
-            if record.hedge is not None:
-                record.hedge.cancel()
-                record.hedge = None
+            record = self._outstanding[frame_id]
+            self._settle(record, frame_id)
             if record.is_probe:
                 continue
             self.aborted += 1
@@ -289,11 +294,10 @@ class OffloadClient:
         router = self.router
         if router is None:
             return 0
+        # the retry gate's reply window, also without a resilience layer
         min_frac = (
-            self.resilience.config.min_reply_frac
-            if self.resilience is not None
-            else FAILOVER_MIN_REPLY_FRAC
-        )
+            ResilienceConfig if self.resilience is None else self.resilience.config
+        ).min_reply_frac
         now = self.env.now
         moved = 0
         for frame_id in list(self._outstanding):
@@ -309,7 +313,8 @@ class OffloadClient:
             ):
                 target = router.route(self.model_name, exclude=dead)
             if target is None:
-                self._crash_drop(record)
+                self.crash_drops += 1
+                self._fail(record, "crash")
                 continue
             record.failovers += 1
             self.failovers += 1
@@ -326,45 +331,13 @@ class OffloadClient:
             self._transmit(record, server=target)
         return moved
 
-    def _crash_drop(self, record: _Outstanding) -> None:
-        """Settle an in-flight frame lost to its server's crash."""
-        frame_id = record.frame.frame_id
-        self._settle(record, frame_id)
-        self.crash_drops += 1
-        if self.resilience is not None:
-            self.resilience.record(FailureKind.CRASH_DROPPED)
-        if record.is_probe:
-            self._probe_done(record, False)
-            return
-        self.timeouts += 1
-        tracer = self.env.tracer
-        if tracer is not None:
-            now = self.env.now
-            tracer.end_offload(self.tenant, frame_id, now, "crash")
-            tracer.finish_frame(self.tenant, frame_id, now, "crash-dropped")
-        self.on_timeout(record.frame, "crash")
-
     def _no_route(self, record: _Outstanding, settle: bool) -> None:
         """No healthy server admitted the attempt."""
         self.no_routes += 1
-        if self.resilience is not None:
+        if settle and not record.settled:
+            self._fail(record, "no-route")
+        elif self.resilience is not None:
             self.resilience.record(FailureKind.NO_ROUTE)
-        if not settle or record.settled:
-            return
-        frame_id = record.frame.frame_id
-        self._settle(record, frame_id)
-        if record.is_probe:
-            self._probe_done(record, False)
-            return
-        self.timeouts += 1
-        tracer = self.env.tracer
-        if tracer is not None:
-            now = self.env.now
-            tracer.end_offload(self.tenant, frame_id, now, "no-route")
-            tracer.finish_frame(
-                self.tenant, frame_id, now, "timeout", cause="no-route"
-            )
-        self.on_timeout(record.frame, "no-route")
 
     # ------------------------------------------------------------------
     # deadline-budgeted retransmission
@@ -374,45 +347,19 @@ class OffloadClient:
         record = self._outstanding.get(event.value)
         if record is None or record.settled:
             return
-        self._maybe_retry(record)
+        if self.resilience.retry(
+            self.env.now, record.retries, record.sent_at + self.deadline, self.deadline
+        ):
+            self._spend_retry(record)
+            self._transmit(record)
 
-    def _maybe_retry(self, record: _Outstanding, wait: float = 0.0) -> bool:
-        """Try to spend a retransmission on ``record``.
-
-        ``wait`` defers the re-send (server retry-after hint).  Returns
-        True when a retry was committed — the caller must then leave
-        the record outstanding for the watchdog to guard.
-        """
-        r = self.resilience
-        if r is None or record.retries >= r.config.max_retries:
-            return False
-        if not r.breaker.is_closed:
-            # the breaker already declared the path dead; retries there
-            # are exactly the amplification it exists to prevent
-            return False
-        now = self.env.now
-        remaining = record.sent_at + self.deadline - (now + wait)
-        if remaining < r.config.min_reply_frac * self.deadline:
-            r.record(FailureKind.RETRY_WINDOW_CLOSED)
-            return False
-        if not r.retry_budget.try_acquire(now):
-            r.record(FailureKind.RETRY_DENIED)
-            return False
+    def _spend_retry(self, record: _Outstanding) -> None:
         record.retries += 1
         self.retries += 1
-        r.record(FailureKind.RETRY_SENT)
-        if wait > 0:
-            self.env.process(
-                self._deferred_resend(record.frame.frame_id, wait),
-                name="offload-retry",
-            )
-        else:
-            self._transmit(record)
-        return True
 
-    def _deferred_resend(self, frame_id: int, wait: float):
-        yield self.env.timeout(wait)
-        record = self._outstanding.get(frame_id)
+    def _resend_fire(self, event: Event) -> None:
+        """A pushback re-send's hint ran out."""
+        record = self._outstanding.get(event.value)
         if record is None or record.settled:
             return  # a response (or the watchdog) beat the hint
         self._transmit(record)
@@ -423,114 +370,84 @@ class OffloadClient:
         self.downlink.send(self.response_bytes, response, self._on_response_arrival)
 
     def _on_response_arrival(self, response: Response) -> None:
-        record = self._outstanding.get(response.frame_id)
+        frame_id = response.frame_id
+        record = self._outstanding.get(frame_id)
         if record is None or record.settled:
             self._attribute_late(response)
             return  # already counted as a timeout (late response)
-        rtt = self.env.now - record.sent_at
-        if self.breakdown is not None and not record.is_probe and response.ok:
-            self._record_breakdown(
-                record, response, ok=rtt <= self.deadline, at=self.env.now
-            )
-        tracer = self.env.tracer
-        if response.ok and rtt <= self.deadline:
-            self._settle(record, response.frame_id)
+        now = self.env.now
+        rtt = now - record.sent_at
+        v = verdict(
+            self.resilience, now, response, rtt > self.deadline, record.retries,
+            record.sent_at + self.deadline, self.deadline, record.is_probe,
+        )
+        if v is COMPLETED or v is LATE:
+            if self.breakdown is not None and not record.is_probe:
+                self._record_breakdown(record, response, ok=v is COMPLETED, at=now)
+            if v is LATE:
+                return  # the watchdog settles it
+            self._settle(record, frame_id)
             self.last_rtt = rtt
-            self._record_path_outcome(record, ok=True)
+            self._book(record, None)
             if record.is_probe:
                 self._probe_done(record, True)
-            else:
-                self.successes += 1
-                if tracer is not None:
-                    now = self.env.now
-                    tracer.end_offload(
-                        self.tenant, response.frame_id, now, "ok", rtt=rtt
-                    )
-                    tracer.finish_frame(
-                        self.tenant, response.frame_id, now, "completed-offload"
-                    )
-                self.on_success(record.frame, rtt)
-        elif response.overloaded:
-            # Explicit pushback: the server is saturated but alive.
+                return
+            self.successes += 1
+            tracer = self.env.tracer
+            if tracer is not None:
+                tracer.end_offload(self.tenant, frame_id, now, "ok", rtt=rtt)
+                tracer.finish_frame(self.tenant, frame_id, now, "completed-offload")
+            self.on_success(record.frame, rtt)
+        elif v is RESEND:
+            # Explicit pushback: the server is saturated but alive, and
+            # the hint still leaves room for a useful reply.
             self.overloads += 1
-            r = self.resilience
-            if r is not None:
-                r.note_overload(response.retry_after)
-                r.record(FailureKind.OVERLOADED)
-                if not record.is_probe and self._maybe_retry(
-                    record, wait=response.retry_after or 0.0
-                ):
-                    return  # still outstanding; the watchdog guards it
+            self._spend_retry(record)
+            wait = response.retry_after or 0.0
+            if wait > 0:
+                self.env.call_later(wait, self._resend_fire, value=frame_id)
+            else:
+                self._transmit(record)
+        elif response.overloaded:
             # No retry possible: a definitive failure *now* — don't
             # burn the rest of the deadline waiting for nothing.
-            self._settle(record, response.frame_id)
-            self._record_path_outcome(
-                record, ok=False, retry_after=response.retry_after
-            )
-            if record.is_probe:
-                self._probe_done(record, False)
-            else:
-                if self.breakdown is not None:
-                    self.breakdown.record_rejection(self.env.now)
-                self.timeouts += 1
-                if tracer is not None:
-                    now = self.env.now
-                    tracer.end_offload(
-                        self.tenant, response.frame_id, now, "overloaded"
-                    )
-                    tracer.finish_frame(
-                        self.tenant, response.frame_id, now, "timeout",
-                        cause="overloaded",
-                    )
-                self.on_timeout(record.frame, "overloaded")
-        elif not response.ok:
-            # Rejection: a definitive failure, counted immediately.
-            self._settle(record, response.frame_id)
-            if self.resilience is not None:
-                self.resilience.record(FailureKind.REJECTED)
+            self.overloads += 1
+            self._fail(record, "overloaded", retry_after=response.retry_after)
+        else:
             self.rejections += 1
-            self._record_path_outcome(record, ok=False)
-            if record.is_probe:
-                self._probe_done(record, False)
-            else:
-                if self.breakdown is not None:
-                    self.breakdown.record_rejection(self.env.now)
-                self.timeouts += 1
-                if tracer is not None:
-                    now = self.env.now
-                    tracer.end_offload(
-                        self.tenant, response.frame_id, now, "rejected"
-                    )
-                    tracer.finish_frame(
-                        self.tenant, response.frame_id, now, "rejected"
-                    )
-                self.on_timeout(record.frame, "rejected")
-        # else: a successful response past the deadline — leave the
-        # record for the watchdog (or it already fired).
+            self._fail(record, "rejected")
 
     def _watchdog_fire(self, event: Event) -> None:
         """The deadline passed with no definitive outcome."""
-        frame_id = event.value
-        record = self._outstanding.get(frame_id)
-        if record is None or record.settled:
-            return
+        record = self._outstanding.get(event.value)
+        if record is not None and not record.settled:
+            self._fail(record, "deadline")
+
+    def _fail(self, record: _Outstanding, cause: str, retry_after: Optional[float] = None) -> None:
+        """Settle ``record`` as failed by ``cause`` (a ``_FAILURES`` key).
+
+        The frame counts toward ``T`` now and leaves the path's health
+        ledger a failure; a probe only reports the failure to its owner.
+        """
+        kind, offload_status, frame_status, attrs = _FAILURES[cause]
+        frame = record.frame
+        frame_id = frame.frame_id
         self._settle(record, frame_id)
-        if self.resilience is not None:
-            self.resilience.record(FailureKind.SILENT_TIMEOUT)
-        self._record_path_outcome(record, ok=False)
+        self._book(record, kind, retry_after)
         if record.is_probe:
             self._probe_done(record, False)
             return
+        now = self.env.now
         self.timeouts += 1
+        breakdown = self.breakdown
+        if breakdown is not None and (cause == "overloaded" or cause == "rejected"):
+            breakdown.record_rejection(now)
         tracer = self.env.tracer
         if tracer is not None:
-            now = self.env.now
-            tracer.end_offload(self.tenant, frame_id, now, "timeout")
-            tracer.finish_frame(
-                self.tenant, frame_id, now, "timeout", cause="deadline"
-            )
-        self.on_timeout(record.frame, "deadline")
-        if self.breakdown is not None:
+            tracer.end_offload(self.tenant, frame_id, now, offload_status)
+            tracer.finish_frame(self.tenant, frame_id, now, frame_status, **attrs)
+        self.on_timeout(frame, cause)
+        if breakdown is not None and cause == "deadline":
             # Attribution is deferred: a late response (if one ever
             # comes) tells us whether network or server ate the budget;
             # true silence is a network loss.  A late response cancels
@@ -538,7 +455,7 @@ class OffloadClient:
             grace = self.env.call_later(
                 max(4.0 * self.deadline, 1.0), self._grace_expired, value=frame_id
             )
-            self._late_pending[frame_id] = (record, self.env.now, grace)
+            self._late_pending[frame_id] = (record, now, grace)
 
     def _grace_expired(self, event: Event) -> None:
         """No response within the grace period: a network loss."""
@@ -584,38 +501,31 @@ class OffloadClient:
             record.hedge.cancel()
             record.hedge = None
 
-    def _record_path_outcome(
-        self,
-        record: _Outstanding,
-        ok: bool,
-        retry_after: Optional[float] = None,
-    ) -> None:
-        """Feed a definitive outcome to the circuit breaker.
-
-        Half-open trial probes (``on_result`` set) are excluded: their
-        verdicts flow through :meth:`CircuitBreaker.record_probe` via
-        the device's probe loop, not the data-path counters.
+    def _book(self, record: _Outstanding, kind: Optional[FailureKind],
+              retry_after: Optional[float] = None) -> None:
+        """Feed a definitive outcome (``kind`` None: success) to the
+        resilience layer's taxonomy and breaker.
 
         In fleet mode the per-server health ledger replaces the
         device-wide breaker: outcomes feed the pool (which ejects a
         server after ``fail_threshold`` consecutive failures — its own
-        breaker, with probation as the half-open state) and the breaker
-        never engages.
+        breaker, with probation as the half-open state), the breaker
+        never engages, and a crash-drop feeds nothing (the pool ejected
+        that server already).
         """
-        if self.router is not None:
-            if record.server_name is not None:
-                self.router.record_result(
-                    record.server_name, ok,
-                    rtt=self.last_rtt if ok else None,
-                )
-            return
         r = self.resilience
-        if r is None or record.on_result is not None:
-            return
-        if ok:
-            r.breaker.record_success(self.env.now)
-        else:
-            r.breaker.record_failure(self.env.now, retry_after=retry_after)
+        router = self.router
+        if r is not None:
+            trial = record.on_result is not None
+            if router is None or trial:
+                r.settle(self.env.now, kind, trial, retry_after)
+            elif kind is not None:
+                r.record(kind)
+        if router is not None and record.server_name is not None and (
+            kind is not FailureKind.CRASH_DROPPED
+        ):
+            ok = kind is None
+            router.record_result(record.server_name, ok, rtt=self.last_rtt if ok else None)
 
     def _probe_done(self, record: _Outstanding, ok: bool) -> None:
         if record.on_result is not None:

@@ -1,11 +1,10 @@
 """Resilient asyncio offload client for the inference gateway.
 
-This is :mod:`repro.resilience` ported onto real sockets: the same
-deadline-budgeted hedged retry, the same token-bucket retry budget,
-the same :class:`~repro.resilience.breaker.CircuitBreaker` state
-machine — every ``now`` fed from ``loop.time()`` instead of simulated
-time, exactly the reuse the breaker's design promised ("deliberately
-simulation-free — every method takes ``now`` explicitly").
+This is :mod:`repro.resilience` on real sockets: the client holds a
+:class:`~repro.resilience.layer.ResilienceLayer` and takes the
+simulator's retry gate, reply verdict and settle bookkeeping from it
+unchanged, every ``now`` fed from ``loop.time()`` instead of simulated
+time.
 
 Two layers:
 
@@ -29,11 +28,10 @@ import asyncio
 import enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.metrics.taxonomy import FailureKind, FailureTaxonomy
+from repro.metrics.taxonomy import FailureKind
 from repro.realtime import protocol
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.budget import RetryBudget
 from repro.resilience.config import ResilienceConfig
+from repro.resilience.layer import LATE, RESEND, ResilienceLayer, verdict
 
 
 class FrameOutcome(enum.Enum):
@@ -52,22 +50,25 @@ class FrameOutcome(enum.Enum):
     #: breaker open: frame diverted to the local pipeline unsent
     FALLBACK_LOCAL = "fallback_local"
 
+    # Members are singletons, so identity is a sound hash, and a C-level
+    # one: Enum's own hashes the member's name in Python, twice for each
+    # settled frame (``counts[outcome] += 1``).
+    __hash__ = object.__hash__
 
-#: the outcome each reply status byte settles a frame as
-_OUTCOME_OF_STATUS = {
-    protocol.STATUS_OK: FrameOutcome.COMPLETED,
-    protocol.STATUS_REJECTED: FrameOutcome.REJECTED,
-    protocol.STATUS_OVERLOADED: FrameOutcome.OVERLOADED,
-    protocol.STATUS_EXPIRED: FrameOutcome.EXPIRED,
+
+#: the outcome and failure kind each reply status settles a frame as
+_SETTLES = {
+    protocol.STATUS_OK: (FrameOutcome.COMPLETED, None),
+    protocol.STATUS_REJECTED: (FrameOutcome.REJECTED, FailureKind.REJECTED),
+    protocol.STATUS_OVERLOADED: (FrameOutcome.OVERLOADED, FailureKind.OVERLOADED),
+    # a server-side deadline shed is an explicit rejection of a frame
+    # that had already missed its budget
+    protocol.STATUS_EXPIRED: (FrameOutcome.EXPIRED, FailureKind.REJECTED),
 }
 
-#: outcomes that indicate the remote path failed (feed the breaker)
-FAILURE_OUTCOMES = (
-    FrameOutcome.TIMEOUT,
-    FrameOutcome.REJECTED,
-    FrameOutcome.OVERLOADED,
-    FrameOutcome.EXPIRED,
-)
+#: what a lost copy raises: no useful reply from it (anything else
+#: propagates)
+_TRANSPORT_ERRORS = (asyncio.TimeoutError, ConnectionError, OSError, protocol.ProtocolError)
 
 
 class _Wake:
@@ -284,25 +285,24 @@ class ResilientSocketRemote:
         if deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
         self.deadline = deadline
-        self.config = config or ResilienceConfig.wallclock()
+        self.layer = layer = ResilienceLayer(config or ResilienceConfig.wallclock())
+        self.config = layer.config
+        self.breaker = layer.breaker
+        self.retry_budget = layer.retry_budget
+        self.taxonomy = layer.taxonomy
+        self.breaker.on_open = self._arm_probe
         self.remote = AsyncSocketRemote(
             address,
             tenant=tenant,
             frame_bytes=frame_bytes,
             connect_timeout=connect_timeout or max(0.2 * deadline, 0.05),
         )
-        self.breaker = CircuitBreaker(self.config)
-        self.breaker.on_open = self._arm_probe
-        self.retry_budget = RetryBudget(
-            rate=self.config.retry_budget_rate, burst=self.config.retry_budget_burst
-        )
-        self.taxonomy = FailureTaxonomy()
         self.submitted = 0
         self.counts: Dict[FrameOutcome, int] = {o: 0 for o in FrameOutcome}
         self._next_probe_at = 0.0
         #: each waiting frame's wake-up and the loop time it is next due
-        #: (its hedge point or its deadline); the one timer is armed at
-        #: or before the earliest of them
+        #: (a pushback re-send, its hedge point or its deadline); the one
+        #: timer is armed at or before the earliest of them
         self._due: Dict[_Wake, float] = {}
         self._timer: Optional[asyncio.TimerHandle] = None
 
@@ -326,95 +326,70 @@ class ResilientSocketRemote:
         return (await self.submit_frame()) is FrameOutcome.COMPLETED
 
     async def submit_frame(self) -> FrameOutcome:
-        """Offload one frame; always returns exactly one outcome."""
+        """Offload one frame; always returns exactly one outcome.
+
+        While the breaker is open, the first frame after the probe
+        backoff goes out as the half-open trial probe (no hedge, no
+        re-send); the others fall back to the local pipeline unsent.
+        """
         loop = asyncio.get_running_loop()
         self.submitted += 1
+        layer = self.layer
         try:
             now = loop.time()
-            breaker = self.breaker
+            breaker = layer.breaker
             if breaker.is_closed:
-                outcome, retry_after, now = await self._attempt_with_retry(loop, now)
-                if outcome is FrameOutcome.COMPLETED:
-                    breaker.record_success(now)
-                else:
-                    self._record_failure_kind(outcome)
-                    breaker.record_failure(now, retry_after)
+                outcome, kind, hint, now = await self._attempt(loop, now)
+                layer.settle(now, kind, retry_after=hint)
             elif breaker.is_open and now >= self._next_probe_at:
-                outcome = await self._probe(loop, now)
+                breaker.on_probe_sent(now)
+                self._next_probe_at = float("inf")  # one probe in flight at a time
+                outcome, kind, _hint, now = await self._attempt(loop, now, probe=True)
+                layer.settle(now, kind, trial=True)
+                if kind is not None:
+                    self._arm_probe()
             else:
-                self.taxonomy.record(FailureKind.BREAKER_FALLBACK)
+                layer.record(FailureKind.BREAKER_FALLBACK)
                 outcome = FrameOutcome.FALLBACK_LOCAL
         except asyncio.CancelledError:
             # a cancelled offload still settles (the loop was torn down
             # mid-flight); classify as timeout so accounting stays closed
             self.counts[FrameOutcome.TIMEOUT] += 1
-            self.taxonomy.record(FailureKind.SILENT_TIMEOUT)
+            layer.record(FailureKind.SILENT_TIMEOUT)
             raise
         self.counts[outcome] += 1
         return outcome
 
     # ------------------------------------------------------------------
-    async def _probe(self, loop: asyncio.AbstractEventLoop, now: float) -> FrameOutcome:
-        """Submit-driven half-open trial probe (no hedging, no budget)."""
-        self.breaker.on_probe_sent(now)
-        self._next_probe_at = float("inf")  # one probe in flight at a time
-        outcome, _hint, now = await self._attempt_with_retry(loop, now, hedge=False)
-        ok = outcome is FrameOutcome.COMPLETED
-        self.breaker.record_probe(ok, now)
-        if not ok:
-            self.taxonomy.record(FailureKind.PROBE_FAILED)
-            self._record_failure_kind(outcome)
-            self._arm_probe()
-        return outcome
+    async def _attempt(self, loop: asyncio.AbstractEventLoop, now: float,
+                       probe: bool = False):
+        """Send one frame's copies until a reply settles it or its
+        deadline passes.
 
-    def _record_failure_kind(self, outcome: FrameOutcome) -> None:
-        kind = {
-            FrameOutcome.TIMEOUT: FailureKind.SILENT_TIMEOUT,
-            FrameOutcome.REJECTED: FailureKind.REJECTED,
-            FrameOutcome.OVERLOADED: FailureKind.OVERLOADED,
-            # a server-side deadline shed is an explicit rejection of a
-            # frame that had already missed its budget
-            FrameOutcome.EXPIRED: FailureKind.REJECTED,
-        }.get(outcome)
-        if kind is not None:
-            self.taxonomy.record(kind)
-
-    @staticmethod
-    def _verdict(reply: "asyncio.Future[protocol.Reply]"):
-        """Outcome and hint of one finished attempt; transport errors
-        are a TIMEOUT (no useful reply), anything else propagates."""
-        exc = reply.exception()
-        if exc is None:
-            result = reply.result()
-            return _OUTCOME_OF_STATUS[result.status], result.retry_after
-        if isinstance(exc, (asyncio.TimeoutError, ConnectionError, OSError,
-                            protocol.ProtocolError)):
-            return FrameOutcome.TIMEOUT, None
-        raise exc
-
-    # ------------------------------------------------------------------
-    async def _attempt_with_retry(self, loop: asyncio.AbstractEventLoop,
-                                  now: float, hedge: bool = True):
-        """Deadline-budgeted hedged retransmission; first OK wins.
-
-        Mirrors the simulator's :class:`~repro.resilience.layer` retry
-        discipline: the hedge fires at ``retry_after_frac`` of the
-        deadline, only if at least ``min_reply_frac`` of the budget
-        remains and the token bucket grants it.  The frame sleeps until
-        a reply or a reset wakes it from the read callback, or the
-        client's timer does at its hedge point, then at its deadline.
-        No Task is made on a pooled connection.  Returns the outcome,
-        its retry-after hint and the loop time it was settled at.
+        The layer's retry gate grants the hedge at ``retry_after_frac``
+        of the deadline (none for a probe) and a re-send after an
+        overload hint; its :func:`~repro.resilience.layer.verdict`
+        judges every reply.  The frame sleeps until a reply or a reset
+        wakes it from the read callback, or the client's timer does at
+        its next due time.  A copy lost to a reset is silence for that
+        copy; with none left in flight and no re-send due, the frame
+        times out at once.  No Task is made on a pooled connection.
+        Returns the outcome, its failure kind (None when completed), its
+        retry-after hint and the loop time it settled at.
         """
+        layer = self.layer
         budget = self.deadline
         deadline_at = now + budget
-        hedge_at = now + self.config.retry_after_frac * budget if hedge else None
+        hedge_at = None if probe else now + layer.config.retry_after_frac * budget
+        resend_at = None
+        retries = 0
         wake = _Wake(loop.create_future())
         attempts = [self.remote.launch(loop, now, budget, wake)]
-        fallback: Optional[Tuple[FrameOutcome, Optional[float]]] = None
         try:
-            while attempts:
+            while True:
                 when = deadline_at if hedge_at is None else hedge_at
+                if resend_at is not None and resend_at < when:
+                    when = resend_at
                 if now < when:
                     self._sleep_until(loop, wake, when)
                     try:
@@ -424,40 +399,47 @@ class ResilientSocketRemote:
                     now = loop.time()
                 live = []
                 for attempt in attempts:
-                    if not attempt[0].done():
+                    reply = attempt[0]
+                    if not reply.done():
                         live.append(attempt)
                         continue
-                    outcome, hint = self._verdict(attempt[0])
-                    if outcome is FrameOutcome.COMPLETED:
-                        return outcome, hint, now
-                    fallback = fallback or (outcome, hint)
+                    exc = reply.exception()
+                    if exc is not None:
+                        if isinstance(exc, _TRANSPORT_ERRORS):
+                            continue  # no useful reply from this copy
+                        raise exc
+                    reply = reply.result()
+                    v = verdict(layer, now, reply, now > deadline_at, retries,
+                                deadline_at, budget, probe)
+                    if v is RESEND:
+                        retries += 1
+                        resend_at = now + (reply.retry_after or 0.0)
+                    elif v is not LATE:
+                        outcome, kind = _SETTLES[reply.status]
+                        return outcome, kind, reply.retry_after, now
                 attempts = live
                 if wake.future.done():
                     # every wake so far is seen above; the next sleep
-                    # (and a hedge failing at once) needs a fresh future
+                    # (and a copy failing at once) needs a fresh future
                     wake.future = loop.create_future()
+                if resend_at is not None and now >= resend_at:
+                    resend_at = None
+                    attempts.append(self.remote.launch(loop, now, deadline_at - now, wake))
                 if hedge_at is not None and now >= hedge_at:
                     hedge_at = None
-                    if attempts and self.config.max_retries > 0:
-                        self._hedge(loop, now, deadline_at - now, budget, attempts, wake)
-                elif hedge_at is None and now >= deadline_at:
+                    if layer.retry(now, retries, deadline_at, budget):
+                        retries += 1
+                        attempts.append(
+                            self.remote.launch(loop, now, deadline_at - now, wake)
+                        )
+                elif now >= deadline_at:
+                    break
+                if not attempts and resend_at is None:
                     break
         finally:
             for reply, conn in attempts:
                 self.remote.abandon(reply, conn)
-        outcome, hint = fallback if fallback is not None else (FrameOutcome.TIMEOUT, None)
-        return outcome, hint, now
-
-    def _hedge(self, loop: asyncio.AbstractEventLoop, now: float, remaining: float,
-               budget: float, attempts: list, wake: _Wake) -> None:
-        """Send the hedged retransmission if the window and budget allow."""
-        if remaining < self.config.min_reply_frac * budget:
-            self.taxonomy.record(FailureKind.RETRY_WINDOW_CLOSED)
-        elif not self.retry_budget.try_acquire(now):
-            self.taxonomy.record(FailureKind.RETRY_DENIED)
-        else:
-            self.taxonomy.record(FailureKind.RETRY_SENT)
-            attempts.append(self.remote.launch(loop, now, remaining, wake))
+        return FrameOutcome.TIMEOUT, FailureKind.SILENT_TIMEOUT, None, now
 
     # ------------------------------------------------------------------
     def _sleep_until(self, loop: asyncio.AbstractEventLoop, wake: _Wake, when: float) -> None:

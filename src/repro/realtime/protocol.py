@@ -92,6 +92,10 @@ class Reply:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
+    @property
+    def overloaded(self) -> bool:
+        return self.status == STATUS_OVERLOADED
+
 
 def encode_request(tenant: str, payload: bytes, deadline: Optional[float]) -> bytes:
     """Serialize one request frame."""

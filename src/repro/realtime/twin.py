@@ -3,9 +3,10 @@
 The simulator and the asyncio gateway share their server model by
 construction — the same affine batch latency ``base + per_item * n``,
 the same deadline semantics, the same breaker/retry discipline on the
-client side.  This module turns that shared calibration into a tested
-claim: run the *same* :class:`~repro.search.language.ScenarioSpec`
-through
+client side (both clients take their retry gate, reply verdict and
+settle bookkeeping from one :mod:`repro.resilience.layer`).  This
+module turns that shared calibration into a tested claim: run the
+*same* :class:`~repro.search.language.ScenarioSpec` through
 
 * the deterministic simulator (:func:`repro.search.compiler.compile_chaos`
   → :func:`repro.experiments.chaos.run_chaos`), and

@@ -496,10 +496,16 @@ class Environment:
                     raise event._value
         except StopSimulation as exc:
             # the stop event ended the loop from inside its callback,
-            # before the loop could count it
+            # before the loop could count it or run the callbacks after
+            # the stop callback (waiters added once the run began): run
+            # them now, as step() would have
             if self._stats is not None:
                 self._stats.events_processed += 1
-            return exc.value
+            for callback in callbacks[callbacks.index(self._stop_callback) + 1:]:
+                callback(event)
+            if event._ok:
+                return exc.value
+            raise exc.value from None
         finally:
             # Teardown: detach the stop callback only when the stop
             # event is still pending (a processed stop already consumed
@@ -518,10 +524,9 @@ class Environment:
 
     @staticmethod
     def _stop_callback(event: Event) -> None:
-        if event.ok:
-            raise StopSimulation(event.value)
-        event.defuse()
-        raise event.value
+        if not event._ok:
+            event.defuse()
+        raise StopSimulation(event._value)
 
 
 def _timer(event: Event, fn: Callable[[Event], None]) -> Generator:

@@ -94,6 +94,30 @@ def test_overload_pushback_is_classified_not_timed_out():
     run(scenario())
 
 
+def test_overload_with_a_short_hint_is_resent_and_completes():
+    async def scenario():
+        gw_config = GatewayConfig(tenant_rate=20.0, tenant_burst=1.0)
+        async with InferenceGateway(gw_config) as gateway:
+            remote = ResilientSocketRemote(
+                gateway.address, deadline=0.5, tenant="greedy", frame_bytes=64
+            )
+            first = await remote.submit_frame()
+            # the bucket is empty: pushback with a ~50 ms hint, well
+            # inside the deadline, so the frame goes out again after it
+            second = await remote.submit_frame()
+            await remote.close()
+            assert first is FrameOutcome.COMPLETED
+            assert second is FrameOutcome.COMPLETED
+            taxonomy = remote.taxonomy.as_dict()
+            assert taxonomy[FailureKind.OVERLOADED.value] == 1
+            assert taxonomy[FailureKind.RETRY_SENT.value] == 1
+            assert remote.counts[FrameOutcome.OVERLOADED] == 0
+            assert remote.accounting_closed
+        assert gateway.stats.accounting_closed
+
+    run(scenario())
+
+
 def test_probe_recovers_breaker_when_gateway_returns():
     async def scenario():
         config = ResilienceConfig.wallclock()

@@ -218,14 +218,27 @@ def test_taxonomy_counts_and_buckets():
 # layer + measurement plumbing
 # ----------------------------------------------------------------------
 def test_layer_open_target_is_standing_probe():
-    layer = ResilienceLayer(ResilienceConfig(), frame_rate=30.0)
-    assert layer.open_target == pytest.approx(3.0)
+    from repro.control.framefeedback import FrameFeedbackController
+    from repro.device.config import DeviceConfig
+    from repro.experiments.scenario import Scenario, build_runtime
+
+    def parked(resilience):
+        device = build_runtime(
+            Scenario(
+                controller_factory=lambda cfg: FrameFeedbackController(cfg.frame_rate),
+                device=DeviceConfig(total_frames=30, resilience=resilience),
+            )
+        ).device
+        return device._park_target
+
+    # the layer's open_target_frac of F_s; the paper's 0.1 F_s without one
+    assert parked(ResilienceConfig(open_target_frac=0.2)) == pytest.approx(6.0)
+    assert parked(None) == pytest.approx(3.0)
+    layer = ResilienceLayer(ResilienceConfig())
     layer.note_overload(1.25)
     assert layer.last_retry_after == pytest.approx(1.25)
     layer.note_overload(None)  # ignored
     assert layer.last_retry_after == pytest.approx(1.25)
-    with pytest.raises(ValueError):
-        ResilienceLayer(ResilienceConfig(), frame_rate=0.0)
 
 
 def test_measurement_resilience_fields_default_to_zero():

@@ -56,9 +56,7 @@ class Harness:
             pushback=pushback,
             **server_kw,
         )
-        self.resilience = (
-            ResilienceLayer(resilience, frame_rate=FRAME_RATE) if resilience else None
-        )
+        self.resilience = ResilienceLayer(resilience) if resilience else None
         self.breakdown = BreakdownCollector() if breakdown else None
         self.successes = []
         self.timeouts = []

@@ -506,6 +506,50 @@ def test_run_until_counts_its_stop_event_as_processed(until):
     assert _books_close(env)
 
 
+def test_run_until_an_event_resumes_waiters_that_joined_during_the_run():
+    """Processes that start waiting on the until-event after run()
+    attached its stop callback still resume when it fires."""
+    env = Environment()
+    stop = env.timeout(1.0, value="stop")
+    woke = []
+
+    def waiter(env, name):
+        value = yield stop
+        woke.append((name, env.now, value))
+
+    def spawner(env):
+        yield env.timeout(0.5)
+        env.process(waiter(env, "a"))
+        env.process(waiter(env, "b"))
+
+    env.process(spawner(env))
+    assert env.run(until=stop) == "stop"
+    assert woke == [("a", 1.0, "stop"), ("b", 1.0, "stop")]
+
+
+def test_run_until_a_failed_event_throws_into_waiters_that_joined_during_the_run():
+    env = Environment()
+    stop = env.event()
+    caught = []
+
+    def waiter(env):
+        try:
+            yield stop
+        except RuntimeError as exc:
+            caught.append(str(exc))
+
+    def trigger(env):
+        yield env.timeout(0.5)
+        env.process(waiter(env))
+        yield env.timeout(0.5)
+        stop.fail(RuntimeError("boom"))
+
+    env.process(trigger(env))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=stop)
+    assert caught == ["boom"]
+
+
 # ----------------------------------------------------------------------
 # run(until=...) teardown + remove_callback identity semantics
 # ----------------------------------------------------------------------
