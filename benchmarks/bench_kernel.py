@@ -14,17 +14,21 @@ from repro.sim import Environment
 from repro.sim.rng import RngRegistry
 
 
+def _noop(event):
+    pass
+
+
 def test_kernel_event_throughput(benchmark):
-    """Schedule + dispatch 10k timeout events."""
+    """Schedule + dispatch 10k chained timers (the periodic-loop shape)."""
 
     def run():
         env = Environment()
 
-        def ticker(env):
-            for _ in range(10_000):
-                yield env.timeout(0.001)
+        def tick(event):
+            if event.value:
+                env.call_later(0.001, tick, event.value - 1)
 
-        env.process(ticker(env))
+        env.call_later(0.001, tick, 10_000 - 1)
         env.run()
         return env.now
 
@@ -32,48 +36,12 @@ def test_kernel_event_throughput(benchmark):
     assert result > 9.9
 
 
-def test_kernel_process_spawn_throughput(benchmark):
-    """Spawn 5k short-lived processes."""
-
-    def run():
-        env = Environment()
-        done = []
-
-        def child(env):
-            yield env.timeout(0.01)
-            done.append(1)
-
-        for _ in range(5_000):
-            env.process(child(env))
-        env.run()
-        return len(done)
-
-    assert benchmark(run) == 5_000
-
-
-def test_kernel_sleep_throughput(benchmark):
-    """10k allocation-free sleeps (the fast path behind periodic loops)."""
-
-    def run():
-        env = Environment()
-
-        def ticker(env):
-            for _ in range(10_000):
-                yield env.sleep(0.001)
-
-        env.process(ticker(env))
-        env.run()
-        return env.now
-
-    assert benchmark(run) > 9.9
-
-
 def test_kernel_timer_cancellation(benchmark):
     """20k armed-then-cancelled deadline timers (lazy heap deletion)."""
 
     def run():
         env = Environment()
-        timers = [env.timeout(10.0) for _ in range(20_000)]
+        timers = [env.call_later(10.0, _noop) for _ in range(20_000)]
         for t in timers:
             assert t.cancel()
         env.run()
@@ -120,14 +88,15 @@ def _offload_round_trip(traced: bool) -> int:
         on_timeout=lambda frame, why: done.__setitem__("bad", done["bad"] + 1),
     )
 
-    def driver(env):
-        for i in range(2_000):
-            if tracer is not None:
-                tracer.begin_frame("bench", i, env.now, 11_700, "offload")
-            client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
-            yield env.sleep(1.0 / 30.0)
+    def frame(event):
+        i = event.value
+        if tracer is not None:
+            tracer.begin_frame("bench", i, env.now, 11_700, "offload")
+        client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
+        if i + 1 < 2_000:
+            env.call_later(1.0 / 30.0, frame, i + 1)
 
-    env.process(driver(env))
+    env.call_later(0.0, frame, 0)
     env.run()
     if tracer is not None:
         assert len(tracer.frames) == 2_000

@@ -74,38 +74,24 @@ def calibration_score(reps: int = 3) -> float:
 # ----------------------------------------------------------------------
 # benches — each returns "events of useful work per wall second"
 # ----------------------------------------------------------------------
+def _noop(event) -> None:
+    pass
+
+
 def bench_event_throughput() -> float:
-    """A periodic process ticking 50k times (camera/controller shape)."""
+    """A periodic timer chain ticking 50k times (camera/controller shape)."""
     n = 50_000
 
     def run() -> float:
         env = Environment()
 
-        def ticker(env):
-            for _ in range(n):
-                yield env.sleep(0.001)
+        def tick(event):
+            if event.value:
+                env.call_later(0.001, tick, event.value - 1)
 
-        env.process(ticker(env))
+        env.call_later(0.001, tick, n - 1)
         env.run()
         assert env.now > 0.001 * (n - 1)
-        return float(n)
-
-    return _best_of(run)
-
-
-def bench_process_spawn() -> float:
-    """5k short-lived processes (fork/join shape)."""
-    n = 5_000
-
-    def run() -> float:
-        env = Environment()
-
-        def child(env):
-            yield env.timeout(0.01)
-
-        for _ in range(n):
-            env.process(child(env))
-        env.run()
         return float(n)
 
     return _best_of(run)
@@ -121,7 +107,7 @@ def bench_timer_cancel() -> float:
 
     def run() -> float:
         env = Environment()
-        timers = [env.timeout(10.0) for _ in range(n)]
+        timers = [env.call_later(10.0, _noop) for _ in range(n)]
         for t in timers:
             t.cancel()
         env.run()
@@ -168,12 +154,13 @@ def bench_offload_round_trip() -> float:
             on_timeout=lambda frame, why: done.__setitem__("bad", done["bad"] + 1),
         )
 
-        def driver(env):
-            for i in range(n):
-                client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
-                yield env.timeout(1.0 / 30.0)
+        def frame(event):
+            i = event.value
+            client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
+            if i + 1 < n:
+                env.call_later(1.0 / 30.0, frame, i + 1)
 
-        env.process(driver(env))
+        env.call_later(0.0, frame, 0)
         env.run()
         assert done["ok"] + done["bad"] == n
         return float(n)
@@ -228,12 +215,13 @@ def bench_routed_round_trip() -> float:
             router=router,
         )
 
-        def driver(env):
-            for i in range(n):
-                client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
-                yield env.timeout(1.0 / 30.0)
+        def frame(event):
+            i = event.value
+            client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
+            if i + 1 < n:
+                env.call_later(1.0 / 30.0, frame, i + 1)
 
-        env.process(driver(env))
+        env.call_later(0.0, frame, 0)
         # the pool's health prober never exits, so bound the run instead
         # of draining the heap: stream length + one full deadline
         env.run(until=n / 30.0 + 1.0)
@@ -245,7 +233,6 @@ def bench_routed_round_trip() -> float:
 
 BENCHES: Dict[str, Callable[[], float]] = {
     "event_throughput": bench_event_throughput,
-    "process_spawn": bench_process_spawn,
     "timer_cancel": bench_timer_cancel,
     "offload_round_trip": bench_offload_round_trip,
     "routed_round_trip": bench_routed_round_trip,

@@ -544,7 +544,7 @@ def _cmd_profile(args: argparse.Namespace) -> str:
     ``framefeedback profile fig3`` answers two questions at once: where
     the wall-clock goes (cProfile, cumulative) and what the kernel did
     to earn it (events scheduled/cancelled/skipped, peak heap, which
-    processes flood the heap).  See docs/performance.md for how to read
+    timer owners flood the heap).  See docs/performance.md for how to read
     the output.
 
     ``--json`` skips cProfile and emits one diffable document instead:
@@ -631,7 +631,7 @@ def _cmd_trace(args: argparse.Namespace):
     """Run one canned scenario with per-frame tracing on.
 
     ``--json`` emits the canonical golden serialization (byte-identical
-    across runs and across the ``REPRO_SIM_SLOWPATH`` kernels), which
+    across runs, with ``EnvStats`` on or off), which
     is exactly what ``tests/goldens/trace_*.json`` hold::
 
         framefeedback trace fig3 --json > tests/goldens/trace_fig3.json
@@ -759,9 +759,12 @@ def _cmd_search(args: argparse.Namespace):
         write_goldens,
     )
 
-    config = SearchConfig(
-        seed=args.seed, budget=args.budget, frames=args.frames, workers=args.workers
-    )
+    try:
+        config = SearchConfig(
+            seed=args.seed, budget=args.budget, frames=args.frames, workers=args.workers
+        )
+    except ValueError as exc:
+        return f"config error: {exc}", 1
     result = run_search(config)
     # minimization often collapses near-clone lineages onto the same
     # mechanism, so dedupe by structural signature AFTER minimizing

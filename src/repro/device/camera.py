@@ -108,12 +108,11 @@ class FrameSource:
 
     # ------------------------------------------------------------------
     # the frame clock: a chain of timers, one per frame (plus one per
-    # pause), each at the instant the old sensor process's sleep ended
+    # pause)
     # ------------------------------------------------------------------
     def _arm_start(self) -> None:
-        # URGENT at this instant, where a process kick-start sat, so the
-        # first tick is armed at the same place among this instant's
-        # events as the process's first sleep was
+        # URGENT at this instant, like every loop's start, so the first
+        # tick is armed ahead of this instant's ordinary events
         self._timer = self.env.call_at(
             self.env.now, self._arm_next, priority=EventPriority.URGENT
         )

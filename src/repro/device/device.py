@@ -27,6 +27,7 @@ from repro.netem.link import Link
 from repro.resilience.layer import ResilienceLayer
 from repro.server.server import EdgeServer
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fleet.router import Router
@@ -77,6 +78,8 @@ class EdgeDevice:
         #: optional fleet routing seam shared with the offload client;
         #: None keeps the paper's fixed single-server path bit-identical
         self.router = router
+        #: kernel-stats owner of the measure-loop and breaker-probe timers
+        self.event_owner = f"{config.name}:control"
         self.traces = DeviceTraces()
         self.energy_model = CpuUtilizationModel(config.profile)
 
@@ -166,9 +169,7 @@ class EdgeDevice:
             total_frames=config.total_frames or None,
             name=f"{config.name}:camera",
         )
-        self._measure_proc = env.process(
-            self._measure_loop(), name=f"{config.name}:measure"
-        )
+        self._measure_start()
 
     # ------------------------------------------------------------------
     # data path callbacks
@@ -288,7 +289,7 @@ class EdgeDevice:
     @property
     def measure_alive(self) -> bool:
         """True while the 1 Hz measurement/control loop is running."""
-        return self._measure_proc.is_alive
+        return self._measure_timer is not None
 
     def crash_measure_loop(self) -> None:
         """Kill the measurement/control loop (controller-process crash).
@@ -297,10 +298,12 @@ class EdgeDevice:
         splitter at its last target — but no buckets close, no
         measurements reach the controller, and ``P_o`` stops adapting.
         That frozen-actuator blackout is exactly what the supervision
-        layer's staleness policy exists to bound.
+        layer's staleness policy exists to bound.  The pending tick is
+        cancelled, so a loop killed in its start instant never ticks.
         """
-        if self._measure_proc.is_alive:
-            self._measure_proc.kill()
+        if self._measure_timer is not None:
+            self._measure_timer.cancel()
+            self._measure_timer = None
 
     def restart_measure_loop(self) -> None:
         """Respawn a crashed measurement/control loop.
@@ -311,12 +314,10 @@ class EdgeDevice:
         measurement.  Controller state is *not* touched here — warm
         vs cold restart policy belongs to the supervision layer.
         """
-        if self._measure_proc.is_alive:
+        if self._measure_timer is not None:
             return
         self._rebase_measurement_state()
-        self._measure_proc = self.env.process(
-            self._measure_loop(), name=f"{self.config.name}:measure"
-        )
+        self._measure_start()
 
     def _rebase_measurement_state(self) -> None:
         self._bucket_offload_attempts = 0
@@ -328,76 +329,92 @@ class EdgeDevice:
         self._probe_result = None
         self._prev_local_busy = self.local.busy_seconds
 
-    def _measure_loop(self):
+    # one timer per measure period; the start timer is URGENT, so a loop
+    # started in some instant arms its first tick ahead of that instant's
+    # ordinary events
+    def _measure_start(self) -> None:
+        self._measure_timer = self.env.call_at(
+            self.env.now, self._measure_arm, priority=EventPriority.URGENT
+        )
+
+    def _measure_arm(self, _event: Optional[Event] = None) -> None:
+        if self.controller.wants_probe and not self._offload_path_down:
+            self._send_probe()
+        self._measure_timer = self.env.call_later(
+            self.config.measure_period, self._measure_tick
+        )
+
+    def _measure_tick(self, event: Event) -> None:
+        self._measure_step()
+        if self._measure_timer is event:  # else the tick crashed the loop
+            self._measure_arm()
+
+    def _measure_step(self) -> None:
+        """Close one measure period's buckets and run the control step."""
         env = self.env
-        cfg = self.config
-        period = cfg.measure_period
-        while True:
-            if self.controller.wants_probe and not self._offload_path_down:
-                self._send_probe()
-            yield env.sleep(period)
-            raw = self._close_buckets(period)
-            decision = self.input_guard.admit(raw)
-            if not decision.admitted:
-                # Duplicate or out-of-order window: hold the last
-                # action rather than feed the PD law a bad dt.
-                if env.tracer is not None:
-                    env.tracer.event(
-                        env.now, "controller.held",
-                        target=float(self.splitter.target), reason="inadmissible",
-                    )
-                self.traces.offload_target.append(env.now, self.splitter.target)
-                self.traces.capture_quality.append(env.now, self.capture_quality)
-                self.traces.error.append(
-                    env.now, getattr(self.controller, "last_error", 0.0)
+        period = self.config.measure_period
+        raw = self._close_buckets(period)
+        decision = self.input_guard.admit(raw)
+        if not decision.admitted:
+            # Duplicate or out-of-order window: hold the last
+            # action rather than feed the PD law a bad dt.
+            if env.tracer is not None:
+                env.tracer.event(
+                    env.now, "controller.held",
+                    target=float(self.splitter.target), reason="inadmissible",
                 )
-                continue
-            measurement = decision.measurement
-            tracer = env.tracer
-            if self._offload_path_down:
-                # Controller frozen (anti-windup): it would otherwise
-                # integrate an outage it cannot observe — every frame
-                # is being saved locally, so T reads zero — and resume
-                # from a nonsense state.  The splitter is parked at the
-                # paper's 0.1 F_s standing probe; on close (breaker) or
-                # first re-admission (fleet brownout) the controller
-                # picks up exactly where it was frozen.
-                self.splitter.set_target(self._park_target)
-                if tracer is not None:
-                    reason = (
-                        "breaker-open" if self._breaker_engaged
-                        else "fleet-brownout"
-                    )
-                    tracer.event(
-                        env.now, "controller.held",
-                        target=float(self.splitter.target), reason=reason,
-                    )
-            else:
-                degraded_before = (
-                    getattr(self.controller, "degraded_inputs", 0)
-                    if tracer is not None
-                    else 0
-                )
-                new_target = self.controller.update(measurement)
-                self.splitter.set_target(new_target)
-                if tracer is not None:
-                    tracer.event(
-                        env.now, "controller.update", target=float(new_target)
-                    )
-                    degraded_after = getattr(
-                        self.controller, "degraded_inputs", degraded_before
-                    )
-                    if degraded_after > degraded_before:
-                        tracer.event(env.now, "controller.degraded-input")
-                quality = getattr(self.controller, "capture_quality", None)
-                if quality is not None:
-                    self.capture_quality = float(quality)
             self.traces.offload_target.append(env.now, self.splitter.target)
             self.traces.capture_quality.append(env.now, self.capture_quality)
-            err = getattr(self.controller, "last_error", 0.0)
-            self.traces.error.append(env.now, err)
-            if self.on_measure_tick is not None:
-                self.on_measure_tick(measurement)
+            self.traces.error.append(
+                env.now, getattr(self.controller, "last_error", 0.0)
+            )
+            return
+        measurement = decision.measurement
+        tracer = env.tracer
+        if self._offload_path_down:
+            # Controller frozen (anti-windup): it would otherwise
+            # integrate an outage it cannot observe — every frame
+            # is being saved locally, so T reads zero — and resume
+            # from a nonsense state.  The splitter is parked at the
+            # paper's 0.1 F_s standing probe; on close (breaker) or
+            # first re-admission (fleet brownout) the controller
+            # picks up exactly where it was frozen.
+            self.splitter.set_target(self._park_target)
+            if tracer is not None:
+                reason = (
+                    "breaker-open" if self._breaker_engaged
+                    else "fleet-brownout"
+                )
+                tracer.event(
+                    env.now, "controller.held",
+                    target=float(self.splitter.target), reason=reason,
+                )
+        else:
+            degraded_before = (
+                getattr(self.controller, "degraded_inputs", 0)
+                if tracer is not None
+                else 0
+            )
+            new_target = self.controller.update(measurement)
+            self.splitter.set_target(new_target)
+            if tracer is not None:
+                tracer.event(
+                    env.now, "controller.update", target=float(new_target)
+                )
+                degraded_after = getattr(
+                    self.controller, "degraded_inputs", degraded_before
+                )
+                if degraded_after > degraded_before:
+                    tracer.event(env.now, "controller.degraded-input")
+            quality = getattr(self.controller, "capture_quality", None)
+            if quality is not None:
+                self.capture_quality = float(quality)
+        self.traces.offload_target.append(env.now, self.splitter.target)
+        self.traces.capture_quality.append(env.now, self.capture_quality)
+        err = getattr(self.controller, "last_error", 0.0)
+        self.traces.error.append(env.now, err)
+        if self.on_measure_tick is not None:
+            self.on_measure_tick(measurement)
 
     @property
     def _breaker_engaged(self) -> bool:
@@ -427,40 +444,39 @@ class EdgeDevice:
         if self._breaker_probing:
             return
         self._breaker_probing = True
-        self.env.process(
-            self._breaker_probe_loop(), name=f"{self.config.name}:breaker-probe"
+        self.env.call_at(
+            self.env.now, self._breaker_probe_wait, priority=EventPriority.URGENT
         )
 
-    def _breaker_probe_loop(self):
-        """Trial probes with exponential backoff until the path heals.
-
-        One probe per backoff interval; the loop waits for each trial's
-        verdict (the offload watchdog bounds that wait by the deadline)
-        so at most one trial is ever in flight.
-        """
+    # Trial probes with exponential backoff until the path heals: one
+    # probe per backoff interval, and the next wait starts only once the
+    # trial's verdict is in (the offload watchdog bounds that wait by the
+    # deadline), so at most one trial is ever in flight.
+    def _breaker_probe_wait(self, _event: Optional[Event] = None) -> None:
         breaker = self.resilience.breaker
-        while not breaker.is_closed:
-            yield self.env.sleep(breaker.current_backoff)
-            if breaker.is_closed:
-                break
-            verdict = self.env.event()
+        if breaker.is_closed:
+            self._breaker_probing = False
+            return
+        self.env.call_later(breaker.current_backoff, self._breaker_probe_send)
 
-            # the offload client books the trial's outcome with the
-            # breaker (ResilienceLayer.settle); the loop only waits on it
-            def on_result(ok: bool, verdict=verdict) -> None:
-                if not verdict.triggered:
-                    verdict.succeed()
+    def _breaker_probe_send(self, _event: Event) -> None:
+        breaker = self.resilience.breaker
+        if breaker.is_closed:
+            self._breaker_probing = False
+            return
+        breaker.on_probe_sent(self.env.now)
+        self._probe_counter += 1
+        trial = Frame(
+            frame_id=-self._probe_counter,
+            captured_at=self.env.now,
+            nbytes=self._frame_nbytes(),
+        )
+        # the offload client books the trial's outcome with the breaker
+        # (ResilienceLayer.settle) and reports it here exactly once
+        self.offload.send(trial, is_probe=True, on_result=self._breaker_probe_result)
 
-            breaker.on_probe_sent(self.env.now)
-            self._probe_counter += 1
-            trial = Frame(
-                frame_id=-self._probe_counter,
-                captured_at=self.env.now,
-                nbytes=self._frame_nbytes(),
-            )
-            self.offload.send(trial, is_probe=True, on_result=on_result)
-            yield verdict
-        self._breaker_probing = False
+    def _breaker_probe_result(self, ok: bool) -> None:
+        self.env.call_at(self.env.now, self._breaker_probe_wait)
 
     def _send_probe(self) -> None:
         """One heartbeat request (AllOrNothing's profiling probe)."""

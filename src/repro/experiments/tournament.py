@@ -18,8 +18,7 @@ The matrix fans out through :func:`repro.experiments.parallel.map_jobs`
 search uses), and the report is **byte-deterministic**: two runs of
 :func:`run_tournament` with the same config serialize to identical
 bytes via :func:`dumps_report`, and the committed tournament golden
-replays byte-identically on the fast and the ``REPRO_SIM_SLOWPATH``
-kernel paths.
+replays byte-identically, with ``EnvStats`` on or off.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.faults.windows import FaultOverlapError, FaultTimeline
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.device.device import EdgeDevice
@@ -100,23 +101,13 @@ class FaultInjector(abc.ABC):
         return self.timeline.active_at(t)
 
     def install(self, env: Environment, targets: FaultTargets) -> None:
-        """Spawn the driver process applying this injector's windows.
+        """Start the timers applying this injector's windows.
 
         Windows already in the past at install time are skipped; a
         window straddling ``env.now`` runs for its remaining duration.
         """
         self.bind(env, targets)
-        clipped = self.timeline.clipped_from(env.now)
-
-        def driver():
-            for window in clipped:
-                if window.start > env.now:
-                    yield env.timeout(window.start - env.now)
-                self.on_enter(env, targets, window)
-                yield env.timeout(window.end - env.now)
-                self.on_exit(env, targets, window)
-
-        env.process(driver(), name=f"fault:{self.name}")
+        _WindowDriver(self, env, targets, self.timeline.clipped_from(env.now))
 
     # ------------------------------------------------------------------
     # subclass hooks
@@ -147,3 +138,46 @@ def validate_plan(injectors: Sequence[FaultInjector]) -> None:
                     f"{a.name} and {b.name} both drive resource "
                     f"{a.resource!r} over overlapping windows"
                 )
+
+
+class _WindowDriver:
+    """Enters and leaves one injector's windows on kernel timers.
+
+    One window is pending at a time: its enter timer, then its exit
+    timer, whose callback moves on to the next window.
+    """
+
+    def __init__(
+        self,
+        injector: FaultInjector,
+        env: Environment,
+        targets: FaultTargets,
+        windows: Sequence,
+    ) -> None:
+        self.injector = injector
+        self.env = env
+        self.targets = targets
+        self.windows = iter(windows)
+        self.window = None
+        #: kernel-stats owner of the window timers
+        self.event_owner = f"fault:{injector.name}"
+        env.call_at(env.now, self._next, priority=EventPriority.URGENT)
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        self.window = window = next(self.windows, None)
+        if window is None:
+            return
+        env = self.env
+        if window.start > env.now:
+            env.call_later(window.start - env.now, self._enter)
+        else:
+            self._enter()
+
+    def _enter(self, _event: Optional[Event] = None) -> None:
+        env = self.env
+        self.injector.on_enter(env, self.targets, self.window)
+        env.call_later(self.window.end - env.now, self._leave)
+
+    def _leave(self, _event: Event) -> None:
+        self.injector.on_exit(self.env, self.targets, self.window)
+        self._next()

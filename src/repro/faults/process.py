@@ -1,7 +1,7 @@
-"""Process-crash injectors: kill and restart sim processes mid-run.
+"""Process-crash injectors: kill and restart the testbed's loops mid-run.
 
 Where the PR-1 injectors degrade the *substrate* (link conditions, GPU
-speed, sensor cadence), these kill the *processes* the testbed is made
+speed, sensor cadence), these kill the *components* the testbed is made
 of: the device's measurement/control loop, the server's service loop,
 or the whole device.  Each window is ``[crash, restart)`` — the
 component is killed at the window's start and brought back at its end,

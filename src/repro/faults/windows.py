@@ -123,8 +123,8 @@ class FaultTimeline:
         Each window contributes ``(start, True)`` and ``(end, False)``;
         windows are already validated non-overlapping, so the flat list
         is the exact on/off schedule a wall-clock injector replays
-        (:mod:`repro.realtime.chaos`) and a timeline-driven process can
-        sleep against.
+        (:mod:`repro.realtime.chaos`) and a timeline-driven timer chain
+        can wait against.
         """
         out: List[Tuple[float, bool]] = []
         for w in self.windows:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
+from repro.sim.events import Event, EventPriority
+
 from .config import FleetConfig
 from .health import ServerHealth
 
@@ -27,6 +29,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class ServerPool:
     """Host N servers in one environment and track their health."""
+
+    #: kernel-stats owner of the prober's timers
+    event_owner = "fleet:prober"
 
     def __init__(
         self,
@@ -52,7 +57,7 @@ class ServerPool:
         # routable members in topology order, rebuilt on every ejection/
         # re-admission so the per-attempt route() never re-filters
         self._healthy: List["EdgeServer"] = list(servers)
-        self._prober = env.process(self._probe_loop(), name="fleet:prober")
+        env.call_at(env.now, self._probe_arm, priority=EventPriority.URGENT)
 
     # ------------------------------------------------------------------
     # membership
@@ -123,31 +128,33 @@ class ServerPool:
     # ------------------------------------------------------------------
     # prober
 
-    def _probe_loop(self):
+    def _probe_arm(self, _event: Optional[Event] = None) -> None:
+        self.env.call_later(self.config.probe_period, self._probe_tick)
+
+    def _probe_tick(self, _event: Event) -> None:
         cfg = self.config
-        while True:
-            yield self.env.sleep(cfg.probe_period)
-            now = self.env.now
-            for server in self.servers:
-                health = self.health[server.name]
-                alive = server.service_alive and not server.paused
-                if alive:
-                    health.heartbeat.beat(now)
-                if not cfg.failover:
-                    continue
-                if not health.ejected:
-                    # catches pause-style crashes (ServerCrash) that
-                    # never crash the server: the heartbeat goes stale
-                    if health.heartbeat.is_stale(now, cfg.stale_grace_periods):
-                        self.mark_down(server.name)
-                    continue
-                if not alive:
-                    health.healthy_since = None
-                    continue
-                if health.healthy_since is None:
-                    health.healthy_since = now
-                if now - health.healthy_since >= cfg.probation:
-                    self._readmit(health, now)
+        now = self.env.now
+        for server in self.servers:
+            health = self.health[server.name]
+            alive = server.service_alive and not server.paused
+            if alive:
+                health.heartbeat.beat(now)
+            if not cfg.failover:
+                continue
+            if not health.ejected:
+                # catches pause-style crashes (ServerCrash) that
+                # never crash the server: the heartbeat goes stale
+                if health.heartbeat.is_stale(now, cfg.stale_grace_periods):
+                    self.mark_down(server.name)
+                continue
+            if not alive:
+                health.healthy_since = None
+                continue
+            if health.healthy_since is None:
+                health.healthy_since = now
+            if now - health.healthy_since >= cfg.probation:
+                self._readmit(health, now)
+        self._probe_arm()
 
     def _readmit(self, health: ServerHealth, now: float) -> None:
         health.ejected = False

@@ -7,6 +7,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.netem.link import ConditionBox, LinkConditions
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,44 @@ class NetworkSchedule:
         on_change: Optional[Callable[[float, LinkConditions], None]] = None,
     ) -> None:
         """Drive ``box`` through the schedule inside ``env``."""
+        _PhaseDriver(env, self.phases, box, on_change)
 
-        def driver():
-            for phase in self.phases:
-                if phase.start > env.now:
-                    yield env.timeout(phase.start - env.now)
-                box.set(phase.conditions)
-                if on_change is not None:
-                    on_change(env.now, phase.conditions)
 
-        env.process(driver(), name="netem-schedule")
+class _PhaseDriver:
+    """Applies a schedule's phases to one box on kernel timers."""
+
+    #: kernel-stats owner of the phase timers
+    event_owner = "netem-schedule"
+
+    def __init__(
+        self,
+        env: Environment,
+        phases: Sequence[SchedulePhase],
+        box: ConditionBox,
+        on_change: Optional[Callable[[float, LinkConditions], None]],
+    ) -> None:
+        self.env = env
+        self.phases = iter(phases)
+        self.phase: Optional[SchedulePhase] = None
+        self.box = box
+        self.on_change = on_change
+        env.call_at(env.now, self._next, priority=EventPriority.URGENT)
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        """Apply every phase already due, then wait for the next one."""
+        env = self.env
+        for phase in self.phases:
+            if phase.start > env.now:
+                self.phase = phase
+                env.call_later(phase.start - env.now, self._due)
+                return
+            self._apply(phase)
+
+    def _due(self, _event: Event) -> None:
+        self._apply(self.phase)
+        self._next()
+
+    def _apply(self, phase: SchedulePhase) -> None:
+        self.box.set(phase.conditions)
+        if self.on_change is not None:
+            self.on_change(self.env.now, phase.conditions)

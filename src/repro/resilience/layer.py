@@ -42,15 +42,8 @@ class ResilienceLayer:
             rate=config.retry_budget_rate, burst=config.retry_budget_burst
         )
         self.taxonomy = FailureTaxonomy()
-        #: most recent server retry-after hint (None until one arrives)
-        self.last_retry_after: Optional[float] = None
 
     # ------------------------------------------------------------------
-    def note_overload(self, retry_after: Optional[float]) -> None:
-        """Remember the server's latest pushback hint."""
-        if retry_after is not None and retry_after >= 0:
-            self.last_retry_after = float(retry_after)
-
     def record(self, kind: FailureKind, count: int = 1) -> None:
         self.taxonomy.record(kind, count)
 
@@ -120,7 +113,6 @@ def verdict(layer: Optional[ResilienceLayer], now: float, reply: Any, late: bool
         return LATE if late else COMPLETED
     if layer is not None and reply.overloaded:
         hint = reply.retry_after
-        layer.note_overload(hint)
         if not probe and layer.retry(now, retries, deadline_at, deadline, hint or 0.0):
             layer.taxonomy.record(FailureKind.OVERLOADED)
             return RESEND

@@ -4,7 +4,7 @@ A scenario golden is one file under ``tests/goldens/scenarios/``
 holding a minimized controller-breaking spec *and* the exact outcome
 it produced: the controller's QoS, the oracle's QoS (the feasibility
 witness), and the violation score.  Tier-1 replays every golden from
-scratch — on the kernel fast path and under ``REPRO_SIM_SLOWPATH=1`` —
+scratch — on the kernel's fast timer path and with ``EnvStats`` on —
 and compares **bytes**, exactly like the trace goldens: QoS floats are
 rounded to :data:`~repro.search.runner.QOS_DECIMALS` decimals at
 serialization time, and the document dumper is canonical

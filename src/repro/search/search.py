@@ -44,6 +44,11 @@ SEARCH_FAULT_KINDS = (
 #: bandwidth levels (paper units) abrupt network phases step between
 BANDWIDTH_LEVELS = (10.0, 6.0, 4.0, 2.0, 1.0, 0.7, 0.5)
 
+#: shortest candidate stream: the periodic network and load generators
+#: draw their period from [20 s, horizon], so the horizon must reach
+#: 20 s (600 frames at 30 fps)
+MIN_FRAMES = 600
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -67,6 +72,13 @@ class SearchConfig:
     workers: Optional[int] = None
     #: rejection-sampling attempts before giving up on a slot
     max_attempts: int = 64
+
+    def __post_init__(self) -> None:
+        if self.frames < MIN_FRAMES:
+            raise ValueError(
+                f"frames must be at least {MIN_FRAMES} (a 20 s horizon at "
+                f"30 fps), got {self.frames}"
+            )
 
 
 @dataclass

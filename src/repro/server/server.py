@@ -81,7 +81,7 @@ class EdgeServer:
         #: the pending service, GPU or pause timer; None while idle (or
         #: crashed), when a submit or a pause arms the service timer
         self._timer: Optional[Event] = None
-        # URGENT, like a freshly started process: a server started in
+        # URGENT, like the start of a periodic loop: a server started in
         # some instant forms its first batch before that instant's
         # ordinary events
         self._wake(EventPriority.URGENT)

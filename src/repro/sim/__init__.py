@@ -2,14 +2,15 @@
 
 This package is the concurrency substrate for the FrameFeedback
 reproduction.  The paper's system is a real-time distributed system
-(threads, sockets, GPUs); here every concurrent activity is a
-:class:`~repro.sim.process.Process` — a Python generator that yields
-:class:`~repro.sim.events.Event` objects — executed in virtual time by
-an :class:`~repro.sim.core.Environment`.
+(threads, sockets, GPUs); here every concurrent activity is a chain of
+cancellable one-shot timers — :meth:`~repro.sim.core.Environment.call_later`
+/ :meth:`~repro.sim.core.Environment.call_at` callbacks, each an
+:class:`~repro.sim.events.Event` — executed in virtual time by an
+:class:`~repro.sim.core.Environment`.  A periodic loop is a callback that
+re-arms its own timer.
 
-The kernel is intentionally SimPy-shaped (environments, processes,
-timeouts, conditions) but written from scratch so the
-repository is self-contained.  Determinism guarantees:
+Written from scratch so the repository is self-contained.  Determinism
+guarantees:
 
 * events scheduled for the same timestamp fire in (priority, FIFO)
   order, so a run is a pure function of its seed;
@@ -21,38 +22,24 @@ Typical usage::
 
     from repro.sim import Environment
 
-    def ticker(env, period):
-        while True:
-            yield env.timeout(period)
-            print("tick at", env.now)
+    def tick(event):
+        print("tick at", env.now)
+        env.call_later(1.0, tick)
 
     env = Environment()
-    env.process(ticker(env, 1.0))
+    env.call_later(1.0, tick)
     env.run(until=10.0)
 """
 
 from repro.sim.core import Environment, EnvStats, StopSimulation
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventPriority,
-    Interrupt,
-    Timeout,
-)
-from repro.sim.process import Process
+from repro.sim.events import Event, EventPriority
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "EnvStats",
     "Environment",
     "Event",
     "EventPriority",
-    "Interrupt",
-    "Process",
     "RngRegistry",
     "StopSimulation",
-    "Timeout",
 ]

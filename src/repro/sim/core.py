@@ -9,38 +9,22 @@ Hot-path notes (see ``docs/performance.md`` for the full cost model):
   once dead entries dominate;
 * :meth:`Environment.call_later` / :meth:`Environment.call_at` build
   their timer event field by field and push it themselves: one Python
-  frame per timer;
-* :meth:`Environment.sleep` resumes the active process through a
-  reusable pre-wired event instead of a fresh ``Timeout`` + callback
-  registration per tick;
+  frame per timer.  Every activity in the testbed, per-frame or
+  periodic, is a chain of these timers;
 * the opt-in :class:`EnvStats` block counts scheduling activity without
   adding more than a ``None``-check to the uninstrumented hot path
-  (timers take the accounted path while it is on).
-
-Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the sleep
-and timer fast paths and makes every :meth:`Environment.call_later` /
-:meth:`Environment.call_at` timer one process plus its timer event,
-which is the escape hatch the determinism tests diff against.  The
-fork lives here alone: components never ask which path they run on.
+  (timers take the slow, accounted path, :meth:`Environment._arm`,
+  while it is on).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import (
-    AllOf,
-    AnyOf,
-    Event,
-    EventPriority,
-    PENDING,
-    Timeout,
-)
-from repro.sim.process import Process
+from repro.sim.events import Event, EventPriority, PENDING
 
 
 class StopSimulation(Exception):
@@ -65,9 +49,10 @@ class EnvStats:
     scheduled events by owner, which is the first thing to read when
     one component floods the heap: a timer whose callback is a bound
     method of an object with an ``event_owner`` name (``link:uplink``,
-    ``<server>:service``, ``<device>:camera``, ``background-load``) is
-    counted under that name, and any other event under the process that
-    was active when it was scheduled.  ``str()`` is the
+    ``<server>:service``, ``<device>:camera``, ``<device>:control``,
+    ``background-load``, ``fault:<injector>``, ...) is counted under
+    that name; other events are counted in the totals only.  (The field
+    keeps the name it had when owners were processes.)  ``str()`` is the
     one-line :meth:`summary`; :meth:`as_dict` is the JSON form that
     ``repro --json profile`` emits.
     """
@@ -79,8 +64,7 @@ class EnvStats:
     events_skipped: int = 0
     heap_compactions: int = 0
     peak_heap_size: int = 0
-    #: owner name -> events it scheduled (events by owner: a timer's
-    #: ``event_owner``, else the active process's name)
+    #: owner name -> timers it scheduled (a timer's ``event_owner``)
     events_by_process: Counter = field(default_factory=Counter)
 
     def summary(self) -> str:
@@ -144,7 +128,6 @@ class Environment:
         # heap entries: (time, priority, seq, event)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
-        self._active_process: Optional[Process] = None
         #: cancelled entries still sitting in the heap (lazy deletion)
         self._dead = 0
         sink = _stats_sink
@@ -154,10 +137,6 @@ class Environment:
                 sink.append(self._stats)
         else:
             self._stats = None
-        #: escape hatch: force the pre-optimization code paths
-        self._slowpath = bool(os.environ.get("REPRO_SIM_SLOWPATH"))
-        #: timers skip the accounted path (no stats, no slow path)
-        self._fast_timers = self._stats is None and not self._slowpath
         #: opt-in per-frame span tracer (:class:`repro.trace.Tracer`).
         #: None by default; every instrumentation point in the testbed
         #: guards on it, so the untraced hot path pays one attribute
@@ -171,16 +150,6 @@ class Environment:
         return self._now
 
     @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
-
-    @property
-    def slowpath(self) -> bool:
-        """True when ``REPRO_SIM_SLOWPATH=1`` disabled the fast paths."""
-        return self._slowpath
-
-    @property
     def stats(self) -> Optional[EnvStats]:
         """The kernel counter block, or None when not enabled."""
         return self._stats
@@ -189,7 +158,6 @@ class Environment:
         """Attach (or return the existing) :class:`EnvStats` block."""
         if self._stats is None:
             self._stats = EnvStats()
-            self._fast_timers = False
         return self._stats
 
     def queue_size(self) -> int:
@@ -208,29 +176,6 @@ class Environment:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
-
-    def sleep(self, delay: float) -> Event:
-        """Resume the active process ``delay`` seconds from now.
-
-        The allocation-free fast path for periodic process loops (the
-        controller period, the supervisor's watchdog): the process's
-        pre-wired resume event is rescheduled instead of building a
-        ``Timeout`` + callback list + registration per tick.  Outside a
-        process (or under ``REPRO_SIM_SLOWPATH=1``) this degrades to a
-        plain :class:`Timeout`.
-
-        The returned event is single-waiter and must be yielded
-        immediately by the calling process — it cannot be composed with
-        ``|``/``&`` or shared; use :meth:`timeout` for that.
-        """
-        proc = self._active_process
-        if proc is None:
-            return Timeout(self, delay)
-        return proc.sleep(delay)
-
     def call_later(
         self,
         delay: float,
@@ -240,26 +185,25 @@ class Environment:
     ) -> Event:
         """Run ``fn(event)`` after ``delay`` seconds; cancellable.
 
-        The one-shot timer primitive behind every per-frame component
-        (camera, link, server, offload watchdogs, local inference): one
-        heap entry, no process, and :meth:`Event.cancel` retires it for
+        The one-shot timer primitive behind every activity in the
+        testbed (camera, link, server, offload watchdogs, local
+        inference, the 1 Hz measure loop, fault windows): one heap
+        entry, and :meth:`Event.cancel` retires it for
         O(1) when the guarded outcome settles first.  ``value`` rides on
         the event (``event.value`` inside the callback) so callers need
         no closure per timer.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        if not self._fast_timers:
+        if self._stats is not None:
             return self._arm(self._now + delay, fn, value, priority)
-        # Built field by field (as Process.__init__ builds its
-        # kick-start) and pushed here: one Python frame per timer.
+        # Built field by field (no __init__ call) and pushed here: one
+        # Python frame per timer.
         ev = _new_event(Event)
         ev.env = self
         ev.callbacks = [fn]
         ev._value = value
-        ev._ok = True
         ev._scheduled = True
-        ev._defused = False
         ev._cancelled = False
         _heappush(self._queue, (self._now + delay, priority, self._seq, ev))
         self._seq += 1
@@ -282,7 +226,7 @@ class Environment:
         """
         if when < self._now:
             raise ValueError(f"timer time {when!r} is in the past (now={self._now!r})")
-        if not self._fast_timers:
+        if self._stats is not None:
             return self._arm(when, fn, value, priority)
         # call_later's body, repeated rather than shared: a shared helper
         # would be a second Python frame per timer
@@ -290,9 +234,7 @@ class Environment:
         ev.env = self
         ev.callbacks = [fn]
         ev._value = value
-        ev._ok = True
         ev._scheduled = True
-        ev._defused = False
         ev._cancelled = False
         _heappush(self._queue, (when, priority, self._seq, ev))
         self._seq += 1
@@ -301,43 +243,19 @@ class Environment:
     def _arm(
         self, when: float, fn: Callable[[Event], None], value: Any, priority: int
     ) -> Event:
-        """The accounted timer path (stats on, or the slow path).
+        """The slow, accounted timer path (stats on).
 
         The timer is counted under its owner: the ``event_owner`` name
-        of the object whose bound method ``fn`` is, else the active
-        process, as for any other event.  Under ``REPRO_SIM_SLOWPATH=1``
-        the timer is a process waiting on the event instead of a bare
-        callback; the event is scheduled right after the process's
-        kick-start, so it keeps its place among same-instant events, and
-        cancelling it leaves the process waiting forever — a cancelled
-        timer fires nothing on either path.
+        of the object whose bound method ``fn`` is, if any.
         """
         ev = Event(self)
-        ev._ok = True
         ev._value = value
-        if self._slowpath:
-            self.process(_timer(ev, fn), name="timer")
-        else:
-            ev.callbacks.append(fn)
+        ev.callbacks.append(fn)
         ev._scheduled = True
         heapq.heappush(self._queue, (when, int(priority), self._seq, ev))
         self._seq += 1
-        if self._stats is not None:
-            owner = getattr(getattr(fn, "__self__", None), "event_owner", None)
-            if owner is None and self._active_process is not None:
-                owner = self._active_process.name
-            self._account(owner)
+        self._account(getattr(getattr(fn, "__self__", None), "event_owner", None))
         return ev
-
-    def process(self, generator: Generator, name: Optional[str] = None) -> Process:
-        """Start a new process executing ``generator``."""
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # scheduling / run loop
@@ -355,8 +273,7 @@ class Environment:
         heapq.heappush(self._queue, (self._now + delay, int(priority), self._seq, event))
         self._seq += 1
         if self._stats is not None:
-            active = self._active_process
-            self._account(None if active is None else active.name)
+            self._account(None)
 
     def _account(self, owner: Optional[str]) -> None:
         """Count one scheduled event (stats on), under ``owner`` if any."""
@@ -428,11 +345,6 @@ class Environment:
         if self._stats is not None:
             self._stats.events_processed += 1
 
-        if not event._ok and not event._defused:
-            # An error nobody waited on: surface it rather than lose it.
-            exc = event.value
-            raise exc
-
     def run(self, until: Any = None) -> Any:
         """Run until ``until`` (a time, an event, or exhaustion).
 
@@ -440,8 +352,7 @@ class Environment:
         * ``until=<number>``: run until simulation time reaches it (the
           clock is advanced to exactly that time on return).
         * ``until=<Event>``: run until the event fires; returns its
-          value (raising if it failed).  An already-processed event
-          returns (or raises) immediately.
+          value.  An already-processed event returns it immediately.
         """
         stop: Optional[Event] = None
         if until is not None:
@@ -451,10 +362,7 @@ class Environment:
                     # Already processed: the wait is over before it
                     # starts — never attach the stop callback (it would
                     # fire inline and leak StopSimulation to the caller).
-                    if stop._ok:
-                        return stop._value
-                    stop._defused = True
-                    raise stop._value
+                    return stop._value
             else:
                 horizon = float(until)
                 if horizon < self._now:
@@ -463,7 +371,6 @@ class Environment:
                     )
                 stop = Event(self)
                 # LOW priority: events *at* the horizon still fire first.
-                stop._ok = True
                 stop._value = None
                 self.schedule(stop, priority=EventPriority.LOW, delay=horizon - self._now)
             stop.add_callback(self._stop_callback)
@@ -491,9 +398,6 @@ class Environment:
                     callback(event)
                 if self._stats is not None:
                     self._stats.events_processed += 1
-                if not event._ok and not event._defused:
-                    # An error nobody waited on: surface it rather than lose it.
-                    raise event._value
         except StopSimulation as exc:
             # the stop event ended the loop from inside its callback,
             # before the loop could count it or run the callbacks after
@@ -503,9 +407,7 @@ class Environment:
                 self._stats.events_processed += 1
             for callback in callbacks[callbacks.index(self._stop_callback) + 1:]:
                 callback(event)
-            if event._ok:
-                return exc.value
-            raise exc.value from None
+            return exc.value
         finally:
             # Teardown: detach the stop callback only when the stop
             # event is still pending (a processed stop already consumed
@@ -524,12 +426,4 @@ class Environment:
 
     @staticmethod
     def _stop_callback(event: Event) -> None:
-        if not event._ok:
-            event.defuse()
         raise StopSimulation(event._value)
-
-
-def _timer(event: Event, fn: Callable[[Event], None]) -> Generator:
-    """Slow-path body of a :meth:`Environment.call_later` timer."""
-    yield event
-    fn(event)

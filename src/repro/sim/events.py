@@ -1,15 +1,16 @@
 """Event primitives for the DES kernel.
 
-An :class:`Event` is a one-shot occurrence in virtual time.  Processes
-(generators) yield events to suspend until the event fires; arbitrary
-callbacks may also be attached.  Events carry a *value* (on success) or
-an *exception* (on failure), mirroring the future/promise pattern.
+An :class:`Event` is a one-shot occurrence in virtual time: it carries
+a *value* once triggered, and callbacks attached to it run when the
+kernel processes it.  :meth:`~repro.sim.core.Environment.call_later`
+and :meth:`~repro.sim.core.Environment.call_at` timers are events born
+triggered, with their one callback in place.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.sim.core import Environment
@@ -18,30 +19,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 class EventPriority(enum.IntEnum):
     """Tie-break ordering for events scheduled at the same timestamp.
 
-    Lower values fire first.  ``URGENT`` is reserved for kernel
-    bookkeeping (e.g. process resumption after an interrupt), ``HIGH``
-    for resource handoffs, ``NORMAL`` for everything else.
+    Lower values fire first.  ``URGENT`` is the start slot of a periodic
+    loop (the timer that arms its first tick), ``NORMAL`` is for
+    everything else, and ``LOW`` is the ``run(until=<time>)`` stop, so
+    events *at* the horizon still fire.
     """
 
     URGENT = 0
-    HIGH = 1
     NORMAL = 2
     LOW = 3
-
-
-class Interrupt(Exception):
-    """Thrown *into* a process when another process interrupts it.
-
-    The interrupting party supplies ``cause``, available via
-    :attr:`cause` inside the interrupted process's ``except`` block.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Interrupt(cause={self.cause!r})"
 
 
 class _Pending:
@@ -57,12 +43,11 @@ PENDING = _Pending()
 
 
 class Event:
-    """A one-shot occurrence that processes can wait on.
+    """A one-shot occurrence that callbacks can wait on.
 
-    Lifecycle: *pending* → ``succeed(value)`` or ``fail(exc)`` →
-    *triggered* (scheduled on the event heap) → *processed* (callbacks
-    ran).  Events may only be triggered once; re-triggering raises
-    ``RuntimeError``.
+    Lifecycle: *pending* → ``succeed(value)`` → *triggered* (scheduled
+    on the event heap) → *processed* (callbacks ran).  Events may only
+    be triggered once; re-triggering raises ``RuntimeError``.
 
     A *scheduled* event may be :meth:`cancel`\\ led instead: it stays in
     the heap as a dead entry that the kernel skips (and eventually
@@ -70,28 +55,15 @@ class Event:
     the deadline watchdogs and hedge timers that usually never fire.
     """
 
-    __slots__ = (
-        "env",
-        "callbacks",
-        "_value",
-        "_ok",
-        "_scheduled",
-        "_defused",
-        "_cancelled",
-    )
+    __slots__ = ("env", "callbacks", "_value", "_scheduled", "_cancelled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         #: callables invoked with this event when it is processed
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = PENDING
-        self._ok: Optional[bool] = None
         self._scheduled = False
         self._cancelled = False
-        # A failed event whose exception was delivered to at least one
-        # waiter is "defused"; undefused failures crash the run so
-        # errors are never silently dropped.
-        self._defused = False
 
     # ------------------------------------------------------------------
     # state inspection
@@ -107,26 +79,11 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """True if the event succeeded.  Only valid once triggered."""
-        if self._ok is None:
-            raise RuntimeError("event not yet triggered")
-        return self._ok
-
-    @property
     def value(self) -> Any:
-        """The event's value (or exception if it failed)."""
+        """The event's value."""
         if self._value is PENDING:
             raise RuntimeError("event not yet triggered")
         return self._value
-
-    @property
-    def defused(self) -> bool:
-        return self._defused
-
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it won't crash the run."""
-        self._defused = True
 
     @property
     def cancelled(self) -> bool:
@@ -157,33 +114,13 @@ class Event:
     # ------------------------------------------------------------------
     # triggering
     # ------------------------------------------------------------------
-    def succeed(self, value: Any = None, priority: int = EventPriority.NORMAL) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event with ``value``."""
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        self.env.schedule(self)
         return self
-
-    def fail(self, exception: BaseException, priority: int = EventPriority.NORMAL) -> "Event":
-        """Trigger the event as failed with ``exception``."""
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        self.env.schedule(self, priority=priority)
-        return self
-
-    def trigger(self, event: "Event") -> None:
-        """Copy the outcome of ``event`` onto this event (callback form)."""
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            event.defuse()
-            self.fail(event.value)
 
     # ------------------------------------------------------------------
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
@@ -199,8 +136,8 @@ class Event:
         Identity matching is deliberate: equality on bound methods
         compares ``__self__``/``__func__`` pair-wise, which made the old
         ``in``-then-``remove`` implementation two O(n) equality scans.
-        Callers that detach (the run-loop teardown, process re-targeting
-        on interrupt) all hold the exact callable they attached.
+        The run-loop teardown, the one caller, holds the exact callable
+        it attached.
         """
         callbacks = self.callbacks
         if callbacks is None:
@@ -210,123 +147,6 @@ class Event:
                 del callbacks[i]
                 return
 
-    # ------------------------------------------------------------------
-    # composition sugar: (a & b) waits for both, (a | b) for either
-    # ------------------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        if not isinstance(other, Event):
-            return NotImplemented
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        if not isinstance(other, Event):
-            return NotImplemented
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = (
-            "pending"
-            if self._value is PENDING
-            else ("ok" if self._ok else "failed")
-        )
+        state = "pending" if self._value is PENDING else "triggered"
         return f"<{type(self).__name__} {state} at t={self.env.now:g}>"
-
-
-class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        super().__init__(env)
-        self.delay = float(delay)
-        self._ok = True
-        self._value = value
-        env.schedule(self, priority=EventPriority.NORMAL, delay=self.delay)
-
-
-class Condition(Event):
-    """Composite event over several sub-events.
-
-    Fires when ``evaluate(events, n_done)`` returns True.  The value is
-    an ordered dict-like mapping of the *processed* sub-events to their
-    values (insertion order = construction order).
-
-    Fired sub-events are collected incrementally in :meth:`_check`, so
-    triggering an ``AnyOf`` over a large event set is O(1) per firing
-    instead of a full rescan of every sub-event; the construction-order
-    contract of the value dict is restored once, at collect time.
-    """
-
-    __slots__ = ("_events", "_count", "_fired")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
-        #: ok sub-events seen by :meth:`_check`, in processing order
-        self._fired: List[Event] = []
-        for ev in self._events:
-            if ev.env is not env:
-                raise ValueError("events belong to different environments")
-        if not self._events:
-            self.succeed({})
-            return
-        # Sub-events already processed at construction are pre-collected
-        # in construction order: the condition may trigger on the first
-        # of them, and its value must still include every one (matching
-        # the old collect-time rescan semantics).
-        for ev in self._events:
-            if ev.callbacks is None and ev._ok:
-                self._fired.append(ev)
-        for ev in self._events:
-            if ev.callbacks is None:
-                self._check(ev, _record=False)
-            else:
-                ev.add_callback(self._check)
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        raise NotImplementedError
-
-    def _collect(self) -> dict:
-        fired = self._fired
-        if len(fired) > 1:
-            # restore construction order (fired holds processing order)
-            fired_set = set(fired)
-            return {ev: ev._value for ev in self._events if ev in fired_set}
-        return {ev: ev._value for ev in fired}
-
-    def _check(self, event: Event, _record: bool = True) -> None:
-        if self.triggered:
-            if not event.ok:
-                event.defuse()
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event.value)
-            return
-        if _record:
-            self._fired.append(event)
-        self._count += 1
-        if self._evaluate(self._count, len(self._events)):
-            self.succeed(self._collect())
-
-
-class AllOf(Condition):
-    """Fires when every sub-event has fired."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count == total
-
-
-class AnyOf(Condition):
-    """Fires when at least one sub-event has fired."""
-
-    __slots__ = ()
-
-    def _evaluate(self, count: int, total: int) -> bool:
-        return count >= 1

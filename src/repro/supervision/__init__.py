@@ -10,7 +10,7 @@ assumption:
   per-tick controller state snapshots (``P_o``, PID history, breaker)
   so a restarted controller resumes *warm*;
 * :class:`~repro.supervision.supervisor.Supervisor` — the watchdog
-  that detects dead processes and stale telemetry, applies the
+  that detects dead loops and stale telemetry, applies the
   hold-then-decay degraded-telemetry policy, performs warm/cold
   restarts, and exports MTTR / missed-window / restart counters.
 

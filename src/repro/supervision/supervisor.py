@@ -6,7 +6,7 @@ the testbed at three points:
 * the device's ``on_measure_tick`` hook — every admitted measurement
   beats the controller's heartbeat and (when enabled) checkpoints the
   controller;
-* a watchdog process polling component liveness (measure loop, server
+* a watchdog timer polling component liveness (measure loop, server
   service loop, camera) and telemetry freshness every
   ``watchdog_period`` seconds;
 * restart entry points (:meth:`restart_controller`,
@@ -35,6 +35,7 @@ from repro.control.base import Controller, Measurement
 from repro.device.device import EdgeDevice
 from repro.server.server import EdgeServer
 from repro.sim.core import Environment
+from repro.sim.events import Event, EventPriority
 from repro.supervision.checkpoint import CheckpointStore, ControllerCheckpoint
 
 #: component keys used in stats tables
@@ -145,6 +146,9 @@ class SupervisionStats:
 class Supervisor:
     """Heartbeats + watchdog + checkpoint/restore for one runtime."""
 
+    #: kernel-stats owner of the watchdog timers
+    event_owner = "supervisor:watchdog"
+
     def __init__(
         self,
         env: Environment,
@@ -179,7 +183,7 @@ class Supervisor:
         self._episode_missed = 0
         self._episode_decays = 0
         device.on_measure_tick = self._on_measure_tick
-        env.process(self._watchdog_loop(), name="supervisor:watchdog")
+        env.call_at(env.now, self._watchdog_arm, priority=EventPriority.URGENT)
 
     # ------------------------------------------------------------------
     # measure-tick hook: heartbeat + checkpoint + recovery bookkeeping
@@ -226,56 +230,61 @@ class Supervisor:
     # ------------------------------------------------------------------
     # watchdog: liveness + telemetry freshness
     # ------------------------------------------------------------------
-    def _watchdog_loop(self):
+    def _watchdog_arm(self, _event: Optional[Event] = None) -> None:
+        self.env.call_later(self.config.watchdog_period, self._watchdog_tick)
+
+    def _watchdog_tick(self, _event: Event) -> None:
+        self._watchdog_check()
+        self._watchdog_arm()
+
+    def _watchdog_check(self) -> None:
         env = self.env
         cfg = self.config
         period = self.device.config.measure_period
-        while True:
-            yield env.sleep(cfg.watchdog_period)
-            now = env.now
+        now = env.now
 
-            # -- liveness ------------------------------------------------
-            if not self.device.measure_alive:
-                self._note_crash(CONTROLLER, now)
-            if self.server.service_alive:
-                self.heartbeats[SERVER].beat(now)
-                self._note_recovered(SERVER, now)
-            else:
-                self._note_crash(SERVER, now)
-            source = self.device.source
-            if source.alive or source.done.triggered:
-                self.heartbeats[CAMERA].beat(now)
-                self._note_recovered(CAMERA, now)
-            else:
-                self._note_crash(CAMERA, now)
+        # -- liveness ------------------------------------------------
+        if not self.device.measure_alive:
+            self._note_crash(CONTROLLER, now)
+        if self.server.service_alive:
+            self.heartbeats[SERVER].beat(now)
+            self._note_recovered(SERVER, now)
+        else:
+            self._note_crash(SERVER, now)
+        source = self.device.source
+        if source.alive or source.done.triggered:
+            self.heartbeats[CAMERA].beat(now)
+            self._note_recovered(CAMERA, now)
+        else:
+            self._note_crash(CAMERA, now)
 
-            # -- telemetry freshness ------------------------------------
-            hb = self.heartbeats[CONTROLLER]
-            if not hb.is_stale(now, cfg.stale_after_periods):
-                continue
-            if not self._stale_active:
-                self._stale_active = True
-                self.stats.stale_detections += 1
-            # Windows that were due but never closed, beyond the
-            # detection threshold, counted incrementally as silence
-            # stretches (the QoS "missed windows" figure).
-            periods_silent = int(hb.age(now) / period)
-            missed = max(0, periods_silent - int(cfg.stale_after_periods) + 1)
-            if missed > self._episode_missed:
-                self.stats.missed_windows += missed - self._episode_missed
-                self._episode_missed = missed
-            # Hold-then-decay: leave the last action alone for
-            # hold_periods after detection, then step the splitter
-            # toward the standing probe once per silent period.
-            decay_due = max(
-                0,
-                periods_silent
-                - int(cfg.stale_after_periods)
-                - int(cfg.hold_periods),
-            )
-            while self._episode_decays < decay_due:
-                self._episode_decays += 1
-                self._decay_step(now)
+        # -- telemetry freshness ------------------------------------
+        hb = self.heartbeats[CONTROLLER]
+        if not hb.is_stale(now, cfg.stale_after_periods):
+            return
+        if not self._stale_active:
+            self._stale_active = True
+            self.stats.stale_detections += 1
+        # Windows that were due but never closed, beyond the
+        # detection threshold, counted incrementally as silence
+        # stretches (the QoS "missed windows" figure).
+        periods_silent = int(hb.age(now) / period)
+        missed = max(0, periods_silent - int(cfg.stale_after_periods) + 1)
+        if missed > self._episode_missed:
+            self.stats.missed_windows += missed - self._episode_missed
+            self._episode_missed = missed
+        # Hold-then-decay: leave the last action alone for
+        # hold_periods after detection, then step the splitter
+        # toward the standing probe once per silent period.
+        decay_due = max(
+            0,
+            periods_silent
+            - int(cfg.stale_after_periods)
+            - int(cfg.hold_periods),
+        )
+        while self._episode_decays < decay_due:
+            self._episode_decays += 1
+            self._decay_step(now)
 
     def _decay_step(self, now: float) -> None:
         device = self.device

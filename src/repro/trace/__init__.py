@@ -20,7 +20,7 @@ by attaching a :class:`Tracer` to a built runtime's environment::
 
 Canonical serialization (:func:`trace_document` / :func:`dumps_trace`)
 is byte-deterministic for a given seed — independent of callback
-interleaving and of the ``REPRO_SIM_SLOWPATH`` kernel escape hatch — so
+interleaving and of whether ``EnvStats`` is on — so
 serialized traces double as golden regression artifacts
 (``tests/goldens/``), compared structurally with :func:`diff_traces`.
 """

@@ -4,7 +4,7 @@ Determinism contract
 --------------------
 ``dumps_trace(trace_document(tracer, meta))`` must be byte-identical
 for two runs of the same scenario with the same seed — including one
-run on the kernel fast path and one under ``REPRO_SIM_SLOWPATH=1``.
+run on the kernel's fast timer path and one with ``EnvStats`` on.
 Everything order-dependent is therefore normalized here rather than
 trusted from runtime:
 

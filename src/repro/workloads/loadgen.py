@@ -82,7 +82,7 @@ class BackgroundLoad:
 
     Each request is one ``call_at`` timer at its delivery to the server
     (arrival + :attr:`NETWORK_DELAY`), armed when the previous one is
-    delivered, so a request costs one event and the load no process.
+    delivered, so a request costs one event and the load nothing else.
     Arrival times are drawn lazily from the load's own rng stream;
     since nothing else draws from it, drawing ahead (see :attr:`sent`)
     changes no outcome.
@@ -149,8 +149,8 @@ class BackgroundLoad:
         Because the exponential is memoryless, discarding an arrival
         that would land past the next schedule boundary and resampling
         at the boundary's new rate yields an exact piecewise-Poisson
-        process.  ``t`` advances by the same float additions a process
-        sleeping from arrival to arrival would make.
+        process.  ``t`` advances by the same float additions a timer
+        chain waiting from arrival to arrival would make.
         """
         rng = self.rng
         while True:

@@ -137,7 +137,6 @@ def test_overload_with_a_small_hint_is_resent(reply):
     lay = layer()
     assert judge(lay, 0.05, reply("overloaded", retry_after=0.05)) is RESEND
     assert counts(lay) == {"overloaded": 1, "retry_sent": 1}
-    assert lay.last_retry_after == pytest.approx(0.05)
     assert lay.breaker.consecutive_failures == 0  # not settled
 
 

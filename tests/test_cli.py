@@ -160,12 +160,19 @@ def test_parser_accepts_chaos():
 
 
 def test_cli_chaos_smoke(capsys):
-    assert main(["chaos", "--frames", "4000"]) == 0
+    import json
+    from pathlib import Path
+
+    assert main(["chaos", "--json"]) == 0
     out = capsys.readouterr().out
-    assert "Cross-layer chaos run" in out
-    assert "standing-probe" in out
-    assert "re-convergence" in out
-    assert "verdict: PASS" in out
+    # the default composed chaos run is pinned byte for byte (CI's
+    # chaos-smoke job compares the same golden)
+    golden = Path(__file__).parent / "goldens" / "chaos.json"
+    assert out == golden.read_text()
+    doc = json.loads(out)
+    assert doc["verdict"] == "PASS"
+    names = {c["name"] for c in doc["invariants"]}
+    assert {"standing-probe", "re-convergence"} <= names
 
 
 def test_cli_chaos_unknown_controller():
@@ -234,7 +241,9 @@ def test_cli_chaos_invariant_failure_exits_nonzero(monkeypatch, capsys):
 
     monkeypatch.setattr(chaos_mod, "run_chaos", sabotaged)
     assert main(["chaos", "--frames", "1200"]) == 1
-    assert "verdict: FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Cross-layer chaos run" in out
+    assert "verdict: FAIL" in out
 
 
 def test_parser_accepts_trace_and_trace_diff():
@@ -426,6 +435,21 @@ def test_cli_search_json_summary(capsys):
     assert code in (0, 1)  # tiny budgets may legitimately find nothing
 
 
+def test_cli_search_rejects_a_stream_shorter_than_the_sampler_needs(capsys):
+    from repro.search import SearchConfig
+
+    with pytest.raises(ValueError, match="at least 600"):
+        SearchConfig(frames=599)
+    SearchConfig(frames=600)  # the minimum itself is fine
+    code = main(["search", "--budget", "2", "--goldens", "1", "--workers", "1",
+                 "--frames", "200"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines() == [
+        "config error: frames must be at least 600 (a 20 s horizon at 30 fps), got 200"
+    ]
+
+
 # ----------------------------------------------------------------------
 # wall-clock gateway: loadgen + chaos --realtime (ISSUE 9)
 # ----------------------------------------------------------------------
@@ -546,7 +570,8 @@ def test_cli_frames_flag_is_honoured_even_at_4000(monkeypatch, argv, default):
     monkeypatch.setattr(
         scenario, "run_scenario", lambda s: capture(s.members[0].config.total_frames)
     )
-    for extra in ([], ["--frames", "4000"], ["--frames", "123"]):
+    # 700: an explicit length off every default (search needs >= 600)
+    for extra in ([], ["--frames", "4000"], ["--frames", "700"]):
         with pytest.raises(_Captured):
             main(argv + extra)
-    assert seen == [default, 4000, 123]
+    assert seen == [default, 4000, 700]

@@ -10,7 +10,8 @@ so the zoo stays honest as it grows:
 * **determinism** — two runs of the conformance scenario at the same
   seed serialize to byte-identical QoS;
 * **cross-kernel byte-identity** — the conformance scenario replays
-  byte-identically on the fast path and under ``REPRO_SIM_SLOWPATH=1``;
+  byte-identically on the kernel's fast timer path and on its slow,
+  accounted one (EnvStats on);
 * **degraded-input tolerance** — fed through a
   :class:`~repro.control.validity.MeasurementGuard`, a hostile stream
   (NaN / ±inf / negative timeout rates, duplicates, reordering, long
@@ -35,6 +36,7 @@ from repro.device.config import DeviceConfig
 from repro.experiments.standard import extended_controllers
 from repro.experiments.tournament import builtin_scenarios
 from repro.search.runner import qos_summary, run_spec
+from repro.sim import core as sim_core
 
 FS = 30.0
 CONFIG = DeviceConfig(total_frames=300)
@@ -108,20 +110,19 @@ def test_factory_builds_fresh_instances(name):
 # determinism and cross-kernel byte-identity
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(ZOO))
-def test_equal_seed_runs_are_byte_identical(name, monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+def test_equal_seed_runs_are_byte_identical(name):
     assert run_qos(name) == run_qos(name)
 
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_cross_kernel_byte_identity(name, monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     fast = run_qos(name)
 
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    # every Environment gets EnvStats: timers take the accounted path
+    monkeypatch.setattr(sim_core, "_stats_sink", [])
     slow = run_qos(name)
 
-    assert fast == slow, f"{name}: fast vs REPRO_SIM_SLOWPATH=1 diverge"
+    assert fast == slow, f"{name}: fast vs accounted timer path diverge"
 
 
 # ----------------------------------------------------------------------

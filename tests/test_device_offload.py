@@ -9,6 +9,7 @@ from repro.models.latency import GpuBatchModel
 from repro.netem.link import ConditionBox, Link, LinkConditions
 from repro.server.server import EdgeServer
 from repro.sim import Environment
+from tests.timers import every
 
 
 class Harness:
@@ -92,13 +93,12 @@ def test_server_rejection_counts_as_timeout_immediately():
     # Server batch limit 1: second/third concurrent requests rejected.
     h.server.gpu.batch_limit = 1
 
-    def feeder(env):
-        h.send(frame_id=0)
-        yield env.timeout(0.005)
+    def later(_ev):
         h.send(frame_id=1)
         h.send(frame_id=2)
 
-    h.env.process(feeder(h.env))
+    h.send(frame_id=0)
+    h.env.call_later(0.005, later)
     h.env.run(until=1.0)
     reasons = dict(h.timeouts)
     assert "rejected" in reasons.values()
@@ -110,12 +110,7 @@ def test_server_rejection_counts_as_timeout_immediately():
 def test_pipelining_keeps_multiple_outstanding():
     h = Harness(gpu=GpuBatchModel(base_latency=0.1, per_item=0.0, jitter_sigma=0.0))
 
-    def feeder(env):
-        for i in range(5):
-            h.send(frame_id=i)
-            yield env.timeout(0.01)
-
-    h.env.process(feeder(h.env))
+    every(h.env, 0.01, lambda i: h.send(frame_id=i), count=5)
     h.env.run(until=0.06)
     assert h.client.outstanding_count >= 3  # overlapped, not serialized
     h.env.run(until=2.0)
@@ -144,12 +139,7 @@ def test_probe_failure_reported_false():
 def test_every_frame_settles_exactly_once_under_loss():
     h = Harness(conditions=LinkConditions(bandwidth=10.0, loss=0.3, jitter_sigma=0.0))
 
-    def feeder(env):
-        for i in range(50):
-            h.send(frame_id=i)
-            yield env.timeout(1 / 30)
-
-    h.env.process(feeder(h.env))
+    every(h.env, 1 / 30, lambda i: h.send(frame_id=i), count=50)
     h.env.run(until=10.0)
     assert len(h.successes) + len(h.timeouts) == 50
     assert h.client.outstanding_count == 0

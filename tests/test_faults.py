@@ -13,6 +13,7 @@ from repro.server.server import EdgeServer
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
 from repro.faults import OutageSchedule, OutageWindow
+from tests.timers import every
 
 
 # ----------------------------------------------------------------------
@@ -79,21 +80,19 @@ def test_resume_rejects_accumulated_overflow():
     server = EdgeServer(env, np.random.default_rng(0), cost_model=gpu, batch_limit=5)
     outcomes = []
 
-    def feeder(env):
-        server.pause(2.0)
-        for _ in range(20):  # all arrive during the stall
-            server.submit(
-                InferenceRequest(
-                    tenant="t",
-                    model_name="mobilenet_v3_small",
-                    sent_at=env.now,
-                    payload_bytes=10,
-                    respond=lambda r: outcomes.append(r.ok),
-                )
+    def request(_i):
+        server.submit(
+            InferenceRequest(
+                tenant="t",
+                model_name="mobilenet_v3_small",
+                sent_at=env.now,
+                payload_bytes=10,
+                respond=lambda r: outcomes.append(r.ok),
             )
-            yield env.timeout(0.05)
+        )
 
-    env.process(feeder(env))
+    server.pause(2.0)
+    every(env, 0.05, request, count=20)  # all arrive during the stall
     env.run(until=4.0)
     assert outcomes.count(False) == 15  # one batch of 5 survives
     assert outcomes.count(True) == 5

@@ -2,7 +2,8 @@
 
 The committed golden is the exact CLI stdout of the fleet chaos twin
 run (failover on vs. off, identical kill schedule) at the default
-seed/length.  Tested byte-exact on both kernels via subprocess, plus a
+seed/length.  Tested byte-exact via subprocess, and in-process on the
+kernel's slow, accounted timer path (EnvStats on), plus a
 semantic layer asserting the PR's acceptance criteria hold *in the
 committed artifact* — so a regenerated golden that quietly stops
 exercising failover fails review here, not in production.
@@ -25,12 +26,8 @@ GOLDEN = Path(__file__).parent / "goldens" / "fleet_chaos.json"
 REPO = Path(__file__).parent.parent
 
 
-def _cli_stdout(slowpath: bool) -> str:
+def _cli_stdout() -> str:
     env = dict(os.environ, PYTHONPATH="src")
-    if slowpath:
-        env["REPRO_SIM_SLOWPATH"] = "1"
-    else:
-        env.pop("REPRO_SIM_SLOWPATH", None)
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "chaos", "--fleet", "--json"],
         capture_output=True,
@@ -42,9 +39,19 @@ def _cli_stdout(slowpath: bool) -> str:
     return proc.stdout
 
 
+def _accounted_stdout(monkeypatch, capsys) -> str:
+    """The same command in-process, every timer on the accounted path."""
+    from repro.cli import main
+    from repro.sim import core as sim_core
+
+    monkeypatch.setattr(sim_core, "_stats_sink", [])
+    assert main(["chaos", "--fleet", "--json"]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("slowpath", [False, True], ids=["fast", "slow"])
-def test_cli_fleet_json_matches_golden(slowpath):
-    fresh = _cli_stdout(slowpath)
+def test_cli_fleet_json_matches_golden(slowpath, monkeypatch, capsys):
+    fresh = _accounted_stdout(monkeypatch, capsys) if slowpath else _cli_stdout()
     if os.environ.get("REPRO_UPDATE_GOLDENS") == "1":
         if not slowpath:
             GOLDEN.write_text(fresh)

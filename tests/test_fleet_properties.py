@@ -7,19 +7,18 @@ Two families over random kill times, windows, and seeds:
   nothing double-settles, nothing is orphaned in flight, regardless of
   where the kill lands or how many frames it catches mid-air;
 * **byte determinism** — identical fleet runs serialize byte-identically
-  on the fast and slow kernels for any seed/kill combination.
+  for any seed/kill combination, and on the kernel's fast and slow
+  (accounted) timer paths alike.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.chaos import run_chaos
-from repro.fleet.chaos import fleet_chaos_scenario
+from repro.fleet.chaos import fleet_chaos_scenario, run_fleet_chaos
+from repro.sim import core as sim_core
 
 kill_times = st.floats(min_value=2.0, max_value=12.0)
 windows = st.floats(min_value=0.5, max_value=6.0)
@@ -77,33 +76,20 @@ def test_fleet_run_is_deterministic_same_kernel(seed, kill_at, window):
     assert docs[0] == docs[1]
 
 
-def _subprocess_doc(seed, slowpath):
-    """Serialize one fleet twin run in a child with the chosen kernel."""
-    code = (
-        "import json\n"
-        "from repro.fleet.chaos import run_fleet_chaos\n"
-        f"r = run_fleet_chaos(seed={seed}, total_frames=300)\n"
-        "print(json.dumps(r.to_dict(), sort_keys=True))\n"
-    )
-    env = dict(os.environ, PYTHONPATH="src")
-    if slowpath:
-        env["REPRO_SIM_SLOWPATH"] = "1"
-    else:
-        env.pop("REPRO_SIM_SLOWPATH", None)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        check=True,
-    )
-    return out.stdout
+def _doc(seed):
+    """Serialize one fleet twin run."""
+    r = run_fleet_chaos(seed=seed, total_frames=300)
+    return json.dumps(r.to_dict(), sort_keys=True)
 
 
 def test_fleet_twin_byte_identical_across_kernels():
-    """Seeds-equal fleet runs serialize byte-identically on both kernels."""
+    """Seeds-equal fleet runs serialize byte-identically on the kernel's
+    fast timer path and on its slow, accounted one (EnvStats on)."""
     for seed in (0, 7):
-        fast = _subprocess_doc(seed, slowpath=False)
-        slow = _subprocess_doc(seed, slowpath=True)
+        fast = _doc(seed)
+        sim_core.capture_env_stats([])
+        try:
+            slow = _doc(seed)
+        finally:
+            sim_core.capture_env_stats(None)
         assert fast == slow, f"kernel divergence at seed {seed}"

@@ -1,9 +1,7 @@
 """Unit + property tests for the emulated link."""
 
 import dataclasses
-import os
 from collections import deque
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +19,7 @@ from repro.netem import (
 from repro.netem.loss import GilbertElliottChain, GilbertElliottParams
 from repro.netem.packet import PACKET_OVERHEAD_BYTES, PACKET_PAYLOAD_BYTES, wire_bytes
 from repro.sim import Environment
+from tests.timers import every
 
 
 def make_link(env, conditions=None, seed=0, cap=131_072.0):
@@ -127,12 +126,7 @@ def test_good_link_fits_30fps_within_deadline():
     link, _ = make_link(env, cond)
     times = []
 
-    def sender(env, link):
-        for i in range(60):
-            link.send(11_700, i, lambda p: times.append(env.now))
-            yield env.timeout(1 / 30)
-
-    env.process(sender(env, link))
+    every(env, 1 / 30, lambda i: link.send(11_700, i, lambda p: times.append(env.now)), 60)
     env.run(until=10.0)
     assert len(times) == 60
     # steady-state inter-arrival == frame period (no queue growth)
@@ -237,16 +231,16 @@ def test_every_frame_is_delivered_or_dropped_exactly_once(sizes, loss, seed):
 # per-packet reference model
 # ----------------------------------------------------------------------
 class PerPacketLink:
-    """Reference link: a serializer process, one ``Timeout`` per packet.
+    """Reference link: one timer per packet attempt.
 
     Self-contained on purpose — nothing is inherited from :class:`Link`:
-    its own queue and process, one ``Timeout`` per packet attempt and
-    one per RTO stall, the loss fate drawn when the attempt ends, and a
-    delivery process per frame.  As in :class:`Link`, a frame starts
-    (and reads the link conditions) the instant the link is free: in
-    :meth:`send` on an idle link, at the previous frame's end otherwise.
-    :class:`Link` resolves a whole frame in one timer and must be
-    indistinguishable from this.
+    its own queue and its own per-packet loop, one timer per packet
+    attempt and one per RTO stall, the loss fate drawn when the attempt
+    ends, and a delivery timer per frame.  As in :class:`Link`, a frame
+    starts (and reads the link conditions) the instant the link is
+    free: in :meth:`send` on an idle link, at the previous frame's end
+    otherwise.  :class:`Link` resolves a whole frame in one timer and
+    must be indistinguishable from this.
     """
 
     MAX_ATTEMPTS = 7
@@ -262,9 +256,9 @@ class PerPacketLink:
         self._queued_bytes = 0
         #: ((nbytes, payload, deliver), conditions) of the frame on the wire
         self._current = None
-        self._wakeup = None
+        #: (index, attempt) of the packet on the wire
+        self._packet = (0, 1)
         self._ge_chain = GilbertElliottChain()
-        env.process(self._serializer(), name="reference-link")
 
     @property
     def queue_length(self):
@@ -281,60 +275,67 @@ class PerPacketLink:
             self.name, payload, env.now, nbytes, deliver, env
         )
         if self._current is None:
-            self._current = ((nbytes, payload, deliver), self.box.conditions)
-            if self._wakeup is not None and not self._wakeup.triggered:
-                self._wakeup.succeed()
+            self._start(((nbytes, payload, deliver), self.box.conditions))
         else:
             self._queue.append((nbytes, payload, deliver))
             self._queued_bytes += nbytes
         return True
 
-    def _serializer(self):
+    def _start(self, current):
+        self._current = current
+        self._packet = (0, 1)
+        self._transmit()
+
+    def _transmit(self, _event=None):
+        """Put the current packet attempt on the wire."""
+        (nbytes, _payload, _deliver), cond = self._current
+        i = self._packet[0]
+        n = packets_for(nbytes)
+        if i < n - 1:
+            size = PACKET_PAYLOAD_BYTES
+        else:
+            size = max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1)
+        self.stats.packets_sent += 1
+        self.env.call_later(cond.packet_time(size), self._attempt_done)
+
+    def _attempt_done(self, _event):
+        (nbytes, _payload, _deliver), cond = self._current
+        i, attempt = self._packet
+        if not self._attempt_lost(cond):
+            if i + 1 == packets_for(nbytes):
+                self._finish(abandoned=False)
+            else:
+                self._packet = (i + 1, 1)
+                self._transmit()
+            return
+        self.stats.retransmissions += 1
+        if attempt == self.MAX_ATTEMPTS:
+            self._finish(abandoned=True)
+            return
+        self._packet = (i, attempt + 1)
+        rto = max(0.05, 2.0 * cond.propagation_delay + 0.02)
+        self.env.call_later(rto, self._transmit)
+
+    def _finish(self, abandoned):
         env = self.env
         stats = self.stats
-        while True:
-            if self._current is None:
-                self._wakeup = env.event()
-                yield self._wakeup
-                self._wakeup = None
-            (nbytes, payload, deliver), cond = self._current
-            rto = max(0.05, 2.0 * cond.propagation_delay + 0.02)
-            abandoned = False
-            n = packets_for(nbytes)
-            for i in range(n):
-                if i < n - 1:
-                    size = PACKET_PAYLOAD_BYTES
-                else:
-                    size = max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1)
-                for attempt in range(1, self.MAX_ATTEMPTS + 1):
-                    stats.packets_sent += 1
-                    yield env.timeout(cond.packet_time(size))
-                    if not self._attempt_lost(cond):
-                        break
-                    stats.retransmissions += 1
-                    if attempt == self.MAX_ATTEMPTS:
-                        abandoned = True
-                        break
-                    yield env.timeout(rto)
-                if abandoned:
-                    break
-
-            if abandoned:
-                stats.frames_dropped_loss += 1
-                env.tracer.link_drop(payload, env.now, "loss")
-            else:
-                stats.frames_delivered += 1
-                stats.bytes_delivered += nbytes
-                delay = cond.propagation_delay
-                if cond.jitter_sigma > 0:
-                    delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
-                env.process(self._deliver_after(delay, payload, deliver))
-            if self._queue:
-                frame = self._queue.popleft()
-                self._queued_bytes -= frame[0]
-                self._current = (frame, self.box.conditions)
-            else:
-                self._current = None
+        (nbytes, payload, deliver), cond = self._current
+        if abandoned:
+            stats.frames_dropped_loss += 1
+            env.tracer.link_drop(payload, env.now, "loss")
+        else:
+            stats.frames_delivered += 1
+            stats.bytes_delivered += nbytes
+            delay = cond.propagation_delay
+            if cond.jitter_sigma > 0:
+                delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
+            env.call_later(delay, lambda _ev: deliver(payload))
+        if self._queue:
+            frame = self._queue.popleft()
+            self._queued_bytes -= frame[0]
+            self._start((frame, self.box.conditions))
+        else:
+            self._current = None
 
     def _attempt_lost(self, cond):
         if cond.loss <= 0.0:
@@ -343,10 +344,6 @@ class PerPacketLink:
             return bool(self.rng.random() < cond.loss)
         params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
         return self._ge_chain.step(params, self.rng)
-
-    def _deliver_after(self, delay, payload, deliver):
-        yield self.env.timeout(delay)
-        deliver(payload)
 
 
 class LinkRecorder:
@@ -391,33 +388,29 @@ def drive(link_cls, sends, initial, change, seed, slowpath):
     """Run ``sends`` (gap ticks, nbytes) through one link to completion.
 
     Returns the link's observable outcome and the number of events the
-    run scheduled.
+    run scheduled.  ``slowpath`` runs the kernel's slow, accounted timer
+    path (EnvStats on), the only one that counts events (else None).
     """
-    with mock.patch.dict(os.environ):
-        os.environ.pop("REPRO_SIM_SLOWPATH", None)
-        if slowpath:
-            os.environ["REPRO_SIM_SLOWPATH"] = "1"
-        env = Environment(stats=True)
-    assert env.slowpath == slowpath
+    env = Environment(stats=slowpath)
     recorder = env.tracer = LinkRecorder(env)
     box = ConditionBox(initial)
     link = link_cls(env, np.random.default_rng(seed), box, queue_bytes_cap=60_000)
 
-    def sender():
-        for i, (gap, nbytes) in enumerate(sends):
-            yield env.timeout(gap / _TICK)
-            link.send(nbytes, i, lambda p: None)
+    def send(event):
+        i = event.value
+        link.send(sends[i][1], i, lambda p: None)
+        if i + 1 < len(sends):
+            env.call_later(sends[i + 1][0] / _TICK, send, value=i + 1)
 
     queued_at_change = []
 
-    def shaper(at, conditions):
-        yield env.timeout(at / _TICK)
+    def shape(event):
         queued_at_change.append(link.queue_length)
-        box.set(conditions)
+        box.set(event.value)
 
-    env.process(sender())
+    env.call_later(sends[0][0] / _TICK, send, value=0)
     if change is not None:
-        env.process(shaper(*change))
+        env.call_later(change[0] / _TICK, shape, value=change[1])
     env.run()
     return {
         "deliveries": recorder.deliveries,
@@ -426,7 +419,7 @@ def drive(link_cls, sends, initial, change, seed, slowpath):
         "rng": link.rng.bit_generator.state,
         "ge_bad": link._ge_chain.in_bad_state,
         "queued_at_change": queued_at_change,
-    }, env.stats.events_scheduled
+    }, env.stats.events_scheduled if slowpath else None
 
 
 _MULTI = [(0, 0), (0, 11_700), (0, 1), (0, 40_000), (0, PACKET_PAYLOAD_BYTES + 1)]
@@ -489,13 +482,13 @@ def test_oracle_examples_exercise_their_case(initial, change, exercised):
     the reference really runs its own per-packet loop: one event per
     packet attempt, so more events than :class:`Link` schedules."""
     sends = _MULTI * 2 if change is not None else _MULTI
-    record, link_events = drive(Link, sends, initial, change, 3, slowpath=False)
+    record, link_events = drive(Link, sends, initial, change, 3, slowpath=True)
     assert record["stats"][exercised] > 0
     assert record["deliveries"]
     if change is not None:
         assert record["queued_at_change"][0] > 0
     reference, reference_events = drive(
-        PerPacketLink, sends, initial, change, 3, slowpath=False
+        PerPacketLink, sends, initial, change, 3, slowpath=True
     )
     assert reference == record
     assert reference_events > max(link_events, record["stats"]["packets_sent"])

@@ -1,165 +1,96 @@
-"""``Process.kill`` semantics: crash a sim process without cleanup.
+"""Crashing the device's measurement/control loop (a controller crash).
 
-The supervision layer's kernel primitive.  These pin the three things a
-kill must guarantee: the pending sleep timer is *cancelled* (not
-orphaned — EnvStats cancel counts stay exact and the tombstone can
-never resume a dead process), joiners observe the death as a ``None``
-result, and stray events addressed to the corpse are swallowed.  Both
-the fast path and ``REPRO_SIM_SLOWPATH=1`` are covered.
+The supervision layer's fault primitive.  The loop is a chain of
+timers, one tick per measure period; these pin what a kill must
+guarantee: the pending tick is *cancelled* (not orphaned — EnvStats
+cancel counts stay exact and no tick fires after the kill), a loop
+killed in its start instant never ticks, and a restart re-bases the
+measurement buckets so the first tick after it covers one period.
 """
 
-import pytest
-
-from repro.sim import Environment
-
-
-def sleeper(env, log):
-    while True:
-        yield env.sleep(1.0)
-        log.append(env.now)
+from repro.device.config import DeviceConfig
+from repro.experiments.scenario import Scenario, build_runtime
+from repro.experiments.standard import framefeedback_factory
 
 
-# ----------------------------------------------------------------------
-# fast path: the reusable _SleepEvent is cancelled, counters exact
-# ----------------------------------------------------------------------
+def runtime():
+    rt = build_runtime(
+        Scenario(
+            controller_factory=framefeedback_factory(),
+            device=DeviceConfig(total_frames=600),
+            seed=0,
+        )
+    )
+    stats = rt.env.enable_stats()
+    return rt, stats
+
+
+def ticks(rt):
+    """Instants at which the measure loop closed a period."""
+    return [t for t, _ in rt.device.traces.offload_target]
+
+
+def test_measure_loop_killed_in_its_start_instant_never_ticks():
+    rt, stats = runtime()
+    assert rt.device.measure_alive
+    rt.device.crash_measure_loop()  # before the start timer fired
+    assert not rt.device.measure_alive
+    assert stats.events_cancelled == 1
+    rt.env.run(until=5.0)
+    assert ticks(rt) == []
+
+
 def test_kill_cancels_pending_sleep_and_counts_it():
-    env = Environment(stats=True)
-    log = []
-    p = env.process(sleeper(env, log))
-    env.run(until=2.5)
-    before = env.stats.events_cancelled
-    p.kill()
-    assert env.stats.events_cancelled == before + 1
-    env.run(until=10.0)
-    assert log == [1.0, 2.0]  # no tick after the kill
-    assert p.triggered
-    assert not p.is_alive
-
-
-def test_killed_process_never_resumes_under_slowpath(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    env = Environment()
-    assert env.slowpath
-    log = []
-    p = env.process(sleeper(env, log))
-    env.run(until=2.5)
-    p.kill()
-    env.run(until=10.0)
-    assert log == [1.0, 2.0]
-    assert p.triggered
-    assert not p.is_alive
+    rt, stats = runtime()
+    rt.env.run(until=2.5)
+    before = stats.events_cancelled
+    rt.device.crash_measure_loop()
+    assert stats.events_cancelled == before + 1
+    assert not rt.device.measure_alive
+    rt.device.crash_measure_loop()  # already dead: nothing more to cancel
+    assert stats.events_cancelled == before + 1
+    rt.env.run(until=10.0)
+    assert ticks(rt) == [1.0, 2.0]  # no tick after the kill
 
 
 def test_kill_mid_run_via_timer():
     """Killing from a call_later timer (the injector idiom) works."""
-    env = Environment(stats=True)
-    log = []
-    p = env.process(sleeper(env, log))
-    env.call_later(3.5, lambda ev: p.kill())
-    env.run(until=10.0)
-    assert log == [1.0, 2.0, 3.0]
+    rt, _stats = runtime()
+    rt.env.call_later(3.5, lambda ev: rt.device.crash_measure_loop())
+    rt.env.run(until=10.0)
+    assert ticks(rt) == [1.0, 2.0, 3.0]
 
 
-# ----------------------------------------------------------------------
-# joiners and value
-# ----------------------------------------------------------------------
-def test_kill_wakes_joiners_with_none():
-    env = Environment()
-    victim = env.process(sleeper(env, []))
-    seen = []
-
-    def joiner():
-        seen.append((yield victim))
-
-    env.process(joiner())
-    env.call_later(1.5, lambda ev: victim.kill())
-    env.run(until=5.0)
-    assert seen == [None]
-
-
-def test_kill_closes_generator_without_cleanup_handlers():
-    """The generator is closed where it stands: GeneratorExit, no resume."""
-    env = Environment()
-    states = []
-
-    def fragile():
-        try:
-            yield env.sleep(10.0)
-            states.append("woke")
-        except GeneratorExit:
-            states.append("closed")
-            raise
-
-    p = env.process(fragile())
-    env.call_later(1.0, lambda ev: p.kill())
-    env.run(until=20.0)
-    assert states == ["closed"]
+def test_restart_rebases_the_buckets():
+    rt, _stats = runtime()
+    device = rt.device
+    rt.env.run(until=2.5)
+    device.crash_measure_loop()
+    rt.env.run(until=6.0)  # frames keep flowing into the open buckets
+    assert device._bucket_offload_attempts + device._bucket_local_done > 30
+    device.restart_measure_loop()
+    assert device.measure_alive
+    assert device._bucket_offload_attempts == device._bucket_local_done == 0
+    device.restart_measure_loop()  # already alive: no second loop
+    rt.env.run(until=7.5)
+    assert ticks(rt) == [1.0, 2.0, 7.0]
+    # the first tick after the restart measured one period, not 4.5 s
+    # of downtime counts divided by one period
+    (_t, throughput), = device.traces.throughput.slice(6.5, 7.5)
+    assert 0.0 < throughput <= device.config.frame_rate + 1.0
 
 
-# ----------------------------------------------------------------------
-# error cases + stray events
-# ----------------------------------------------------------------------
-def test_kill_finished_process_is_error():
-    env = Environment()
+def test_a_tick_that_crashes_its_own_loop_stops_it():
+    """A crash from inside the loop's own tick (here through the
+    supervision hook) leaves no next tick armed."""
+    rt, _stats = runtime()
+    device = rt.device
 
-    def quick():
-        yield env.sleep(1.0)
+    def crash_at_the_second_tick(measurement):
+        if rt.env.now >= 2.0:
+            device.crash_measure_loop()
 
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(RuntimeError, match="terminated"):
-        p.kill()
-
-
-def test_kill_self_is_error():
-    env = Environment()
-    holder = {}
-    failures = []
-
-    def suicidal():
-        yield env.sleep(1.0)
-        try:
-            holder["proc"].kill()
-        except RuntimeError:
-            failures.append("refused")
-        yield env.sleep(1.0)
-
-    holder["proc"] = env.process(suicidal())
-    env.run()
-    assert failures == ["refused"]
-
-
-def test_stray_failed_event_to_killed_process_is_defused():
-    """A failure dispatched to a corpse must not crash the kernel."""
-    env = Environment()
-    shared = env.event()
-
-    def waiter():
-        yield shared
-
-    p = env.process(waiter())
-    env.run(until=0.5)
-    p.kill()
-    boom = env.event()
-    boom.fail(RuntimeError("late failure"))
-    p._resume(boom)  # simulate an in-flight dispatch to the corpse
-    assert boom._defused
-    env.run(until=2.0)  # and the kernel keeps running
-
-
-def test_kill_detaches_from_shared_event_without_cancelling_it():
-    """Non-sleep targets may have other waiters: detach, don't cancel."""
-    env = Environment()
-    shared = env.timeout(2.0)
-    woke = []
-
-    def waiter(name):
-        yield shared
-        woke.append(name)
-
-    p1 = env.process(waiter("a"))
-    env.process(waiter("b"))
-    env.run(until=1.0)
-    p1.kill()
-    env.run(until=5.0)
-    assert woke == ["b"]  # survivor still woken by the shared event
+    device.on_measure_tick = crash_at_the_second_tick
+    rt.env.run(until=10.0)
+    assert not device.measure_alive
+    assert ticks(rt) == [1.0, 2.0]

@@ -65,14 +65,16 @@ def measure_link_wait(arrival_rate: float, n: int = 6000, seed: int = 0):
         # delivery time = send + wait + service (no propagation)
         waits.append(env.now - send_times[i] - service)
 
-    def feeder(env):
-        rng = np.random.default_rng(seed + 1)
-        for i in range(n):
-            yield env.timeout(rng.exponential(1.0 / arrival_rate))
-            send_times[i] = env.now
-            link.send(nbytes, i, deliver)
+    rng = np.random.default_rng(seed + 1)
 
-    env.process(feeder(env))
+    def arrive(event):
+        i = event.value
+        send_times[i] = env.now
+        link.send(nbytes, i, deliver)
+        if i + 1 < n:
+            env.call_later(rng.exponential(1.0 / arrival_rate), arrive, value=i + 1)
+
+    env.call_later(rng.exponential(1.0 / arrival_rate), arrive, value=0)
     env.run()
     return float(np.mean(waits)), service
 

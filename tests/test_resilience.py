@@ -15,7 +15,6 @@ from repro.resilience import (
     BreakerState,
     CircuitBreaker,
     ResilienceConfig,
-    ResilienceLayer,
     RetryBudget,
 )
 
@@ -234,11 +233,6 @@ def test_layer_open_target_is_standing_probe():
     # the layer's open_target_frac of F_s; the paper's 0.1 F_s without one
     assert parked(ResilienceConfig(open_target_frac=0.2)) == pytest.approx(6.0)
     assert parked(None) == pytest.approx(3.0)
-    layer = ResilienceLayer(ResilienceConfig())
-    layer.note_overload(1.25)
-    assert layer.last_retry_after == pytest.approx(1.25)
-    layer.note_overload(None)  # ignored
-    assert layer.last_retry_after == pytest.approx(1.25)
 
 
 def test_measurement_resilience_fields_default_to_zero():

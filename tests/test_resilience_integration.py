@@ -26,6 +26,7 @@ from repro.netem.link import ConditionBox, Link, LinkConditions
 from repro.resilience import BreakerState, ResilienceConfig, ResilienceLayer
 from repro.server.server import EdgeServer
 from repro.sim import Environment
+from tests.timers import every
 
 FRAME_RATE = 30.0
 
@@ -79,11 +80,9 @@ class Harness:
         self.client.send(Frame(frame_id, self.env.now, nbytes))
 
     def heal_at(self, t, conditions=None):
-        def proc(env):
-            yield env.timeout(t)
-            self.box.set(conditions or LinkConditions(jitter_sigma=0.0))
-
-        self.env.process(proc(self.env))
+        self.env.call_later(
+            t, lambda _ev: self.box.set(conditions or LinkConditions(jitter_sigma=0.0))
+        )
 
     def taxonomy(self, kind):
         return self.resilience.taxonomy.total(kind)
@@ -125,12 +124,7 @@ def test_retry_budget_exhaustion_denies_further_hedges():
         resilience=ResilienceConfig(retry_budget_rate=0.001, retry_budget_burst=1.0),
     )
 
-    def feeder(env):
-        for i in range(3):
-            h.send(frame_id=i)
-            yield env.timeout(0.05)
-
-    h.env.process(feeder(h.env))
+    every(h.env, 0.05, lambda i: h.send(frame_id=i), count=3)
     h.env.run(until=3.0)
     assert h.taxonomy(FailureKind.RETRY_SENT) == 1
     assert h.taxonomy(FailureKind.RETRY_DENIED) == 2
@@ -161,8 +155,9 @@ def test_overload_pushback_fast_fails_doomed_frames():
     burning the rest of the deadline in silence."""
     h = Harness(
         gpu=GpuBatchModel(**FAST_GPU),
-        # max_retries=0: no hedging, so the counts below are exact
-        resilience=ResilienceConfig(max_retries=0),
+        # max_retries=0: no hedging, so the counts below are exact;
+        # trip_threshold=1: the first overload trips the breaker
+        resilience=ResilienceConfig(max_retries=0, trip_threshold=1),
         pushback=True,
         batch_limit=1,  # admission_limit defaults to 4
     )
@@ -177,8 +172,10 @@ def test_overload_pushback_fast_fails_doomed_frames():
     assert reasons.count("overloaded") == 2
     assert reasons.count("deadline") == 4
     assert h.taxonomy(FailureKind.OVERLOADED) == 2
-    assert h.resilience.last_retry_after is not None
-    assert h.resilience.last_retry_after > 0.0
+    # the server's retry-after hint seeded the breaker's backoff
+    breaker = h.resilience.breaker
+    assert breaker.opened_count == 1
+    assert breaker.current_backoff > h.resilience.config.backoff_initial
     # at the resume the batch takes the (expired) head frame and the
     # three overflow frames — long expired — are classified as plain
     # rejections at batch formation, not overload pushback

@@ -4,7 +4,8 @@ Every file under ``tests/goldens/scenarios/`` is a minimized
 controller-breaking scenario found by ``repro search``, together with
 the exact outcome it produced (controller QoS, oracle-witness QoS,
 violation score).  Tier-1 replays each golden from scratch — on the
-kernel fast path and under ``REPRO_SIM_SLOWPATH=1`` — and compares the
+kernel's fast timer path and on its slow, accounted one (EnvStats on) —
+and compares the
 replayed outcome **byte-for-byte** against the committed one.
 
 Intentional-change workflow (mirrors the trace goldens)::
@@ -31,6 +32,7 @@ from repro.search import (
     replay_golden,
 )
 from repro.search.language import SPEC_VERSION, ScenarioSpec
+from repro.sim import core as sim_core
 
 GOLDEN_DIR = Path(__file__).parent / "goldens" / "scenarios"
 GOLDEN_PATHS = sorted(GOLDEN_DIR.glob("*.json"))
@@ -38,9 +40,8 @@ GOLDEN_PATHS = sorted(GOLDEN_DIR.glob("*.json"))
 
 def _replay_and_compare(path, monkeypatch, slowpath: bool):
     if slowpath:
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+        # every Environment gets EnvStats: timers take the accounted path
+        monkeypatch.setattr(sim_core, "_stats_sink", [])
     doc = load_golden(path)
     fresh = replay_golden(doc)
 

@@ -7,6 +7,7 @@ from repro.models.latency import GpuBatchModel
 from repro.server import EdgeServer, InferenceRequest, RequestOutcome
 from repro.server.batching import BatchPolicy
 from repro.sim import Environment
+from tests.timers import every
 
 
 def make_server(env, seed=0, **kwargs):
@@ -66,13 +67,12 @@ def test_requests_during_execution_form_next_batch():
     server = make_server(env, cost_model=gpu)
     responses = []
 
-    def feeder(env, server):
-        submit(server, env, collector=responses)  # starts batch 1 (size 1)
-        yield env.timeout(0.01)
+    def during_batch_1(_ev):
         for _ in range(3):  # arrive during batch 1 execution
             submit(server, env, collector=responses)
 
-    env.process(feeder(env, server))
+    submit(server, env, collector=responses)  # starts batch 1 (size 1)
+    env.call_later(0.01, during_batch_1)
     env.run(until=1.0)
     assert len(responses) == 4
     assert responses[0].batch_size == 1
@@ -102,13 +102,12 @@ def test_overflow_rejected_at_batch_formation():
     server = make_server(env, cost_model=gpu, batch_limit=2)
     responses = []
 
-    def feeder(env, server):
-        submit(server, env, collector=responses)
-        yield env.timeout(0.01)
+    def overflow(_ev):
         for _ in range(5):
             submit(server, env, collector=responses)
 
-    env.process(feeder(env, server))
+    submit(server, env, collector=responses)
+    env.call_later(0.01, overflow)
     env.run(until=1.0)
     outcomes = [r.outcome for r in responses]
     assert outcomes.count(RequestOutcome.REJECTED) == 3
@@ -128,14 +127,12 @@ def test_models_round_robin_share_gpu():
     server = make_server(env, cost_model=gpu)
     responses = []
 
-    def feeder(env, server):
-        # keep both model queues non-empty for a while
-        for _ in range(6):
-            submit(server, env, model="mobilenet_v3_small", collector=responses)
-            submit(server, env, model="efficientnet_b0", collector=responses)
-            yield env.timeout(0.05)
+    def both_models(_i):
+        submit(server, env, model="mobilenet_v3_small", collector=responses)
+        submit(server, env, model="efficientnet_b0", collector=responses)
 
-    env.process(feeder(env, server))
+    # keep both model queues non-empty for a while
+    every(env, 0.05, both_models, count=6)
     env.run(until=2.0)
     assert server.stats.completed == 12
     # neither model starved: completions interleave
@@ -182,13 +179,11 @@ def test_server_saturation_rejects_sustained_overload():
     server = make_server(env)
     responses = []
 
-    def flood(env, server):
-        while env.now < 5.0:
-            for _ in range(3):
-                submit(server, env, collector=responses)
-            yield env.timeout(1 / 100)  # 300 req/s >> capacity
+    def flood(_i):
+        for _ in range(3):
+            submit(server, env, collector=responses)
 
-    env.process(flood(env, server))
+    every(env, 1 / 100, flood, until=5.0)  # 300 req/s >> capacity
     env.run(until=6.0)
     rejected = sum(1 for r in responses if not r.ok)
     assert rejected > 0
@@ -203,19 +198,21 @@ def _polite_tenant_served(policy, seed=0):
     outcomes = {"polite": [], "flood": []}
 
     def tenant(name, rate):
-        while env.now < 30.0:
-            req = InferenceRequest(
-                tenant=name,
-                model_name="mobilenet_v3_small",
-                sent_at=env.now,
-                payload_bytes=11_700,
-                respond=lambda r, _name=name: outcomes[_name].append(r.ok),
+        def request(_i):
+            server.submit(
+                InferenceRequest(
+                    tenant=name,
+                    model_name="mobilenet_v3_small",
+                    sent_at=env.now,
+                    payload_bytes=11_700,
+                    respond=lambda r: outcomes[name].append(r.ok),
+                )
             )
-            server.submit(req)
-            yield env.timeout(1.0 / rate)
 
-    env.process(tenant("polite", 30.0))
-    env.process(tenant("flood", 300.0))
+        every(env, 1.0 / rate, request, until=30.0)
+
+    tenant("polite", 30.0)
+    tenant("flood", 300.0)
     env.run(until=31.0)
     polite = outcomes["polite"]
     return sum(polite) / max(len(polite), 1)

@@ -8,6 +8,7 @@ from repro.server.admission import ReservationBroker
 from repro.server.requests import InferenceRequest
 from repro.server.server import EdgeServer
 from repro.sim import Environment
+from tests.timers import every
 
 
 def make_broker(env=None, utilization_target=0.85):
@@ -74,20 +75,18 @@ def test_release_returns_capacity():
 def test_background_rate_measured_and_deducted():
     env, server, broker = make_broker()
 
-    def background(env, server):
-        while env.now < 5.0:
-            server.submit(
-                InferenceRequest(
-                    tenant="bg0",
-                    model_name="efficientnet_b0",
-                    sent_at=env.now,
-                    payload_bytes=100,
-                    respond=lambda r: None,
-                )
+    def background(_i):
+        server.submit(
+            InferenceRequest(
+                tenant="bg0",
+                model_name="efficientnet_b0",
+                sent_at=env.now,
+                payload_bytes=100,
+                respond=lambda r: None,
             )
-            yield env.timeout(0.02)  # 50 req/s
+        )
 
-    env.process(background(env, server))
+    every(env, 0.02, background, until=5.0)  # 50 req/s
     env.run(until=4.0)
     assert broker.background_rate == pytest.approx(50.0, rel=0.2)
     grant = broker.request("pi", 1000.0)
@@ -98,20 +97,18 @@ def test_reserved_tenant_not_counted_as_background():
     env, server, broker = make_broker()
     broker.request("pi", 30.0)
 
-    def reserved_traffic(env, server):
-        while env.now < 3.0:
-            server.submit(
-                InferenceRequest(
-                    tenant="pi",
-                    model_name="mobilenet_v3_small",
-                    sent_at=env.now,
-                    payload_bytes=100,
-                    respond=lambda r: None,
-                )
+    def reserved_traffic(_i):
+        server.submit(
+            InferenceRequest(
+                tenant="pi",
+                model_name="mobilenet_v3_small",
+                sent_at=env.now,
+                payload_bytes=100,
+                respond=lambda r: None,
             )
-            yield env.timeout(1 / 30)
+        )
 
-    env.process(reserved_traffic(env, server))
+    every(env, 1 / 30, reserved_traffic, until=3.0)
     env.run(until=3.0)
     assert broker.background_rate == pytest.approx(0.0, abs=0.5)
 

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.sim import Environment, Event, Interrupt, Timeout
+from repro.sim import Environment
 from repro.sim.core import EmptySchedule
+
+
+def _noop(event):
+    pass
 
 
 def test_initial_time_defaults_to_zero():
@@ -17,12 +21,7 @@ def test_initial_time_can_be_set():
 def test_timeout_advances_clock():
     env = Environment()
     done = {}
-
-    def proc(env):
-        yield env.timeout(3.5)
-        done["t"] = env.now
-
-    env.process(proc(env))
+    env.call_later(3.5, lambda ev: done.update(t=env.now))
     env.run()
     assert done["t"] == pytest.approx(3.5)
 
@@ -30,11 +29,10 @@ def test_timeout_advances_clock():
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
-    def proc(env):
-        while True:
-            yield env.timeout(1.0)
+    def tick(ev):
+        env.call_later(1.0, tick)
 
-    env.process(proc(env))
+    env.call_later(1.0, tick)
     env.run(until=4.5)
     assert env.now == pytest.approx(4.5)
 
@@ -47,27 +45,16 @@ def test_run_until_past_time_raises():
 
 def test_run_until_event_returns_value():
     env = Environment()
-
-    def proc(env):
-        yield env.timeout(2.0)
-        return "payload"
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "payload"
+    ev = env.call_later(2.0, _noop, value="payload")
+    assert env.run(until=ev) == "payload"
     assert env.now == pytest.approx(2.0)
 
 
 def test_events_fire_in_time_order():
     env = Environment()
     order = []
-
-    def waiter(env, delay, tag):
-        yield env.timeout(delay)
-        order.append(tag)
-
-    env.process(waiter(env, 3.0, "c"))
-    env.process(waiter(env, 1.0, "a"))
-    env.process(waiter(env, 2.0, "b"))
+    for delay, tag in ((3.0, "c"), (1.0, "a"), (2.0, "b")):
+        env.call_later(delay, lambda ev: order.append(ev.value), value=tag)
     env.run()
     assert order == ["a", "b", "c"]
 
@@ -75,13 +62,8 @@ def test_events_fire_in_time_order():
 def test_same_time_events_fifo():
     env = Environment()
     order = []
-
-    def waiter(env, tag):
-        yield env.timeout(1.0)
-        order.append(tag)
-
     for tag in range(5):
-        env.process(waiter(env, tag))
+        env.call_later(1.0, lambda ev: order.append(ev.value), value=tag)
     env.run()
     assert order == list(range(5))
 
@@ -89,46 +71,30 @@ def test_same_time_events_fifo():
 def test_negative_timeout_rejected():
     env = Environment()
     with pytest.raises(ValueError):
-        env.timeout(-1.0)
+        env.call_later(-1.0, _noop)
 
 
 def test_event_succeed_delivers_value():
     env = Environment()
     ev = env.event()
     got = {}
-
-    def proc(env, ev):
-        got["v"] = yield ev
-
-    env.process(proc(env, ev))
+    ev.add_callback(lambda e: got.update(v=e.value))
     ev.succeed(42)
     env.run()
     assert got["v"] == 42
 
 
-def test_event_fail_raises_in_waiter():
-    env = Environment()
-    ev = env.event()
-    caught = {}
-
-    def proc(env, ev):
-        try:
-            yield ev
-        except RuntimeError as exc:
-            caught["exc"] = exc
-
-    env.process(proc(env, ev))
-    ev.fail(RuntimeError("boom"))
-    env.run()
-    assert str(caught["exc"]) == "boom"
-
-
 def test_unhandled_failed_event_crashes_run():
+    """An exception a callback raises ends the run at that event."""
     env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("nobody caught me"))
+
+    def boom(ev):
+        raise RuntimeError("nobody caught me")
+
+    env.call_later(1.0, boom)
     with pytest.raises(RuntimeError, match="nobody caught me"):
         env.run()
+    assert env.now == 1.0
 
 
 def test_double_trigger_rejected():
@@ -137,12 +103,6 @@ def test_double_trigger_rejected():
     ev.succeed(1)
     with pytest.raises(RuntimeError):
         ev.succeed(2)
-
-
-def test_fail_requires_exception_instance():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.event().fail("not an exception")  # type: ignore[arg-type]
 
 
 def test_step_on_empty_schedule_raises():
@@ -154,195 +114,12 @@ def test_step_on_empty_schedule_raises():
 def test_peek_reports_next_event_time():
     env = Environment()
     assert env.peek() == float("inf")
-    env.timeout(7.0)
+    env.call_later(7.0, _noop)
     assert env.peek() == pytest.approx(7.0)
-
-
-def test_process_is_event_fork_join():
-    env = Environment()
-
-    def child(env):
-        yield env.timeout(1.0)
-        return "child-result"
-
-    def parent(env):
-        result = yield env.process(child(env))
-        return f"parent saw {result}"
-
-    p = env.process(parent(env))
-    assert env.run(until=p) == "parent saw child-result"
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-
-    def proc(env):
-        t1, t2 = env.timeout(1.0, "a"), env.timeout(2.0, "b")
-        results = yield env.all_of([t1, t2])
-        return sorted(results.values())
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == ["a", "b"]
-    assert env.now == pytest.approx(2.0)
-
-
-def test_any_of_fires_on_first():
-    env = Environment()
-
-    def proc(env):
-        t1, t2 = env.timeout(1.0, "fast"), env.timeout(5.0, "slow")
-        results = yield env.any_of([t1, t2])
-        return list(results.values())
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == ["fast"]
-    assert env.now == pytest.approx(1.0)
-
-
-def test_empty_all_of_fires_immediately():
-    env = Environment()
-
-    def proc(env):
-        yield env.all_of([])
-        return env.now
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == 0.0
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    seen = {}
-
-    def victim(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as exc:
-            seen["cause"] = exc.cause
-            seen["time"] = env.now
-
-    def attacker(env, target):
-        yield env.timeout(2.0)
-        target.interrupt(cause="preempted")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert seen == {"cause": "preempted", "time": 2.0}
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_uncaught_interrupt_fails_process():
-    env = Environment()
-
-    def victim(env):
-        yield env.timeout(100.0)
-
-    def attacker(env, target):
-        yield env.timeout(1.0)
-        target.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    with pytest.raises(Interrupt):
-        env.run(until=v)
-
-
-def test_process_exception_propagates_to_waiter():
-    env = Environment()
-
-    def bad(env):
-        yield env.timeout(1.0)
-        raise ValueError("inner")
-
-    def waiter(env, p):
-        with pytest.raises(ValueError, match="inner"):
-            yield p
-        return "handled"
-
-    p = env.process(bad(env))
-    w = env.process(waiter(env, p))
-    assert env.run(until=w) == "handled"
-
-
-def test_yield_non_event_is_error():
-    env = Environment()
-
-    def bad(env):
-        yield 42  # type: ignore[misc]
-
-    env.process(bad(env))
-    with pytest.raises(RuntimeError, match="non-event"):
-        env.run()
-
-
-def test_yield_already_processed_event_resumes():
-    env = Environment()
-
-    def proc(env):
-        t = env.timeout(1.0, "v")
-        yield env.timeout(2.0)  # t fires while we wait
-        result = yield t  # already processed
-        return result
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "v"
-    assert env.now == pytest.approx(2.0)
 
 
 def test_queue_size_reflects_pending_events():
     env = Environment()
-    env.timeout(1.0)
-    env.timeout(2.0)
+    env.call_later(1.0, _noop)
+    env.call_later(2.0, _noop)
     assert env.queue_size() == 2
-
-
-def test_and_operator_waits_for_both():
-    env = Environment()
-
-    def proc(env):
-        results = yield env.timeout(1.0, "a") & env.timeout(3.0, "b")
-        return (env.now, sorted(results.values()))
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == (3.0, ["a", "b"])
-
-
-def test_or_operator_fires_on_first():
-    env = Environment()
-
-    def proc(env):
-        results = yield env.timeout(1.0, "fast") | env.timeout(9.0, "slow")
-        return (env.now, list(results.values()))
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == (1.0, ["fast"])
-
-
-def test_operators_chain():
-    env = Environment()
-
-    def proc(env):
-        three = env.timeout(1.0, 1) & env.timeout(2.0, 2) & env.timeout(3.0, 3)
-        results = yield three
-        return env.now
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == 3.0
-
-
-def test_operator_with_non_event_rejected():
-    env = Environment()
-    with pytest.raises(TypeError):
-        env.timeout(1.0) & 42  # type: ignore[operator]

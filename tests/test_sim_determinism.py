@@ -1,10 +1,10 @@
-"""Fast path vs. REPRO_SIM_SLOWPATH: byte-identical runs.
+"""Same-seed runs are byte-identical, instrumented or not.
 
-The PR-3 kernel optimizations (cancellable timers, allocation-free
-sleeps, call_later timers) must be pure speedups: a same-seed run on
-the fast path and on the ``REPRO_SIM_SLOWPATH=1`` escape hatch must
-produce *byte-identical* control transcripts and QoS dicts.  Pinned
-for the Fig. 3 scenario and a PR-1 chaos scenario, per ISSUE 3.
+A same-seed run must produce *byte-identical* control transcripts and
+QoS dicts run after run, and on both of the kernel's timer paths: the
+inline fast path and the slow, accounted one that every timer takes
+while EnvStats is on.  Pinned for the Fig. 3 scenario and a chaos
+scenario.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ from repro.experiments.chaos import ChaosScenario, RecordingController, run_chao
 from repro.experiments.scenario import Scenario, run_scenario
 from repro.faults import BandwidthCollapse, FaultTimeline, GpuContention, ServerCrash
 from repro.sim import Environment
+from repro.sim import core as sim_core
 from repro.workloads.schedules import table_v_schedule
 
 
@@ -79,24 +80,33 @@ def _chaos_snapshot(seed: int = 3, total_frames: int = 600) -> bytes:
     ).encode()
 
 
-def test_slowpath_flag_reaches_new_environments(monkeypatch):
-    assert not Environment().slowpath
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    assert Environment().slowpath
+def test_slowpath_flag_reaches_new_environments():
+    """``capture_env_stats`` switches every new Environment to the slow,
+    accounted timer path (stats on), and clearing it switches them back."""
+    assert Environment().stats is None
+    sim_core.capture_env_stats([])
+    try:
+        assert Environment().stats is not None
+    finally:
+        sim_core.capture_env_stats(None)
+    assert Environment().stats is None
 
 
-def test_fig3_fast_vs_slowpath_bit_identical(monkeypatch):
-    fast = _fig3_snapshot()
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    slow = _fig3_snapshot()
-    assert fast == slow
+def _on_the_slow_path(snapshot):
+    """``snapshot()`` with every timer on the accounted path."""
+    sim_core.capture_env_stats([])
+    try:
+        return snapshot()
+    finally:
+        sim_core.capture_env_stats(None)
 
 
-def test_chaos_fast_vs_slowpath_bit_identical(monkeypatch):
-    fast = _chaos_snapshot()
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    slow = _chaos_snapshot()
-    assert fast == slow
+def test_fig3_fast_vs_slowpath_bit_identical():
+    assert _fig3_snapshot() == _on_the_slow_path(_fig3_snapshot)
+
+
+def test_chaos_fast_vs_slowpath_bit_identical():
+    assert _chaos_snapshot() == _on_the_slow_path(_chaos_snapshot)
 
 
 def test_fig3_same_seed_repeatable():
@@ -106,8 +116,6 @@ def test_fig3_same_seed_repeatable():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fig3_qos_insensitive_to_stats_instrumentation(seed, monkeypatch):
     """EnvStats must observe, never perturb."""
-    from repro.sim import core as sim_core
-
     plain = _fig3_snapshot(seed=seed, total_frames=300)
     sink: list = []
     sim_core.capture_env_stats(sink)

@@ -1,19 +1,26 @@
-"""Kernel fast-path tests: cancellation, sleep reuse, EnvStats, teardown.
+"""Kernel fast-path tests: cancellation, timers, EnvStats, teardown.
 
-These pin the PR-3 optimizations' *semantics*; the determinism of whole
-runs under the fast path is pinned separately in
-``test_sim_determinism.py``, and throughput in ``BENCH_kernel.json``.
+These pin the kernel optimizations' *semantics*; the determinism of
+whole runs is pinned separately in ``test_sim_determinism.py``, and
+throughput in ``BENCH_kernel.json``.  The "slow path" here is the
+accounted one every timer takes while EnvStats is on.
 """
 
-import gc
 import random
-import weakref
 
 import pytest
 
-from repro.sim import Environment, EnvStats, Interrupt
+from repro.sim import Environment, EnvStats
 from repro.sim.core import _COMPACT_DEAD_MIN, EmptySchedule
-from repro.sim.process import _SleepEvent
+
+
+def _noop(event):
+    pass
+
+
+def _timer(env, delay, value=None):
+    """A scheduled event that does nothing when it fires."""
+    return env.call_later(delay, _noop, value)
 
 
 # ----------------------------------------------------------------------
@@ -22,7 +29,7 @@ from repro.sim.process import _SleepEvent
 def test_cancelled_timeout_never_fires():
     env = Environment()
     fired = []
-    t = env.timeout(1.0)
+    t = _timer(env, 1.0)
     t.add_callback(lambda ev: fired.append(ev))
     assert t.cancel() is True
     assert t.cancelled
@@ -33,14 +40,14 @@ def test_cancelled_timeout_never_fires():
 
 def test_cancel_is_idempotent_and_reports_false_after_first():
     env = Environment()
-    t = env.timeout(1.0)
+    t = _timer(env, 1.0)
     assert t.cancel() is True
     assert t.cancel() is False
 
 
 def test_cancel_after_processing_returns_false():
     env = Environment()
-    t = env.timeout(1.0)
+    t = _timer(env, 1.0)
     env.run()
     assert t.processed
     assert t.cancel() is False
@@ -54,8 +61,8 @@ def test_cancel_unscheduled_event_is_error():
 
 def test_queue_size_counts_only_live_events():
     env = Environment()
-    keep = env.timeout(2.0)
-    dead = [env.timeout(1.0) for _ in range(5)]
+    keep = _timer(env, 2.0)
+    dead = [_timer(env, 1.0) for _ in range(5)]
     assert env.queue_size() == 6
     for t in dead:
         t.cancel()
@@ -66,8 +73,8 @@ def test_queue_size_counts_only_live_events():
 
 def test_peek_skips_cancelled_heads():
     env = Environment()
-    dead = env.timeout(1.0)
-    env.timeout(3.0)
+    dead = _timer(env, 1.0)
+    _timer(env, 3.0)
     dead.cancel()
     assert env.peek() == pytest.approx(3.0)
     assert env.queue_size() == 1  # peek pruned the tombstone
@@ -76,8 +83,8 @@ def test_peek_skips_cancelled_heads():
 def test_heap_compaction_drops_dead_entries():
     env = Environment(stats=True)
     n = _COMPACT_DEAD_MIN + 10
-    timers = [env.timeout(10.0) for _ in range(n)]
-    env.timeout(1.0)  # one live event so the heap is never empty
+    timers = [_timer(env, 10.0) for _ in range(n)]
+    _timer(env, 1.0)  # one live event so the heap is never empty
     for t in timers:
         t.cancel()
     assert env.stats.heap_compactions >= 1
@@ -93,8 +100,8 @@ def test_no_compaction_at_exactly_threshold_tombstones():
     """The trigger is strictly ``dead > _COMPACT_DEAD_MIN``: exactly 512
     tombstones must NOT compact; the 513th cancel must."""
     env = Environment(stats=True)
-    timers = [env.timeout(10.0) for _ in range(_COMPACT_DEAD_MIN + 1)]
-    env.timeout(1.0)  # one live event
+    timers = [_timer(env, 10.0) for _ in range(_COMPACT_DEAD_MIN + 1)]
+    _timer(env, 1.0)  # one live event
     for t in timers[:_COMPACT_DEAD_MIN]:
         t.cancel()
     assert env._dead == _COMPACT_DEAD_MIN
@@ -115,9 +122,9 @@ def test_no_compaction_while_live_events_dominate_half_heap():
     ``1202 > 1201`` (True) and compacts exactly once."""
     live_n = 600
     env = Environment(stats=True)
-    doomed = [env.timeout(10.0) for _ in range(live_n + 1)]
+    doomed = [_timer(env, 10.0) for _ in range(live_n + 1)]
     for i in range(live_n):
-        env.timeout(1.0 + i * 1e-6)
+        _timer(env, 1.0 + i * 1e-6)
     for t in doomed[:live_n]:
         t.cancel()
     # 600 dead > 512, yet 600*2 == 1200 is not > 1201 entries: no compact
@@ -138,13 +145,9 @@ def test_events_interleave_correctly_around_cancellations():
     env = Environment()
     order = []
 
-    def waiter(env, delay, tag):
-        yield env.timeout(delay)
-        order.append(tag)
-
-    env.process(waiter(env, 1.0, "a"))
-    doomed = env.timeout(1.5)
-    env.process(waiter(env, 2.0, "b"))
+    env.call_later(1.0, lambda ev: order.append("a"))
+    doomed = _timer(env, 1.5)
+    env.call_later(2.0, lambda ev: order.append("b"))
     doomed.cancel()
     env.run()
     assert order == ["a", "b"]
@@ -195,14 +198,10 @@ def test_call_at_rejects_a_past_when():
 
 
 @pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
-def test_timers_are_one_event_or_one_process(monkeypatch, slowpath):
-    """Fast path: a bare heap entry.  Slow path: a process per timer,
-    still cancellable, firing in the same order as the fast path."""
-    if slowpath:
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    env = Environment(stats=True)
+def test_timers_are_one_heap_entry_on_both_paths(slowpath):
+    """A timer is one heap entry on the fast path and on the slow,
+    accounted one alike: still cancellable, firing in the same order."""
+    env = Environment(stats=slowpath)
     got = []
     env.call_later(0.0, lambda ev: got.append(("zero", env.now)))
     env.call_at(2.0, lambda ev: got.append((ev.value, env.now)), value="b")
@@ -210,136 +209,12 @@ def test_timers_are_one_event_or_one_process(monkeypatch, slowpath):
     doomed = env.call_later(1.0, lambda ev: got.append(("doomed", env.now)))
     env.call_later(1.0, lambda ev: got.append(("a", env.now)))
     assert doomed.cancel() is True
+    assert len(env._queue) == 5
     env.run()
     assert got == [("zero", 0.0), ("a", 1.0), ("b", 2.0), ("c", 2.0)]
-    assert env.stats.events_by_process.get("timer", 0) == 0
-    beyond_timers = env.stats.events_scheduled - 5
-    # slow path: 5 process kick-starts, and 4 process ends (not the doomed one)
-    assert beyond_timers == (5 + 4 if slowpath else 0)
-
-
-# ----------------------------------------------------------------------
-# finished processes are freed by reference counting
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("end", ["return", "kill"])
-def test_finished_process_is_freed_without_a_collection(end):
-    """A finished process drops its self-references (the cached resume
-    callback and the pre-wired sleep timer), so no cycle keeps it alive
-    until the next gc pass.  The generator is the witness: the process
-    holds it for as long as the process itself lives."""
-
-    def worker(env):
-        yield env.sleep(1.0)
-        yield env.timeout(1.0)
-        yield env.sleep(3.0)
-
-    env = Environment()
-    gen = worker(env)
-    witness = weakref.ref(gen)
-    gc.disable()
-    try:
-        proc = env.process(gen)
-        del gen
-        if end == "kill":
-            env.run(until=3.0)
-            proc.kill()
-        env.run()
-        assert proc.triggered
-        del proc
-        assert witness() is None
-    finally:
-        gc.enable()
-
-
-# ----------------------------------------------------------------------
-# sleep fast path
-# ----------------------------------------------------------------------
-def test_sleep_behaves_like_timeout():
-    env = Environment()
-    ticks = []
-
-    def ticker(env):
-        for _ in range(5):
-            yield env.sleep(0.5)
-            ticks.append(env.now)
-
-    env.process(ticker(env))
-    env.run()
-    assert ticks == pytest.approx([0.5, 1.0, 1.5, 2.0, 2.5])
-
-
-def test_sleep_reuses_one_event_object():
-    env = Environment()
-    seen = []
-
-    def ticker(env):
-        for _ in range(4):
-            ev = env.sleep(1.0)
-            seen.append(id(ev))
-            yield ev
-
-    env.process(ticker(env))
-    env.run()
-    assert len(set(seen)) == 1  # allocation-free steady state
-
-
-def test_sleep_outside_process_degrades_to_timeout():
-    env = Environment()
-    t = env.sleep(1.0)
-    env.run()
-    assert t.processed
-    assert env.now == pytest.approx(1.0)
-
-
-def test_sleep_event_rejects_extra_waiters():
-    env = Environment()
-
-    def sleeper(env):
-        ev = env.sleep(1.0)
-        with pytest.raises(RuntimeError, match="single-waiter"):
-            ev.add_callback(lambda e: None)
-        yield ev
-
-    p = env.process(sleeper(env))
-    env.run(until=p)
-
-
-def test_interrupt_during_sleep_cancels_and_allows_resleep():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.sleep(100.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.sleep(1.0)  # a fresh timer must replace the tombstone
-        log.append(("woke", env.now))
-
-    def attacker(env, target):
-        yield env.timeout(2.0)
-        target.interrupt()
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert log == [("interrupted", 2.0), ("woke", 3.0)]
-    assert env.queue_size() == 0
-
-
-def test_slowpath_env_var_disables_fast_paths(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    env = Environment()
-    assert env.slowpath
-
-    def sleeper(env):
-        ev = env.sleep(1.0)
-        assert type(ev) is not _SleepEvent
-        yield ev
-
-    p = env.process(sleeper(env))
-    env.run(until=p)
-    assert env.now == pytest.approx(1.0)
+    if slowpath:
+        assert env.stats.events_scheduled == 5
+        assert env.stats.events_processed == 4
 
 
 # ----------------------------------------------------------------------
@@ -358,12 +233,8 @@ def _frame_end(start, packets=9, pkt_time=0.0375):
 
 
 @pytest.mark.parametrize("slowpath", [False, True], ids=["fastpath", "slowpath"])
-def test_call_at_fires_at_exactly_when_on_both_paths(monkeypatch, slowpath):
-    if slowpath:
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    env = Environment()
+def test_call_at_fires_at_exactly_when_on_both_paths(slowpath):
+    env = Environment(stats=slowpath)
     woke = []
 
     def frame_end(ev):
@@ -382,9 +253,8 @@ def test_call_at_fires_at_exactly_when_on_both_paths(monkeypatch, slowpath):
     assert now == end
 
 
-def test_call_at_rejects_a_past_when_on_the_slow_path(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    env = Environment()
+def test_call_at_rejects_a_past_when_on_the_slow_path():
+    env = Environment(stats=True)
     env.run(until=1.0)
     with pytest.raises(ValueError, match="in the past"):
         env.call_at(0.5, lambda ev: None)
@@ -398,8 +268,8 @@ def test_call_at_rejects_a_past_when_on_the_slow_path(monkeypatch):
 # run(): the inlined dispatch loop against a manual step() loop
 # ----------------------------------------------------------------------
 def _busy_world(env, log):
-    """Colliding timers at four priorities, a process, a failed event
-    nobody waits on, and enough cancellations from inside a callback to
+    """Colliding timers at four priorities, a periodic ticker, a callback
+    that raises, and enough cancellations from inside a callback to
     compact the heap mid-run."""
     rng = random.Random(7)
 
@@ -422,16 +292,16 @@ def _busy_world(env, log):
 
     def explode(ev):
         log.append((env.now, "explode"))
-        env.event().fail(KeyError("nobody waits"))
+        raise KeyError("nobody waits")
 
-    def ticker(env):
-        for _ in range(8):
-            yield env.sleep(0.4)
-            log.append((env.now, "tick"))
+    def tick(ev):
+        log.append((env.now, "tick"))
+        if ev.value < 8:
+            env.call_later(0.4, tick, value=ev.value + 1)
 
     env.call_at(0.75, cull)
     env.call_at(1.25, explode)
-    env.process(ticker(env), name="ticker")
+    env.call_later(0.4, tick, value=1)
 
 
 def _step_until_empty(env):
@@ -454,7 +324,7 @@ def test_run_dispatches_in_the_order_of_a_manual_step_loop():
         log = []
         _busy_world(env, log)
         with pytest.raises(KeyError, match="nobody waits"):
-            drive(env)  # the undefused failure surfaces at t=1.25
+            drive(env)  # the callback's exception surfaces at t=1.25
         assert env.now == 1.25
         drive(env)  # and the run carries on from there
         logs.append(log)
@@ -479,7 +349,7 @@ def test_run_until_an_event_matches_a_manual_step_loop():
         _busy_world(env, log)
         env.run(until=1.0)
         assert _books_close(env)
-        stop = env.timeout(0.2, value="stop")
+        stop = _timer(env, 0.2, value="stop")
         if manual:
             while not stop.processed:
                 env.step()
@@ -495,9 +365,9 @@ def test_run_until_an_event_matches_a_manual_step_loop():
 @pytest.mark.parametrize("until", ["number", "event"])
 def test_run_until_counts_its_stop_event_as_processed(until):
     env = Environment(stats=True)
-    env.timeout(0.5)
-    env.timeout(2.0)
-    stop = 1.0 if until == "number" else env.timeout(1.0)
+    _timer(env, 0.5)
+    _timer(env, 2.0)
+    stop = 1.0 if until == "number" else _timer(env, 1.0)
     env.run(until=stop)
     assert env.stats.events_processed == 2  # the 0.5 s timeout and the stop
     assert _books_close(env)
@@ -507,47 +377,22 @@ def test_run_until_counts_its_stop_event_as_processed(until):
 
 
 def test_run_until_an_event_resumes_waiters_that_joined_during_the_run():
-    """Processes that start waiting on the until-event after run()
-    attached its stop callback still resume when it fires."""
+    """Callbacks that start waiting on the until-event after run()
+    attached its stop callback still run when it fires."""
     env = Environment()
-    stop = env.timeout(1.0, value="stop")
+    stop = _timer(env, 1.0, value="stop")
     woke = []
 
-    def waiter(env, name):
-        value = yield stop
-        woke.append((name, env.now, value))
+    def waiter(name):
+        return lambda ev: woke.append((name, env.now, ev.value))
 
-    def spawner(env):
-        yield env.timeout(0.5)
-        env.process(waiter(env, "a"))
-        env.process(waiter(env, "b"))
+    def spawner(ev):
+        stop.add_callback(waiter("a"))
+        stop.add_callback(waiter("b"))
 
-    env.process(spawner(env))
+    env.call_later(0.5, spawner)
     assert env.run(until=stop) == "stop"
     assert woke == [("a", 1.0, "stop"), ("b", 1.0, "stop")]
-
-
-def test_run_until_a_failed_event_throws_into_waiters_that_joined_during_the_run():
-    env = Environment()
-    stop = env.event()
-    caught = []
-
-    def waiter(env):
-        try:
-            yield stop
-        except RuntimeError as exc:
-            caught.append(str(exc))
-
-    def trigger(env):
-        yield env.timeout(0.5)
-        env.process(waiter(env))
-        yield env.timeout(0.5)
-        stop.fail(RuntimeError("boom"))
-
-    env.process(trigger(env))
-    with pytest.raises(RuntimeError, match="boom"):
-        env.run(until=stop)
-    assert caught == ["boom"]
 
 
 # ----------------------------------------------------------------------
@@ -557,35 +402,26 @@ def test_tight_run_until_loop_does_not_grow_callback_lists():
     """ScenarioRuntime steps the world one control period at a time."""
     env = Environment()
 
-    def ticker(env):
-        while True:
-            yield env.sleep(0.1)
+    def tick(ev):
+        env.call_later(0.1, tick)
 
-    p = env.process(ticker(env))
+    env.call_later(0.1, tick)
+    pending = _timer(env, 1e9)
     for i in range(1, 200):
         env.run(until=i * 0.05)
-    # the process is waiting on exactly its own resume callback; 200
-    # abandoned stop events must not have left anything behind
-    assert p.target is not None
-    assert len(p.target.callbacks) == 1
+    # the ticker's next timer and the far one are all that is left, and
+    # the far one holds only its own callback: 200 stop events must not
+    # have left anything behind
+    assert env.queue_size() == 2
+    assert pending.callbacks == [_noop]
 
 
 def test_run_until_already_processed_event_returns_value():
     env = Environment()
-    t = env.timeout(1.0, "v")
+    t = _timer(env, 1.0, "v")
     env.run()
     assert t.processed
     assert env.run(until=t) == "v"
-
-
-def test_run_until_already_failed_event_raises():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("boom"))
-    ev.defuse()
-    env.run()
-    with pytest.raises(RuntimeError, match="boom"):
-        env.run(until=ev)
 
 
 def test_remove_callback_matches_identity():
@@ -604,56 +440,6 @@ def test_remove_callback_matches_identity():
 
 
 # ----------------------------------------------------------------------
-# Condition incremental collection
-# ----------------------------------------------------------------------
-def test_condition_values_keep_construction_order():
-    env = Environment()
-
-    def proc(env):
-        a = env.timeout(3.0, "a")  # fires last
-        b = env.timeout(1.0, "b")
-        c = env.timeout(2.0, "c")
-        results = yield env.all_of([a, b, c])
-        return list(results.values())
-
-    p = env.process(proc(env))
-    # construction order, not firing order (b, c, a)
-    assert env.run(until=p) == ["a", "b", "c"]
-
-
-def test_any_of_includes_preprocessed_events_in_order():
-    env = Environment()
-
-    def proc(env):
-        early1 = env.timeout(1.0, "e1")
-        early2 = env.timeout(1.5, "e2")
-        yield env.timeout(2.0)  # both already processed now
-        late = env.timeout(5.0, "late")
-        results = yield env.any_of([late, early1, early2])
-        return list(results.values())
-
-    p = env.process(proc(env))
-    # fires immediately; value covers *all* fired events, in
-    # construction order of the condition's event list
-    assert env.run(until=p) == ["e1", "e2"]
-    assert env.now == pytest.approx(2.0)
-
-
-def test_any_of_failed_event_propagates():
-    env = Environment()
-
-    def proc(env):
-        ev = env.event()
-        ev.fail(RuntimeError("inner"))
-        with pytest.raises(RuntimeError, match="inner"):
-            yield env.any_of([ev, env.timeout(5.0)])
-        return "handled"
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "handled"
-
-
-# ----------------------------------------------------------------------
 # EnvStats
 # ----------------------------------------------------------------------
 def test_stats_disabled_by_default():
@@ -663,12 +449,20 @@ def test_stats_disabled_by_default():
 def test_stats_counts_lifecycle():
     env = Environment(stats=True)
 
-    def ticker(env):
-        for _ in range(3):
-            yield env.sleep(1.0)
+    class Ticker:
+        event_owner = "tick"
 
-    env.process(ticker(env), name="tick")
-    doomed = env.timeout(10.0)
+        def __init__(self):
+            self.left = 3
+            env.call_later(1.0, self.tick)
+
+        def tick(self, ev):
+            self.left -= 1
+            if self.left:
+                env.call_later(1.0, self.tick)
+
+    Ticker()
+    doomed = _timer(env, 10.0)
     doomed.cancel()
     env.run()
     s = env.stats
@@ -690,7 +484,7 @@ def test_enable_stats_mid_life():
     s = env.enable_stats()
     assert env.stats is s
     assert env.enable_stats() is s
-    env.timeout(1.0)
+    _timer(env, 1.0)
     env.run()
     assert s.events_processed == 1
 
@@ -703,7 +497,7 @@ def test_capture_env_stats_sink():
     try:
         env = Environment()
         assert env.stats is not None
-        env.timeout(1.0)
+        _timer(env, 1.0)
         env.run()
     finally:
         sim_core.capture_env_stats(None)
@@ -714,8 +508,8 @@ def test_capture_env_stats_sink():
 
 def test_env_stats_skips_cancelled_heads():
     env = Environment(stats=True)
-    dead = env.timeout(0.5)
-    env.timeout(1.0)
+    dead = _timer(env, 0.5)
+    _timer(env, 1.0)
     dead.cancel()
     env.run()
     # the cancelled head is dropped, not counted as processed

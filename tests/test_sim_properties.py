@@ -9,21 +9,17 @@ from repro.sim import Environment
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
 @settings(max_examples=100, deadline=None)
 def test_completion_order_matches_sorted_delays(delays):
-    """Processes waiting arbitrary delays complete in sorted order."""
+    """Timers armed with arbitrary delays complete in sorted order."""
     env = Environment()
     completions = []
 
-    def waiter(env, idx, delay):
-        yield env.timeout(delay)
-        completions.append((env.now, idx))
-
     for idx, delay in enumerate(delays):
-        env.process(waiter(env, idx, delay))
+        env.call_later(delay, lambda ev: completions.append((env.now, ev.value)), idx)
     env.run()
 
     times = [t for t, _ in completions]
     assert times == sorted(times)
-    # equal delays must preserve spawn order (determinism)
+    # equal delays must preserve arming order (determinism)
     expected = sorted(range(len(delays)), key=lambda i: (delays[i], i))
     assert [i for _, i in completions] == expected
 
@@ -34,19 +30,17 @@ def test_clock_never_goes_backwards(delays):
     env = Environment()
     observed = []
 
-    def waiter(env, delay):
-        yield env.timeout(delay)
+    def record(ev):
         observed.append(env.now)
 
-    def nested(env, delay):
-        yield env.timeout(delay / 2.0)
+    def halfway(ev):
+        # a timer armed from inside a callback, as every periodic loop does
         observed.append(env.now)
-        yield env.timeout(delay / 2.0)
-        observed.append(env.now)
+        env.call_later(ev.value, record)
 
     for delay in delays:
-        env.process(waiter(env, delay))
-        env.process(nested(env, delay))
+        env.call_later(delay, record)
+        env.call_later(delay / 2.0, halfway, delay / 2.0)
     env.run()
     assert observed == sorted(observed)
 
@@ -60,33 +54,11 @@ def test_run_until_stops_exactly_at_horizon(n_events, horizon):
     env = Environment()
     fired = []
 
-    def ticker(env):
-        while True:
-            yield env.timeout(horizon / n_events)
-            fired.append(env.now)
+    def tick(ev):
+        fired.append(env.now)
+        env.call_later(horizon / n_events, tick)
 
-    env.process(ticker(env))
+    env.call_later(horizon / n_events, tick)
     env.run(until=horizon)
     assert env.now == horizon
     assert all(t <= horizon for t in fired)
-
-
-@given(values=st.lists(st.integers(), min_size=1, max_size=20))
-@settings(max_examples=60, deadline=None)
-def test_process_return_values_round_trip(values):
-    """Fork/join preserves each child's return value."""
-    env = Environment()
-
-    def child(env, v):
-        yield env.timeout(1.0)
-        return v
-
-    def parent(env):
-        children = [env.process(child(env, v)) for v in values]
-        results = []
-        for c in children:
-            results.append((yield c))
-        return results
-
-    p = env.process(parent(env))
-    assert env.run(until=p) == values

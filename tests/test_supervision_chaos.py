@@ -8,6 +8,7 @@ with MTTR and missed-window counters exported in the QoS summary.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -151,7 +152,13 @@ def test_supervised_single_kill_chaos_scenario():
 # ----------------------------------------------------------------------
 def test_cli_supervision_json_exits_zero_on_pass(capsys):
     assert main(["chaos", "--supervision", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    # pinned byte for byte (CI's supervision-smoke job compares the
+    # same golden): the run kills and restarts the measure loop and
+    # drives the watchdog and the fault windows
+    golden = Path(__file__).parent / "goldens" / "chaos_supervision.json"
+    assert out == golden.read_text()
+    payload = json.loads(out)
     assert payload["verdict"] == "PASS"
     assert payload["warm"]["supervision"]["mttr"]["controller"]
 

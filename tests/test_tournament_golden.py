@@ -2,8 +2,8 @@
 
 ``tests/goldens/tournament_report.json`` is the canonical report of a
 reduced tournament — 4 controllers x 3 built-in scenarios —
-regenerated from scratch and compared **byte-for-byte** on the fast
-path and under ``REPRO_SIM_SLOWPATH=1``.
+regenerated from scratch and compared **byte-for-byte** on the kernel's
+fast timer path and on its slow, accounted one (EnvStats on).
 
 Intentional-change workflow (mirrors the trace/scenario goldens)::
 
@@ -27,6 +27,7 @@ from repro.experiments.tournament import (
     report_document,
     run_tournament,
 )
+from repro.sim import core as sim_core
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "tournament_report.json"
 
@@ -45,9 +46,9 @@ def _fresh_report() -> str:
 
 
 def _replay_and_compare(monkeypatch, slowpath: bool = False):
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     if slowpath:
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+        # every Environment gets EnvStats: timers take the accounted path
+        monkeypatch.setattr(sim_core, "_stats_sink", [])
     fresh = _fresh_report()
 
     if os.environ.get("REPRO_UPDATE_GOLDENS") == "1":

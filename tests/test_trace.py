@@ -20,6 +20,7 @@ from repro.trace import (
     trace_document,
 )
 from repro.trace.spans import OPEN_STATUS
+from tests.timers import every
 
 
 # ----------------------------------------------------------------------
@@ -196,12 +197,11 @@ def test_tracing_does_not_change_outcomes():
             env.tracer = Tracer()
         client, _server, outcomes = _wired_client(env, tracer=None)
 
-        def driver(env):
-            for i in range(50):
-                client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700))
-                yield env.sleep(1.0 / 30.0)
-
-        env.process(driver(env))
+        every(
+            env, 1.0 / 30.0,
+            lambda i: client.send(Frame(frame_id=i, captured_at=env.now, nbytes=11_700)),
+            count=50,
+        )
         env.run(until=5.0)
         return outcomes
 

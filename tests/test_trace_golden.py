@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim import core as sim_core
 from repro.trace import (
     TRACE_SCENARIOS,
     TRACE_VERSION,
@@ -40,9 +41,9 @@ def _golden_path(name: str) -> Path:
 
 
 def _replay_and_compare(scenario, monkeypatch, slowpath):
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
     if slowpath:
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+        # every Environment gets EnvStats: timers take the accounted path
+        monkeypatch.setattr(sim_core, "_stats_sink", [])
     fresh = run_trace_scenario(scenario)
     fresh_bytes = dumps_trace(fresh)
     path = _golden_path(scenario)
@@ -73,9 +74,10 @@ def test_trace_matches_committed_golden(scenario, monkeypatch):
 
 @pytest.mark.parametrize("scenario", sorted(TRACE_SCENARIOS))
 def test_trace_matches_committed_golden_slow_kernel(scenario, monkeypatch):
-    """The pre-optimization kernel paths (``REPRO_SIM_SLOWPATH=1``) give
-    the same bytes: server pause and crash run on timers, which the
-    slow path turns into processes."""
+    """The kernel's slow timer path gives the same bytes: with EnvStats
+    on, every timer is built and counted by the accounted ``_arm``
+    instead of the inline fast path, and instrumentation must never
+    perturb a run."""
     _replay_and_compare(scenario, monkeypatch, slowpath=True)
 
 

@@ -5,7 +5,8 @@ Three invariants hold for *every* seed, not just the committed goldens:
 1. every captured frame reaches exactly one terminal span state;
 2. span intervals nest within their parents, recursively;
 3. canonical serialization is byte-identical across seeds-equal runs
-   and across the ``REPRO_SIM_SLOWPATH`` fast/slow kernel pair.
+   and across the kernel's fast and slow (accounted, EnvStats on) timer
+   paths.
 
 Scenario runs dominate the cost, so the frame counts are scaled down
 (120 frames / 4 simulated seconds — enough to reach the first crash
@@ -13,11 +14,11 @@ injector windows) and ``max_examples`` kept small — the point is seed
 coverage beyond the goldens, not volume.
 """
 
-import os
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import core as sim_core
 from repro.trace import TERMINAL_STATUSES, dumps_trace, run_trace_scenario
 from repro.trace.spans import OPEN_STATUS
 
@@ -90,15 +91,12 @@ def test_seeds_equal_runs_are_byte_identical(seed):
 )
 @settings(max_examples=3, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fast_and_slow_kernels_trace_identically(seed, scenario):
-    """REPRO_SIM_SLOWPATH must be unobservable in the trace bytes."""
-    prior = os.environ.pop("REPRO_SIM_SLOWPATH", None)
+    """The slow, accounted timer path (EnvStats on) must be unobservable
+    in the trace bytes."""
+    fast = dumps_trace(_small(scenario, seed))
+    sim_core.capture_env_stats([])
     try:
-        fast = dumps_trace(_small(scenario, seed))
-        os.environ["REPRO_SIM_SLOWPATH"] = "1"
         slow = dumps_trace(_small(scenario, seed))
     finally:
-        if prior is None:
-            os.environ.pop("REPRO_SIM_SLOWPATH", None)
-        else:
-            os.environ["REPRO_SIM_SLOWPATH"] = prior
+        sim_core.capture_env_stats(None)
     assert fast == slow

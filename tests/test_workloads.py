@@ -9,7 +9,7 @@ from repro.models.latency import GpuBatchModel
 from repro.server.batching import BatchPolicy
 from repro.server.requests import InferenceRequest
 from repro.server.server import EdgeServer
-from repro.sim import Environment
+from repro.sim import Environment, EventPriority
 from repro.workloads import (
     BackgroundLoad,
     LoadPhase,
@@ -135,7 +135,7 @@ class PerRequestLoad:
     """Reference background load: two events per request.
 
     Self-contained on purpose — nothing is inherited from
-    :class:`BackgroundLoad`: a process sleeps from arrival to arrival,
+    :class:`BackgroundLoad`: a timer chain waits from arrival to arrival,
     counts each request as sent the moment it arrives, builds it there
     and hands it to a ``call_later`` timer for the network delay.
     :class:`BackgroundLoad` arms one timer straight at each delivery and
@@ -155,38 +155,41 @@ class PerRequestLoad:
         self.sent = 0
         self.completed = 0
         self.rejected = 0
-        env.process(self._run(), name="reference-load")
+        env.call_at(env.now, self._plan, priority=EventPriority.URGENT)
 
-    def _run(self):
+    def _plan(self, _event=None):
+        """Wait for the next arrival, or for the next rate change."""
         env = self.env
-        while True:
-            rate = self.schedule.rate_at(env.now)
-            next_change = min(
-                (t for t in self.schedule.change_times if t > env.now + 1e-12),
-                default=float("inf"),
-            )
-            if rate <= 0:
-                if next_change == float("inf"):
-                    return
-                yield env.timeout(next_change - env.now)
-                continue
-            gap = self.rng.exponential(1.0 / rate)
-            if env.now + gap >= next_change:
-                yield env.timeout(next_change - env.now)
-                continue
-            yield env.timeout(gap)
-            self.sent += 1
-            request = InferenceRequest(
-                tenant=self.tenants[self.sent % len(self.tenants)],
-                model_name=self.model_names[self.sent % len(self.model_names)],
-                sent_at=env.now,
-                payload_bytes=self.payload_bytes,
-                respond=self._on_response,
-                frame_id=self.sent,
-            )
-            env.call_later(
-                self.NETWORK_DELAY, lambda ev: self.server.submit(ev.value), request
-            )
+        rate = self.schedule.rate_at(env.now)
+        next_change = min(
+            (t for t in self.schedule.change_times if t > env.now + 1e-12),
+            default=float("inf"),
+        )
+        if rate <= 0:
+            if next_change != float("inf"):
+                env.call_later(next_change - env.now, self._plan)
+            return
+        gap = self.rng.exponential(1.0 / rate)
+        if env.now + gap >= next_change:
+            env.call_later(next_change - env.now, self._plan)
+        else:
+            env.call_later(gap, self._arrive)
+
+    def _arrive(self, _event):
+        env = self.env
+        self.sent += 1
+        request = InferenceRequest(
+            tenant=self.tenants[self.sent % len(self.tenants)],
+            model_name=self.model_names[self.sent % len(self.model_names)],
+            sent_at=env.now,
+            payload_bytes=self.payload_bytes,
+            respond=self._on_response,
+            frame_id=self.sent,
+        )
+        env.call_later(
+            self.NETWORK_DELAY, lambda ev: self.server.submit(ev.value), request
+        )
+        self._plan()
 
     def _on_response(self, response):
         if response.ok:
@@ -277,7 +280,7 @@ def test_background_load_costs_one_event_per_request():
 
     ``EnvStats`` counts the load's own timers under its name (a real
     server's wakeups are counted under the server's), and the load
-    starts no process.
+    arms nothing else: no start timer.
     """
 
     class CountingServer:
@@ -296,6 +299,6 @@ def test_background_load_costs_one_event_per_request():
     assert server.requests > 2000
     # the timer pending at the horizon is the one extra
     assert env.stats.events_by_process["background-load"] == server.requests + 1
-    # ... and besides them only run()'s stop event: no process kick-start
+    # ... and besides them only run()'s stop event: no start timer
     assert env.stats.events_scheduled == server.requests + 2
     assert load.sent >= server.requests
