@@ -20,7 +20,7 @@ BAD = RemoteConditions(latency=0.18, jitter=0.08, failure_probability=0.25)
 
 
 async def run():
-    remote = AsyncFakeRemote(seed=0)
+    remote = AsyncFakeRemote(seed=0, deadline=0.25)
     remote.conditions = GOOD
 
     async def degrade_later() -> None:
@@ -30,9 +30,8 @@ async def run():
 
     loop = AsyncRealTimeLoop(
         FrameFeedbackController(30.0),
-        remote.submit,
+        remote,
         frame_rate=30.0,
-        deadline=0.25,
         local_latency=0.05,  # a fast local model: ~20 fps locally
     )
     print(
@@ -40,23 +39,25 @@ async def run():
         f"(degradation at t={DEGRADE_AT:.0f} s)..."
     )
     degrade = asyncio.create_task(degrade_later())
-    result = await loop.run(duration=DURATION)
+    traces = await loop.run(duration=DURATION)
     await degrade
-    return result
+    return traces
 
 
 def main() -> None:
-    result = asyncio.run(run())
+    traces = asyncio.run(run())
+    targets = traces.offload_target.values
 
     print(f"\n{'t':>4s}  {'P_o target':>10s}  {'P':>6s}  {'T':>5s}")
     for t, po, p, timeout in zip(
-        result.times, result.offload_target, result.throughput, result.timeout_rate
+        traces.throughput.times, targets, traces.throughput.values,
+        traces.timeout_rate.values,
     ):
         bar = "#" * int(po)
         print(f"{t:4.0f}  {po:10.1f}  {p:6.1f}  {timeout:5.1f}  {bar}")
 
-    ramped = max(result.offload_target[: len(result.offload_target) // 2])
-    settled = result.offload_target[-1]
+    ramped = max(targets[: len(targets) // 2])
+    settled = targets[-1]
     print(
         f"\nramped to {ramped:.1f} fps of offloading under good conditions, "
         f"then backed off to {settled:.1f} fps after the injected degradation."

@@ -75,22 +75,22 @@ async def run():
             FrameFeedbackController(30.0),
             remote=remote,
             local_latency=0.077,  # Pi 4B MobileNetV3Small
-            deadline=0.25,
         )
         print(f"running {DURATION:.0f} s wall-clock...")
         rival = asyncio.create_task(flood(gateway.address))
-        result = await loop.run(duration=DURATION)
+        traces = await loop.run(duration=DURATION)
         await rival
         await remote.close()
-    return result, gateway.stats
+    return traces, gateway.stats
 
 
 def main() -> None:
-    result, stats = asyncio.run(run())
+    traces, stats = asyncio.run(run())
 
     print(f"\n{'t':>4s}  {'P_o':>6s}  {'P':>6s}  {'T':>5s}")
     for t, po, p, timeout in zip(
-        result.times, result.offload_target, result.throughput, result.timeout_rate
+        traces.throughput.times, traces.offload_target.values,
+        traces.throughput.values, traces.timeout_rate.values,
     ):
         print(f"{t:4.0f}  {po:6.1f}  {p:6.1f}  {timeout:5.1f}  {'#' * int(po)}")
     print(

@@ -32,13 +32,14 @@ class LocalPipeline:
         latency_model: LocalLatencyModel,
         rng: np.random.Generator,
         on_complete: Optional[Callable[[Frame, float], None]] = None,
-        name: str = "local",
+        tenant: str = "local",
     ) -> None:
         self.env = env
         self.latency_model = latency_model
         self.rng = rng
         self.on_complete = on_complete
-        self.name = name
+        #: the device whose frame spans a completion closes
+        self.tenant = tenant
         self.busy = False
         self.completed = 0
         self.skipped = 0
@@ -52,11 +53,6 @@ class LocalPipeline:
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
         self.slowdown = float(factor)
-
-    @property
-    def can_accept(self) -> bool:
-        """True when :meth:`offer` would take a frame right now."""
-        return not self.busy or self._pending is None
 
     @property
     def frames_in_flight(self) -> int:
@@ -86,6 +82,11 @@ class LocalPipeline:
         self.completed += 1
         if self.on_complete is not None:
             self.on_complete(frame, latency)
+        tracer = self.env.tracer
+        if tracer is not None:
+            now = self.env.now
+            tracer.end_local(self.tenant, frame.frame_id, now, latency)
+            tracer.finish_frame(self.tenant, frame.frame_id, now, "completed-local")
         pending = self._pending
         if pending is None:
             self.busy = False

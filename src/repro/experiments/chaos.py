@@ -410,8 +410,8 @@ def run_chaos(chaos: ChaosScenario, tracer=None) -> ChaosResult:
         )
         runtime.supervisor = supervisor
 
-    recorder = RecordingController(runtime.device.controller)
-    runtime.device.controller = recorder
+    recorder = RecordingController(runtime.device.core.controller)
+    runtime.device.core.controller = recorder
 
     targets = runtime.fault_targets()
     for injector in chaos.injectors:

@@ -28,7 +28,8 @@ import numpy as np
 
 from repro.control.base import Controller
 from repro.device.config import DeviceConfig
-from repro.device.device import DeviceTraces, EdgeDevice
+from repro.device.core import DeviceTraces
+from repro.device.device import EdgeDevice
 from repro.fleet.config import FleetTopology
 from repro.metrics.qos import QosReport
 from repro.models.latency import GpuBatchModel
@@ -216,22 +217,6 @@ class MemberRuntime:
     device: EdgeDevice
 
 
-def _check_accounting(device: EdgeDevice) -> None:
-    """Raise unless every captured frame is settled or still in flight."""
-    settled = (
-        device.successes
-        + device.timeouts
-        + device.local_skips
-        + device.offload.aborted
-    )
-    in_flight = device.offload.frames_in_flight + device.local.frames_in_flight
-    if device.frames_seen != settled + in_flight:
-        raise RuntimeError(
-            f"device {device.config.name!r}: {device.frames_seen} frames "
-            f"captured, but {settled} settled and {in_flight} in flight"
-        )
-
-
 @dataclass
 class ScenarioRuntime:
     """A fully-wired testbed that has not started running yet.
@@ -303,7 +288,7 @@ class ScenarioRuntime:
         """
         devices: Dict[str, QosReport] = {}
         for member in self.members:
-            _check_accounting(member.device)
+            member.device.check_accounting()
             devices[member.device.config.name] = member.device.qos_report(elapsed)
         first = self.device
         servers = self.pool.servers if self.pool is not None else [self.server]

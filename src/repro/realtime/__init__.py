@@ -5,9 +5,9 @@ drives the *same* :class:`~repro.control.base.Controller` objects as
 the simulator, in wall-clock time on one asyncio event loop, which
 shows that nothing in the control layer depends on virtual time:
 
-* :mod:`~repro.realtime.aio` — the device loop (frame ticker, local
-  pipeline, offload path, 1 Hz measurement step) and an in-process
-  fake remote with injectable conditions;
+* :mod:`~repro.realtime.aio` — the device loop (the simulator's
+  :class:`~repro.device.core.DeviceCore` on loop timers) and an
+  in-process fake remote with injectable conditions;
 * :mod:`~repro.realtime.gateway` — the inference gateway (wire
   protocol v2, per-tenant admission, deadline-aware shedding, chaos
   knobs) with its resilient client (:mod:`~repro.realtime.client`),
@@ -22,8 +22,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.realtime.aio": (
-            "AsyncFakeRemote", "AsyncLoopResult", "AsyncRealTimeLoop",
-            "RemoteConditions",
+            "AsyncFakeRemote", "AsyncRealTimeLoop", "RemoteConditions",
         ),
         "repro.realtime.client": (
             "AsyncSocketRemote", "FrameOutcome", "ResilientSocketRemote",

@@ -1,31 +1,45 @@
-"""Asyncio runtime: the closed loop on a cooperative event loop.
+"""Asyncio runtime: the device loop on a cooperative event loop.
 
-The wall-clock twin of the deterministic simulator: both drive the
-*same* :class:`~repro.control.base.Controller` objects through the same
-:class:`~repro.control.base.Measurement` seam.  Asyncio is the natural
-shape for an edge device whose "offloading" is an HTTP/2 or WebSocket
-client: one event loop, no thread pools, thousands of in-flight
-requests for free.
+A thin driver around the :class:`~repro.device.core.DeviceCore` the
+simulator's :class:`~repro.device.device.EdgeDevice` drives: routing,
+the buckets and ``T`` window, the measurement guard, the anti-windup
+park, the heartbeat probe and the controller step are the core's, so a
+:class:`~repro.control.base.Controller` sees the same
+:class:`~repro.control.base.Measurement` on both clocks.  Frame and
+measure ticks are loop timers at ``start + k * period``.
 
-The remote side is pluggable: any ``async def submit() -> bool``
-callable works, or a resilient socket client passed as ``remote=``
-(:class:`~repro.realtime.client.ResilientSocketRemote`).
-:class:`AsyncFakeRemote` is an in-process stand-in whose latency,
-jitter and failure probability (:class:`RemoteConditions`) can be
-swapped mid-run.
+The remote is any object whose ``async submit_frame() -> FrameOutcome``
+owns its deadline: :class:`AsyncFakeRemote` (in-process, with
+:class:`RemoteConditions` swappable mid-run) or
+:class:`~repro.realtime.client.ResilientSocketRemote`, whose ``layer``
+the core then shares (its open breaker routes frames local and parks
+the controller).  What still differs from the simulator's driver:
+
+* the local engine is a fixed ``local_latency`` stand-in holding one
+  frame, where ``LocalPipeline`` samples its latency and keeps a 1-deep
+  prefetch slot;
+* the breaker trial's timing lives in the remote, whose submit-driven
+  probe sends the first submission after its backoff as the trial; the
+  loop hands it one once the breaker has been seen open for a backoff.
+  The simulator's device times its trials on kernel timers;
+* frames carry no size, and there is no fleet router, latency
+  breakdown or span tracing.
 """
 
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
-from typing import Awaitable, Callable, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.control.base import Controller, Measurement
-from repro.device.splitter import TokenBucketSplitter
-from repro.metrics.counters import WindowedRate
+from repro.control.base import Controller
+from repro.device.camera import Frame
+from repro.device.config import DeviceConfig
+from repro.device.core import DeviceCore, DeviceTraces
+from repro.realtime.client import FrameOutcome
 
 
 @dataclass
@@ -40,172 +54,146 @@ class RemoteConditions:
 class AsyncFakeRemote:
     """Awaitable fake edge server with injectable conditions."""
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0, deadline: float = 0.25) -> None:
+        if deadline <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline}")
+        self.deadline = deadline
         self.conditions = RemoteConditions()
         self._rng = np.random.default_rng(seed)
 
-    async def submit(self) -> bool:
+    async def submit_frame(self) -> FrameOutcome:
+        """Completed after its latency, else a timeout (at the deadline
+        at the latest)."""
         cond = self.conditions
         delay = max(0.0, cond.latency + float(self._rng.normal(0.0, cond.jitter)))
-        await asyncio.sleep(delay)
-        return bool(self._rng.random() >= cond.failure_probability)
-
-
-@dataclass
-class AsyncLoopResult:
-    """Per-period traces from one asyncio run."""
-
-    times: List[float] = field(default_factory=list)
-    offload_target: List[float] = field(default_factory=list)
-    throughput: List[float] = field(default_factory=list)
-    timeout_rate: List[float] = field(default_factory=list)
+        await asyncio.sleep(min(delay, self.deadline))
+        if delay <= self.deadline and self._rng.random() >= cond.failure_probability:
+            return FrameOutcome.COMPLETED
+        return FrameOutcome.TIMEOUT
 
 
 class AsyncRealTimeLoop:
-    """The device loop as coroutines."""
+    """The device loop as loop timers around a :class:`DeviceCore`."""
 
     def __init__(
         self,
         controller: Controller,
-        submit: Optional[Callable[[], Awaitable[bool]]] = None,
+        remote: Any,
         frame_rate: float = 30.0,
-        deadline: float = 0.25,
         local_latency: float = 0.03,
         measure_period: float = 1.0,
         t_window_buckets: int = 3,
-        remote: Optional[object] = None,
     ) -> None:
-        """``submit`` is any ``async () -> bool``; alternatively pass
-        ``remote=`` an object with ``async submit_frame() -> FrameOutcome``
-        (e.g. :class:`~repro.realtime.client.ResilientSocketRemote`) and
-        the loop also routes breaker fallbacks onto the local pipeline
-        instead of counting them as plain offload failures."""
-        if frame_rate <= 0 or deadline <= 0 or measure_period <= 0:
-            raise ValueError("rates, deadline and period must be positive")
-        if submit is None and remote is None:
-            raise ValueError("need either a submit callable or a remote")
-        self.controller = controller
         self.remote = remote
-        self.submit = submit if submit is not None else remote.submit
-        self.frame_rate = frame_rate
-        self.deadline = deadline
         self.local_latency = local_latency
-        self.measure_period = measure_period
-        self.splitter = TokenBucketSplitter(frame_rate)
-        self.splitter.set_target(controller.initial_target(frame_rate))
-        self._t_window = WindowedRate(t_window_buckets)
-        self._local_busy = False
-        self._counts = {
-            "attempts": 0,
-            "success": 0,
-            "timeouts": 0,
-            "local": 0,
-            "fallback_dropped": 0,
-        }
+        layer = getattr(remote, "layer", None)
+        self._breaker = layer.breaker if layer is not None else None
+        config = DeviceConfig(frame_rate=frame_rate, measure_period=measure_period,
+                              t_window_buckets=t_window_buckets)
+        self.core = DeviceCore(config, controller, self._send, self._offer, layer)
+        self._tasks: set = set()
+        self._in_flight = 0  # offloaded frames awaiting an outcome
+        #: the local stand-in's completion timer while it holds a frame
+        self._local: Optional[asyncio.TimerHandle] = None
+        self._local_busy_seconds = 0.0
+        self._trial_at: Optional[float] = None  # when the next trial is due
 
     # ------------------------------------------------------------------
-    async def run(self, duration: float) -> AsyncLoopResult:
-        result = AsyncLoopResult()
-        loop = asyncio.get_running_loop()
-        start = loop.time()
-        ticker = asyncio.create_task(self._ticker(loop, start, duration))
-        try:
-            while loop.time() - start < duration:
-                await asyncio.sleep(self.measure_period)
-                self._measure_step(result, loop.time() - start)
-        finally:
-            ticker.cancel()
-            try:
-                await ticker
-            except asyncio.CancelledError:
-                pass
-        return result
+    async def run(self, duration: float) -> DeviceTraces:
+        """Run whole measure periods covering ``duration`` seconds.
 
-    # ------------------------------------------------------------------
-    async def _ticker(self, loop, start: float, duration: float) -> None:
-        period = 1.0 / self.frame_rate
-        next_tick = loop.time() + period
-        pending = set()
-        try:
-            while loop.time() - start < duration:
-                await asyncio.sleep(max(0.0, next_tick - loop.time()))
-                next_tick += period
-                if self.splitter.route():
-                    self._counts["attempts"] += 1
-                    task = asyncio.create_task(self._offload_one())
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-                elif not self._local_busy:
-                    task = asyncio.create_task(self._local_one())
-                    pending.add(task)
-                    task.add_done_callback(pending.discard)
-        finally:
-            for task in pending:
-                task.cancel()
-
-    async def _offload_one(self) -> None:
-        if self.remote is not None:
-            await self._offload_one_resilient()
-            return
-        try:
-            ok = await asyncio.wait_for(self.submit(), timeout=self.deadline)
-        except (asyncio.TimeoutError, OSError):
-            ok = False
-        if ok:
-            self._counts["success"] += 1
-        else:
-            self._counts["timeouts"] += 1
-            self._t_window.record(1)
-
-    async def _offload_one_resilient(self) -> None:
-        """Offload through a resilient remote (deadline owned there).
-
-        A breaker fallback re-routes the frame to the local pipeline —
-        the frame is *saved*, not failed, so the controller never sees
-        it as a timeout (the sim's breaker has the same contract).
+        Returns the core's traces; raises ``RuntimeError`` if a captured
+        frame is neither settled nor in flight at the end.
         """
-        from repro.realtime.client import FrameOutcome
-
-        outcome = await self.remote.submit_frame()
-        if outcome is FrameOutcome.COMPLETED:
-            self._counts["success"] += 1
-        elif outcome is FrameOutcome.FALLBACK_LOCAL:
-            if self._local_busy:
-                self._counts["fallback_dropped"] += 1
-            else:
-                await self._local_one()
-        else:
-            self._counts["timeouts"] += 1
-            self._t_window.record(1)
-
-    async def _local_one(self) -> None:
-        # cooperative stand-in: local inference yields the loop (a real
-        # deployment would run the model in an executor)
-        self._local_busy = True
-        try:
-            await asyncio.sleep(self.local_latency)
-            self._counts["local"] += 1
-        finally:
-            self._local_busy = False
-
-    def _measure_step(self, result: AsyncLoopResult, now: float) -> None:
-        period = self.measure_period
-        c = self._counts
-        self._t_window.close_bucket(period)
-        measurement = Measurement(
-            time=now,
-            frame_rate=self.frame_rate,
-            offload_target=self.splitter.target,
-            offload_rate=c["attempts"] / period,
-            offload_success_rate=c["success"] / period,
-            timeout_rate=self._t_window.average,
-            timeout_rate_last=c["timeouts"] / period,
-            local_rate=c["local"] / period,
-            throughput=(c["success"] + c["local"]) / period,
+        loop = self._loop = asyncio.get_running_loop()
+        self._start = loop.time()
+        config = self.core.config
+        self._ticks = math.ceil(duration / config.measure_period - 1e-9)
+        self._done = loop.create_future()
+        self._frame_timer = loop.call_at(
+            self._start + config.frame_period, self._frame_tick, 1
         )
-        self.splitter.set_target(self.controller.update(measurement))
-        result.times.append(now)
-        result.offload_target.append(self.splitter.target)
-        result.throughput.append(measurement.throughput)
-        result.timeout_rate.append(measurement.timeout_rate_last)
-        self._counts = {k: 0 for k in c}
+        self._measure_arm(0)
+        try:
+            await self._done
+            self.core.check_accounting(self._in_flight + (self._local is not None))
+        finally:
+            self._frame_timer.cancel()
+            if self._local is not None:
+                self._local.cancel()
+            for task in self._tasks:
+                task.cancel()
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        return self.core.traces
+
+    def _now(self) -> float:
+        return self._loop.time() - self._start
+
+    def _spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    def _frame_tick(self, k: int) -> None:
+        self._frame_timer = self._loop.call_at(
+            self._start + (k + 1) * self.core.config.frame_period, self._frame_tick, k + 1
+        )
+        now = self._now()
+        breaker = self._breaker
+        if breaker is not None and breaker.is_open:
+            if self._trial_at is None:
+                self._trial_at = now + breaker.current_backoff
+            elif now >= self._trial_at:
+                self._trial_at = math.inf  # one trial in flight at a time
+                self._spawn(self._trial())
+        self.core.on_frame(Frame(k - 1, now, 0))
+
+    def _measure_arm(self, k: int) -> None:
+        if k == self._ticks:
+            self._done.set_result(None)
+            return
+        if self.core.probe_due():
+            self._spawn(self._probe())
+        self._loop.call_at(
+            self._start + (k + 1) * self.core.config.measure_period,
+            self._measure_tick, k + 1,
+        )
+
+    def _measure_tick(self, k: int) -> None:
+        self.core.measure(self._now(), self._local_busy_seconds)
+        self._measure_arm(k)
+
+    def _send(self, frame: Frame) -> None:
+        self._in_flight += 1
+        self._spawn(self._offload(frame))
+
+    async def _offload(self, frame: Frame) -> None:
+        outcome = await self.remote.submit_frame()
+        self._in_flight -= 1
+        core = self.core
+        if outcome is FrameOutcome.COMPLETED:
+            core.on_offload_success(frame, self._now() - frame.captured_at)
+        elif outcome is FrameOutcome.FALLBACK_LOCAL:
+            core.on_fallback(frame)
+        else:
+            core.on_offload_timeout(frame, outcome.value)
+
+    async def _probe(self) -> None:
+        outcome = await self.remote.submit_frame()
+        self.core.on_probe_result(outcome is FrameOutcome.COMPLETED)
+
+    async def _trial(self) -> None:
+        await self.remote.submit_frame()
+        self._trial_at = None
+
+    def _offer(self, frame: Frame) -> bool:
+        # a real deployment would run the model in an executor
+        if self._local is not None:
+            return False
+        self._local = self._loop.call_later(self.local_latency, self._local_done, frame)
+        return True
+
+    def _local_done(self, frame: Frame) -> None:
+        self._local = None
+        self._local_busy_seconds += self.local_latency
+        self.core.on_local_complete(frame, self.local_latency)

@@ -321,10 +321,6 @@ class ResilientSocketRemote:
         self._next_probe_at = loop.time() + self.breaker.current_backoff
 
     # ------------------------------------------------------------------
-    async def submit(self) -> bool:
-        """Bool-shaped entry point (plugs into ``AsyncRealTimeLoop``)."""
-        return (await self.submit_frame()) is FrameOutcome.COMPLETED
-
     async def submit_frame(self) -> FrameOutcome:
         """Offload one frame; always returns exactly one outcome.
 

@@ -163,10 +163,10 @@ class Supervisor:
         self.device = device
         self.server = server
         self.config = config or SupervisionConfig()
-        #: the *real* controller (pass it explicitly when the device's
-        #: ``controller`` attribute is wrapped, e.g. for transcripts —
+        #: the *real* controller (pass it explicitly when the device
+        #: core's ``controller`` is wrapped, e.g. for transcripts —
         #: checkpoints must capture the inner state machine)
-        self.controller = controller if controller is not None else device.controller
+        self.controller = controller if controller is not None else device.core.controller
         self.store = CheckpointStore()
         self.stats = SupervisionStats()
         period = device.config.measure_period

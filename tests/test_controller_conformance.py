@@ -21,7 +21,11 @@ so the zoo stays honest as it grows:
   round-trip and a restored fresh instance continues byte-identically
   (controllers returning None must honour the cold-restart contract);
 * **bounded targets** — ``initial_target`` and every ``update`` stay
-  finite and within ``[0, F_s]`` on a scripted stress sequence.
+  finite and within ``[0, F_s]`` on a scripted stress sequence;
+* **both clocks** — driven by the asyncio device loop against a healthy
+  fake remote, each controller is given the same populated
+  ``Measurement`` fields as in the simulated conformance run, and an
+  asyncio breaker trips and re-closes through its trial.
 """
 
 import json
@@ -232,3 +236,106 @@ def test_targets_stay_bounded_under_stress(name):
     for target in drive(controller, rows):
         assert math.isfinite(target)
         assert 0.0 <= target <= FS + 1e-9
+
+
+# ----------------------------------------------------------------------
+# the same measurements on asyncio (the wall-clock driver of the core)
+# ----------------------------------------------------------------------
+class MeasurementLog:
+    """Forwards to a controller, keeping every measurement it is given."""
+
+    def __init__(self, inner: Controller) -> None:
+        self.inner = inner
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def update(self, measurement: Measurement) -> float:
+        self.seen.append(measurement)
+        return self.inner.update(measurement)
+
+
+def populated(measurements) -> set:
+    """Names of the fields that are not None in at least one of them."""
+    return {
+        name for m in measurements for name, value in m.items() if value is not None
+    }
+
+
+def test_zoo_on_asyncio_gets_the_des_measurement_fields():
+    import asyncio
+    import dataclasses
+
+    from repro.realtime.aio import AsyncFakeRemote, AsyncRealTimeLoop, RemoteConditions
+
+    def healthy_remote():
+        remote = AsyncFakeRemote(seed=0)
+        remote.conditions = RemoteConditions(latency=0.02, jitter=0.0)
+        return remote
+
+    logs = {name: MeasurementLog(build(name)) for name in sorted(ZOO)}
+    loops = [
+        AsyncRealTimeLoop(log, healthy_remote(), measure_period=0.1, local_latency=0.02)
+        for log in logs.values()
+    ]
+
+    async def run_all():
+        return await asyncio.gather(*(loop.run(duration=0.6) for loop in loops))
+
+    traces = dict(zip(logs, asyncio.run(run_all())))
+    assert traces["AllOrNothing"].offload_target.values[-1] == FS
+    assert any(m.rtt_p95 is not None for m in logs["Headroom"].seen)
+    for name, log in logs.items():
+        des = run_spec(CONFORMANCE_SPEC, controller=name).transcript["steps"]
+        expected = populated(step["measurement"] for step in des)
+        got = populated(dataclasses.asdict(m) for m in log.seen)
+        assert got == expected, f"{name}: asyncio populates {sorted(got ^ expected)} differently"
+
+
+def test_asyncio_breaker_trips_then_recloses_through_its_trial():
+    """The core routes every frame local while the breaker is open; the
+    trial the remote sends after its backoff must still go out."""
+    import asyncio
+
+    from repro.metrics.taxonomy import FailureKind
+    from repro.realtime.aio import AsyncRealTimeLoop
+    from repro.realtime.client import FrameOutcome, ResilientSocketRemote
+    from repro.resilience.config import ResilienceConfig
+
+    class ScriptedRemote(ResilientSocketRemote):
+        """A real resilience layer; every copy times out until ``heal_at``."""
+
+        heal_at = 0.0
+
+        async def _attempt(self, loop, now, probe=False):
+            await asyncio.sleep(0.01)
+            now = loop.time()
+            if now < self.heal_at:
+                return FrameOutcome.TIMEOUT, FailureKind.SILENT_TIMEOUT, None, now
+            return FrameOutcome.COMPLETED, None, None, now
+
+    config = ResilienceConfig(trip_threshold=2, backoff_initial=0.05, backoff_max=0.1)
+
+    async def scenario():
+        remote = ScriptedRemote(("127.0.0.1", 9), deadline=0.05, config=config)
+        remote.heal_at = asyncio.get_running_loop().time() + 0.3
+        loop = AsyncRealTimeLoop(build("AlwaysOffload"), remote, measure_period=0.1)
+        traces = await loop.run(duration=0.8)
+        await remote.close()
+        return remote, traces
+
+    remote, traces = asyncio.run(scenario())
+    breaker = remote.breaker
+    assert breaker.opened_count == 1
+    assert breaker.probe_times, "no trial went out while the breaker was open"
+    assert breaker.is_closed
+    states = traces.breaker_state.values
+    assert states.max() > 0.0 and states[-1] == 0.0
+    # parked at the standing probe while open, back at F_s once closed
+    assert traces.offload_target.values.min() == pytest.approx(
+        config.open_target_frac * FS
+    )
+    assert traces.offload_target.values[-1] == FS
+    assert traces.offload_success.values[-1] > 0
+    assert remote.accounting_closed

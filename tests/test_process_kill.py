@@ -67,10 +67,10 @@ def test_restart_rebases_the_buckets():
     rt.env.run(until=2.5)
     device.crash_measure_loop()
     rt.env.run(until=6.0)  # frames keep flowing into the open buckets
-    assert device._bucket_offload_attempts + device._bucket_local_done > 30
+    assert device.core._bucket_offload_attempts + device.core._bucket_local_done > 30
     device.restart_measure_loop()
     assert device.measure_alive
-    assert device._bucket_offload_attempts == device._bucket_local_done == 0
+    assert device.core._bucket_offload_attempts == device.core._bucket_local_done == 0
     device.restart_measure_loop()  # already alive: no second loop
     rt.env.run(until=7.5)
     assert ticks(rt) == [1.0, 2.0, 7.0]

@@ -44,7 +44,7 @@ def test_completed_round_trip_and_submit_bool():
                 gateway.address, deadline=0.5, frame_bytes=128
             )
             assert await remote.submit_frame() is FrameOutcome.COMPLETED
-            assert await remote.submit() is True
+            assert await remote.submit_frame() is FrameOutcome.COMPLETED
             await remote.close()
             assert remote.submitted == 2
             assert remote.counts[FrameOutcome.COMPLETED] == 2

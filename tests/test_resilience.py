@@ -228,7 +228,7 @@ def test_layer_open_target_is_standing_probe():
                 device=DeviceConfig(total_frames=30, resilience=resilience),
             )
         ).device
-        return device._park_target
+        return device.core.park_target
 
     # the layer's open_target_frac of F_s; the paper's 0.1 F_s without one
     assert parked(ResilienceConfig(open_target_frac=0.2)) == pytest.approx(6.0)

@@ -82,7 +82,7 @@ def test_collect_raises_when_accounting_does_not_close():
     )
     runtime.env.run(until=4.0)
     runtime.collect(4.0)
-    runtime.members[1].device.frames_seen += 1
+    runtime.members[1].device.core.frames_seen += 1
     with pytest.raises(RuntimeError, match="pi1"):
         runtime.collect(4.0)
 
