@@ -136,5 +136,10 @@ class FrameSource:
         self.frames_emitted += 1
         self.sink(frame)
         self._next_id += 1
-        if self._timer is event:  # else the sink crashed the sensor
+        if self._timer is not event:
+            return  # the sink crashed the sensor
+        # _arm_next's common case, inlined: one call fewer per frame
+        if self.total_frames is None or self._next_id < self.total_frames:
+            self._timer = self.env.call_later(self._period, self._tick)
+        else:
             self._arm_next()

@@ -241,7 +241,7 @@ class EdgeDevice:
             offload.frames_in_flight + self.local.frames_in_flight, offload.aborted
         )
 
-    def qos_report(self, elapsed: Optional[float] = None) -> QosReport:
+    def qos_report(self) -> QosReport:
         """Whole-run QoS rollup for this device."""
         core = self.core
         extras = {

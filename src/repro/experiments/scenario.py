@@ -289,7 +289,7 @@ class ScenarioRuntime:
         devices: Dict[str, QosReport] = {}
         for member in self.members:
             member.device.check_accounting()
-            devices[member.device.config.name] = member.device.qos_report(elapsed)
+            devices[member.device.config.name] = member.device.qos_report()
         first = self.device
         servers = self.pool.servers if self.pool is not None else [self.server]
         for server in servers:

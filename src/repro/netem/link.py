@@ -36,11 +36,7 @@ from typing import Any, Callable, Deque, Tuple
 import numpy as np
 
 from repro.netem.loss import GilbertElliottChain, GilbertElliottParams
-from repro.netem.packet import (
-    PACKET_OVERHEAD_BYTES,
-    PACKET_PAYLOAD_BYTES,
-    packets_for,
-)
+from repro.netem.packet import PACKET_OVERHEAD_BYTES, PACKET_PAYLOAD_BYTES
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -230,7 +226,7 @@ class Link:
     def _start(self, nbytes: int, payload: Any, deliver: Callable[[Any], None]) -> None:
         """Put one frame on the wire and arm the timer at its end."""
         self._busy = True
-        cond = self.box.conditions
+        cond = self.box._conditions
         end, delivered = self._transmit(self.env.now, nbytes, cond)
         self.env.call_at(
             end, self._frame_end, value=(nbytes, payload, deliver, cond, delivered)
@@ -275,27 +271,33 @@ class Link:
         lost on all :attr:`MAX_ATTEMPTS` attempts abandons the frame at
         the end of that last attempt.  The attempt counters are
         credited here, when the frame starts serializing.
+
+        :func:`~repro.netem.packet.packets_for` and
+        :meth:`LinkConditions.packet_time` are inlined with the same
+        arithmetic, so the times are the same bits without their five
+        Python calls per frame.
         """
-        n = packets_for(nbytes)
-        full = cond.packet_time(PACKET_PAYLOAD_BYTES)
-        last = cond.packet_time(max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1))
+        n = -(-nbytes // PACKET_PAYLOAD_BYTES) or 1
+        bps = cond.bandwidth * BANDWIDTH_UNIT_BPS
+        full = (PACKET_PAYLOAD_BYTES + PACKET_OVERHEAD_BYTES) * 8.0 / bps
+        tail = nbytes - (n - 1) * PACKET_PAYLOAD_BYTES or 1  # 0 only for 0 bytes
+        last = (tail + PACKET_OVERHEAD_BYTES) * 8.0 / bps
         stats = self.stats
         t = start
-        if cond.loss <= 0.0:
+        loss = cond.loss
+        if loss <= 0.0:
             for _ in range(n - 1):
                 t = t + full
             stats.packets_sent += n
             return t + last, True
 
         rng = self.rng
-        if cond.loss_burst <= 1.0:
-            loss = cond.loss
+        iid = cond.loss_burst <= 1.0
+        if iid:
             draw = rng.random
-            lost = lambda: draw() < loss
         else:
-            params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
+            params = GilbertElliottParams.from_average(loss, cond.loss_burst)
             step = self._ge_chain.step
-            lost = lambda: step(params, rng)
         rto = self._rto(cond)
         sent = retransmissions = 0
         delivered = True
@@ -305,7 +307,7 @@ class Link:
             while True:
                 sent += 1
                 t = t + pkt_time
-                if not lost():
+                if not (draw() < loss if iid else step(params, rng)):
                     break  # got through
                 attempts += 1
                 retransmissions += 1

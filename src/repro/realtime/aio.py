@@ -103,7 +103,9 @@ class AsyncRealTimeLoop:
         """Run whole measure periods covering ``duration`` seconds.
 
         Returns the core's traces; raises ``RuntimeError`` if a captured
-        frame is neither settled nor in flight at the end.
+        frame is neither settled nor in flight at the end.  An offload,
+        probe or trial task that raises ends the run, and ``run()``
+        raises the first such exception.
         """
         loop = self._loop = asyncio.get_running_loop()
         self._start = loop.time()
@@ -113,12 +115,15 @@ class AsyncRealTimeLoop:
         self._frame_timer = loop.call_at(
             self._start + config.frame_period, self._frame_tick, 1
         )
+        self._measure_timer: Optional[asyncio.TimerHandle] = None
         self._measure_arm(0)
         try:
             await self._done
             self.core.check_accounting(self._in_flight + (self._local is not None))
         finally:
             self._frame_timer.cancel()
+            if self._measure_timer is not None:
+                self._measure_timer.cancel()
             if self._local is not None:
                 self._local.cancel()
             for task in self._tasks:
@@ -132,7 +137,16 @@ class AsyncRealTimeLoop:
     def _spawn(self, coro) -> None:
         task = asyncio.ensure_future(coro)
         self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        task.add_done_callback(self._task_done)
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if task.cancelled():
+            return
+        # retrieved here, so asyncio does not log it as never retrieved
+        exc = task.exception()
+        if exc is not None and not self._done.done():
+            self._done.set_exception(exc)
 
     def _frame_tick(self, k: int) -> None:
         self._frame_timer = self._loop.call_at(
@@ -140,7 +154,7 @@ class AsyncRealTimeLoop:
         )
         now = self._now()
         breaker = self._breaker
-        if breaker is not None and breaker.is_open:
+        if breaker is not None and not breaker.is_closed:
             if self._trial_at is None:
                 self._trial_at = now + breaker.current_backoff
             elif now >= self._trial_at:
@@ -149,12 +163,14 @@ class AsyncRealTimeLoop:
         self.core.on_frame(Frame(k - 1, now, 0))
 
     def _measure_arm(self, k: int) -> None:
+        if self._done.done():
+            return  # a task's exception ended the run
         if k == self._ticks:
             self._done.set_result(None)
             return
         if self.core.probe_due():
             self._spawn(self._probe())
-        self._loop.call_at(
+        self._measure_timer = self._loop.call_at(
             self._start + (k + 1) * self.core.config.measure_period,
             self._measure_tick, k + 1,
         )

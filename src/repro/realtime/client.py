@@ -324,9 +324,11 @@ class ResilientSocketRemote:
     async def submit_frame(self) -> FrameOutcome:
         """Offload one frame; always returns exactly one outcome.
 
-        While the breaker is open, the first frame after the probe
-        backoff goes out as the half-open trial probe (no hedge, no
+        While the breaker is not closed, the first frame after the probe
+        backoff goes out as a half-open trial probe (no hedge, no
         re-send); the others fall back to the local pipeline unsent.
+        Trials go out one at a time, each a backoff after the last one
+        settled, until enough succeed to close the breaker.
         """
         loop = asyncio.get_running_loop()
         self.submitted += 1
@@ -337,13 +339,16 @@ class ResilientSocketRemote:
             if breaker.is_closed:
                 outcome, kind, hint, now = await self._attempt(loop, now)
                 layer.settle(now, kind, retry_after=hint)
-            elif breaker.is_open and now >= self._next_probe_at:
+            elif now >= self._next_probe_at:
                 breaker.on_probe_sent(now)
                 self._next_probe_at = float("inf")  # one probe in flight at a time
-                outcome, kind, _hint, now = await self._attempt(loop, now, probe=True)
-                layer.settle(now, kind, trial=True)
-                if kind is not None:
-                    self._arm_probe()
+                try:
+                    outcome, kind, _hint, now = await self._attempt(loop, now, probe=True)
+                    layer.settle(now, kind, trial=True)
+                finally:
+                    # a cancelled trial has no verdict, but the next is due
+                    if not breaker.is_closed:
+                        self._arm_probe()
             else:
                 layer.record(FailureKind.BREAKER_FALLBACK)
                 outcome = FrameOutcome.FALLBACK_LOCAL

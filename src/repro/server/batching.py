@@ -46,6 +46,13 @@ class BatchPolicy(enum.Enum):
     BOUNDED_QUEUE = "bounded_queue"
 
 
+# per-request policy checks read module globals, not Enum class
+# attributes (``EnumType.__getattr__`` makes those ~150 ns each)
+_FAIR = BatchPolicy.FAIR
+_DEADLINE_AWARE = BatchPolicy.DEADLINE_AWARE
+_BOUNDED_QUEUE = BatchPolicy.BOUNDED_QUEUE
+
+
 class AdaptiveBatcher:
     """Per-model request queue with the paper's batch-formation rule."""
 
@@ -78,7 +85,7 @@ class AdaptiveBatcher:
         """
         queue = self._queue
         queue.append(request)
-        if self.policy is not BatchPolicy.BOUNDED_QUEUE or len(queue) <= self.queue_limit:
+        if self.policy is not _BOUNDED_QUEUE or len(queue) <= self.queue_limit:
             return None
         victim = min(queue, key=_shed_key)
         queue.remove(victim)
@@ -116,7 +123,7 @@ class AdaptiveBatcher:
         passed are shed into the rejected set before the cap applies.
         ``BOUNDED_QUEUE`` leaves what exceeds the cap queued.
         """
-        if self.policy is BatchPolicy.BOUNDED_QUEUE:
+        if self.policy is _BOUNDED_QUEUE:
             queue, taken, lapsed = self._queue, [], []
             while queue and len(taken) < self.batch_limit:
                 req = queue.popleft()
@@ -125,7 +132,7 @@ class AdaptiveBatcher:
         drained = self.drain()
 
         expired: List[InferenceRequest] = []
-        if self.policy is BatchPolicy.DEADLINE_AWARE and now is not None:
+        if self.policy is _DEADLINE_AWARE and now is not None:
             alive = []
             for req in drained:
                 if self.expired(req, now):
@@ -136,7 +143,7 @@ class AdaptiveBatcher:
 
         if len(drained) <= self.batch_limit:
             return drained, expired
-        if self.policy is BatchPolicy.FAIR:
+        if self.policy is _FAIR:
             batch, rejected = self._fair_select(drained)
         else:
             batch, rejected = drained[: self.batch_limit], drained[self.batch_limit :]

@@ -124,7 +124,7 @@ class ServerCore:
                 self._sweep = iter(list(self._batchers.items()))
                 self._swept_any = False
             for name, batcher in self._sweep:
-                if batcher.pending:
+                if batcher._queue:
                     self._swept_any = True
                     return self._form(name, batcher, now)
             self._sweep = None

@@ -21,6 +21,10 @@ from repro.server.requests import InferenceRequest, RequestOutcome, Response
 from repro.sim.core import Environment
 from repro.sim.events import Event, EventPriority
 
+# per-response Enum reads as module globals (see repro.server.requests)
+_COMPLETED = RequestOutcome.COMPLETED
+_OVERLOADED = RequestOutcome.OVERLOADED
+
 
 @dataclass
 class ServerStats:
@@ -39,9 +43,6 @@ class ServerStats:
     per_tenant_completed: Dict[str, int] = field(default_factory=dict)
     per_tenant_rejected: Dict[str, int] = field(default_factory=dict)
     per_tenant_overloaded: Dict[str, int] = field(default_factory=dict)
-
-    def _bump(self, table: Dict[str, int], tenant: str) -> None:
-        table[tenant] = table.get(tenant, 0) + 1
 
 
 class EdgeServer:
@@ -111,8 +112,10 @@ class EdgeServer:
                 request, now,
                 server=self.name if self.trace_identity else None,
             )
-        self.stats.received += 1
-        self.stats._bump(self.stats.per_tenant_received, request.tenant)
+        stats = self.stats
+        stats.received += 1
+        table = stats.per_tenant_received
+        table[request.tenant] = table.get(request.tenant, 0) + 1
         for req, outcome, hint in self.gpu.submit(request, now):
             self._respond(req, outcome, batch_size=0, retry_after=hint)
         # an idle server has an empty queue, so this request is queued
@@ -213,8 +216,9 @@ class EdgeServer:
 
     def _finish(self, _event: Event) -> None:
         batch = self.gpu.finish()
+        size = len(batch)
         for req in batch:
-            self._respond(req, RequestOutcome.COMPLETED, batch_size=len(batch))
+            self._respond(req, _COMPLETED, size)
         # the sweep's next batch forms here, not on a fresh timer at
         # this instant, so the instant's later arrivals wait for it
         self._serve()
@@ -227,15 +231,17 @@ class EdgeServer:
         retry_after: Optional[float] = None,
     ) -> None:
         now = self.env.now
-        if outcome is RequestOutcome.COMPLETED:
-            self.stats.completed += 1
-            self.stats._bump(self.stats.per_tenant_completed, req.tenant)
-        elif outcome is RequestOutcome.OVERLOADED:
-            self.stats.overloaded += 1
-            self.stats._bump(self.stats.per_tenant_overloaded, req.tenant)
+        stats = self.stats
+        if outcome is _COMPLETED:
+            stats.completed += 1
+            table = stats.per_tenant_completed
+        elif outcome is _OVERLOADED:
+            stats.overloaded += 1
+            table = stats.per_tenant_overloaded
         else:
-            self.stats.rejected += 1
-            self.stats._bump(self.stats.per_tenant_rejected, req.tenant)
+            stats.rejected += 1
+            table = stats.per_tenant_rejected
+        table[req.tenant] = table.get(req.tenant, 0) + 1
         arrived = req.arrived_at if req.arrived_at is not None else now
         response = Response(
             request_id=req.request_id,

@@ -124,7 +124,10 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0, stats: bool = False) -> None:
-        self._now = float(initial_time)
+        #: current simulation time (seconds).  A plain attribute, not a
+        #: property: every handler reads it, and only :meth:`run` and
+        #: :meth:`step` write it.
+        self.now = float(initial_time)
         # heap entries: (time, priority, seq, event)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
@@ -144,11 +147,6 @@ class Environment:
         self.tracer: Optional[Any] = None
 
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self._now
-
     @property
     def stats(self) -> Optional[EnvStats]:
         """The kernel counter block, or None when not enabled."""
@@ -196,16 +194,16 @@ class Environment:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
         if self._stats is not None:
-            return self._arm(self._now + delay, fn, value, priority)
+            return self._arm(self.now + delay, fn, value, priority)
         # Built field by field (no __init__ call) and pushed here: one
         # Python frame per timer.
         ev = _new_event(Event)
         ev.env = self
         ev.callbacks = [fn]
-        ev._value = value
+        ev.value = value
         ev._scheduled = True
         ev._cancelled = False
-        _heappush(self._queue, (self._now + delay, priority, self._seq, ev))
+        _heappush(self._queue, (self.now + delay, priority, self._seq, ev))
         self._seq += 1
         return ev
 
@@ -224,8 +222,8 @@ class Environment:
         would see ``now + (when - now)`` re-rounded one ulp off
         ``when``.  A ``when`` in the past raises ``ValueError``.
         """
-        if when < self._now:
-            raise ValueError(f"timer time {when!r} is in the past (now={self._now!r})")
+        if when < self.now:
+            raise ValueError(f"timer time {when!r} is in the past (now={self.now!r})")
         if self._stats is not None:
             return self._arm(when, fn, value, priority)
         # call_later's body, repeated rather than shared: a shared helper
@@ -233,7 +231,7 @@ class Environment:
         ev = _new_event(Event)
         ev.env = self
         ev.callbacks = [fn]
-        ev._value = value
+        ev.value = value
         ev._scheduled = True
         ev._cancelled = False
         _heappush(self._queue, (when, priority, self._seq, ev))
@@ -249,7 +247,7 @@ class Environment:
         of the object whose bound method ``fn`` is, if any.
         """
         ev = Event(self)
-        ev._value = value
+        ev.value = value
         ev.callbacks.append(fn)
         ev._scheduled = True
         heapq.heappush(self._queue, (when, int(priority), self._seq, ev))
@@ -270,7 +268,7 @@ class Environment:
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, int(priority), self._seq, event))
+        heapq.heappush(self._queue, (self.now + delay, int(priority), self._seq, event))
         self._seq += 1
         if self._stats is not None:
             self._account(None)
@@ -333,9 +331,9 @@ class Environment:
             self._dead -= 1
             if self._stats is not None:
                 self._stats.events_skipped += 1
-        if when < self._now:  # pragma: no cover - heap guarantees monotonicity
+        if when < self.now:  # pragma: no cover - heap guarantees monotonicity
             raise RuntimeError("time went backwards")
-        self._now = when
+        self.now = when
 
         callbacks, event.callbacks = event.callbacks, None
         assert callbacks is not None
@@ -362,17 +360,17 @@ class Environment:
                     # Already processed: the wait is over before it
                     # starts — never attach the stop callback (it would
                     # fire inline and leak StopSimulation to the caller).
-                    return stop._value
+                    return stop.value
             else:
                 horizon = float(until)
-                if horizon < self._now:
+                if horizon < self.now:
                     raise ValueError(
-                        f"until={horizon:g} is in the past (now={self._now:g})"
+                        f"until={horizon:g} is in the past (now={self.now:g})"
                     )
                 stop = Event(self)
                 # LOW priority: events *at* the horizon still fire first.
-                stop._value = None
-                self.schedule(stop, priority=EventPriority.LOW, delay=horizon - self._now)
+                stop.value = None
+                self.schedule(stop, priority=EventPriority.LOW, delay=horizon - self.now)
             stop.add_callback(self._stop_callback)
 
         # The dispatch loop of step(), inlined: one iteration per event
@@ -390,9 +388,9 @@ class Environment:
                     if self._stats is not None:
                         self._stats.events_skipped += 1
                     continue
-                if when < self._now:  # pragma: no cover - heap guarantees monotonicity
+                if when < self.now:  # pragma: no cover - heap guarantees monotonicity
                     raise RuntimeError("time went backwards")
-                self._now = when
+                self.now = when
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks:
                     callback(event)
@@ -414,7 +412,7 @@ class Environment:
             # it, and a triggered one is about to) — the O(n) scan of a
             # popular event's callback list is paid only on the paths
             # that actually abandoned the wait.
-            if stop is not None and stop._value is PENDING:
+            if stop is not None and stop.value is PENDING:
                 stop.remove_callback(self._stop_callback)
 
         if stop is not None and not stop.triggered:
@@ -426,4 +424,4 @@ class Environment:
 
     @staticmethod
     def _stop_callback(event: Event) -> None:
-        raise StopSimulation(event._value)
+        raise StopSimulation(event.value)

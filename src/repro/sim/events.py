@@ -55,13 +55,15 @@ class Event:
     the deadline watchdogs and hedge timers that usually never fire.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_scheduled", "_cancelled")
+    __slots__ = ("env", "callbacks", "value", "_scheduled", "_cancelled")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         #: callables invoked with this event when it is processed
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = PENDING
+        #: the event's value; :data:`PENDING` until it is triggered.  A
+        #: plain slot, not a property: every timer callback reads it.
+        self.value: Any = PENDING
         self._scheduled = False
         self._cancelled = False
 
@@ -71,19 +73,12 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has a value and is on the heap."""
-        return self._value is not PENDING
+        return self.value is not PENDING
 
     @property
     def processed(self) -> bool:
         """True once callbacks have run."""
         return self.callbacks is None
-
-    @property
-    def value(self) -> Any:
-        """The event's value."""
-        if self._value is PENDING:
-            raise RuntimeError("event not yet triggered")
-        return self._value
 
     @property
     def cancelled(self) -> bool:
@@ -116,9 +111,9 @@ class Event:
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event with ``value``."""
-        if self._value is not PENDING:
+        if self.value is not PENDING:
             raise RuntimeError(f"{self!r} already triggered")
-        self._value = value
+        self.value = value
         self.env.schedule(self)
         return self
 
@@ -148,5 +143,5 @@ class Event:
                 return
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending" if self._value is PENDING else "triggered"
+        state = "pending" if self.value is PENDING else "triggered"
         return f"<{type(self).__name__} {state} at t={self.env.now:g}>"

@@ -296,6 +296,16 @@ def test_zoo_on_asyncio_gets_the_des_measurement_fields():
 def test_asyncio_breaker_trips_then_recloses_through_its_trial():
     """The core routes every frame local while the breaker is open; the
     trial the remote sends after its backoff must still go out."""
+    _breaker_recloses_on_asyncio(close_after=1)
+
+
+def test_asyncio_breaker_keeps_trialling_while_half_open():
+    """With ``close_after=2`` the first good trial leaves the breaker
+    half-open, and the loop must hand the remote the second one."""
+    _breaker_recloses_on_asyncio(close_after=2)
+
+
+def _breaker_recloses_on_asyncio(close_after):
     import asyncio
 
     from repro.metrics.taxonomy import FailureKind
@@ -315,7 +325,9 @@ def test_asyncio_breaker_trips_then_recloses_through_its_trial():
                 return FrameOutcome.TIMEOUT, FailureKind.SILENT_TIMEOUT, None, now
             return FrameOutcome.COMPLETED, None, None, now
 
-    config = ResilienceConfig(trip_threshold=2, backoff_initial=0.05, backoff_max=0.1)
+    config = ResilienceConfig(
+        trip_threshold=2, close_after=close_after, backoff_initial=0.05, backoff_max=0.1
+    )
 
     async def scenario():
         remote = ScriptedRemote(("127.0.0.1", 9), deadline=0.05, config=config)
@@ -328,7 +340,7 @@ def test_asyncio_breaker_trips_then_recloses_through_its_trial():
     remote, traces = asyncio.run(scenario())
     breaker = remote.breaker
     assert breaker.opened_count == 1
-    assert breaker.probe_times, "no trial went out while the breaker was open"
+    assert len(breaker.probe_times) >= close_after, "too few trials went out"
     assert breaker.is_closed
     states = traces.breaker_state.values
     assert states.max() > 0.0 and states[-1] == 0.0

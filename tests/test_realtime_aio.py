@@ -168,3 +168,22 @@ def test_run_raises_on_an_open_frame_book():
             await loop.run(duration=0.1)
 
     run(scenario())
+
+
+def test_run_raises_the_first_exception_of_an_offload_task():
+    """A remote that raises must fail the run, not vanish into asyncio's
+    'exception was never retrieved' log."""
+
+    class BrokenRemote:
+        calls = 0
+
+        async def submit_frame(self):
+            BrokenRemote.calls += 1
+            raise ValueError(f"remote bug {BrokenRemote.calls}")
+
+    loop = AsyncRealTimeLoop(
+        PinController(), BrokenRemote(), frame_rate=50.0, measure_period=0.1
+    )
+    with pytest.raises(ValueError, match="remote bug 1$"):
+        run(loop.run(duration=5.0))
+    assert not loop._tasks

@@ -150,3 +150,76 @@ def test_probe_recovers_breaker_when_gateway_returns():
         assert remote.accounting_closed
 
     run(scenario())
+
+
+
+class HealingRemote(ResilientSocketRemote):
+    """A real resilience layer; every copy times out until ``heal_at``."""
+
+    heal_at = 0.0
+
+    async def _attempt(self, loop, now, probe=False):
+        await asyncio.sleep(0.005)
+        now = loop.time()
+        if now < self.heal_at:
+            return FrameOutcome.TIMEOUT, FailureKind.SILENT_TIMEOUT, None, now
+        return FrameOutcome.COMPLETED, None, None, now
+
+
+HALF_OPEN_CONFIG = ResilienceConfig(
+    trip_threshold=2, close_after=2, backoff_initial=0.02, backoff_max=0.05
+)
+
+
+def test_trials_continue_in_half_open_until_the_breaker_closes():
+    """With ``close_after=2`` one good trial leaves the breaker half-open;
+    the client must keep sending trials, one at a time, until it closes."""
+
+    async def scenario():
+        remote = HealingRemote(("127.0.0.1", 9), deadline=0.05, config=HALF_OPEN_CONFIG)
+        remote.heal_at = asyncio.get_running_loop().time() + 0.1
+        # concurrent submissions, as a frame loop makes them
+        frames = []
+        for _ in range(60):
+            frames.append(asyncio.ensure_future(remote.submit_frame()))
+            await asyncio.sleep(0.005)
+        outcomes = await asyncio.gather(*frames)
+        await remote.close()
+        return remote, outcomes
+
+    remote, outcomes = run(scenario())
+    breaker = remote.breaker
+    assert breaker.opened_count == 1
+    assert breaker.is_closed
+    assert len(breaker.probe_times) >= HALF_OPEN_CONFIG.close_after
+    assert outcomes[-1] is FrameOutcome.COMPLETED
+    assert FrameOutcome.FALLBACK_LOCAL in outcomes
+    assert remote.accounting_closed
+
+
+def test_a_cancelled_trial_does_not_stop_the_next():
+    """A trial cancelled mid-flight (a loop torn down) has no verdict;
+    the next one must still go out after the backoff."""
+
+    async def scenario():
+        remote = HealingRemote(("127.0.0.1", 9), deadline=0.05, config=HALF_OPEN_CONFIG)
+        remote.heal_at = asyncio.get_running_loop().time() + 0.05
+        for _ in range(HALF_OPEN_CONFIG.trip_threshold):
+            await remote.submit_frame()
+        assert remote.breaker.is_open
+        await asyncio.sleep(HALF_OPEN_CONFIG.backoff_initial + 0.01)
+        trial = asyncio.ensure_future(remote.submit_frame())
+        await asyncio.sleep(0.001)
+        trial.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await trial
+        for _ in range(40):
+            await remote.submit_frame()
+            await asyncio.sleep(0.005)
+        await remote.close()
+        return remote
+
+    remote = run(scenario())
+    assert len(remote.breaker.probe_times) > HALF_OPEN_CONFIG.close_after
+    assert remote.breaker.is_closed
+    assert remote.accounting_closed
