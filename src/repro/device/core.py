@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-import numpy as np
-
 from repro.control.base import Controller, Measurement
 from repro.control.validity import MeasurementGuard
 from repro.device.camera import Frame
@@ -25,6 +23,7 @@ from repro.device.config import DeviceConfig
 from repro.device.energy import CpuUtilizationModel
 from repro.device.splitter import TokenBucketSplitter
 from repro.metrics.counters import WindowedRate
+from repro.metrics.rtt import rtt_mean, rtt_p95
 from repro.metrics.streaming import StreamingHistogram
 from repro.metrics.taxonomy import FailureKind
 from repro.metrics.timeseries import TimeSeries
@@ -313,12 +312,7 @@ class DeviceCore:
         traces.cpu_utilization.append(now, cpu)
         traces.breaker_state.append(now, breaker_open)
 
-        rtt_mean = rtt_p95 = None
-        if self._bucket_rtts:
-            arr = np.asarray(self._bucket_rtts)
-            rtt_mean = float(arr.mean())
-            rtt_p95 = float(np.percentile(arr, 95))
-
+        rtts = self._bucket_rtts
         self._open_buckets()
         return Measurement(
             time=now,
@@ -331,8 +325,8 @@ class DeviceCore:
             local_rate=local_rate,
             throughput=throughput,
             probe_ok=self._probe_result,
-            rtt_mean=rtt_mean,
-            rtt_p95=rtt_p95,
+            rtt_mean=rtt_mean(rtts) if rtts else None,
+            rtt_p95=rtt_p95(rtts) if rtts else None,
             overload_rate=overload_rate,
             retry_rate=retry_rate,
             breaker_open=breaker_open,

@@ -5,7 +5,7 @@ returns before its deadline" and "we consider pipelined offloading to
 overlap frame processing".  So the client
 
 * ships frames over the uplink *without* waiting for responses;
-* starts a watchdog per frame: if no successful response has arrived
+* watches each frame's deadline: if no successful response has arrived
   by ``deadline`` seconds after capture, the frame counts toward the
   timeout rate ``T`` at that instant (this covers network drops, slow
   responses, *and* responses that never come);
@@ -35,12 +35,20 @@ The retry gate, the reply verdict and the settle bookkeeping are the
 layer's (:mod:`repro.resilience.layer`), shared with the wall-clock
 client; this class adds the kernel timers, the links, fleet failover,
 the latency breakdown and tracing.
+
+Timers are per queue, not per frame.  The deadline, the hedge point and
+the attribution grace each fall a constant offset after an instant that
+never decreases (the send, or the deadline failure), so each is a FIFO
+of ``(due, entry)`` in due order with one kernel timer at its earliest
+live entry.  The timer settles every entry that is due, skips the ones
+a response already settled, and re-arms; a response cancels nothing.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.device.camera import Frame
 from repro.metrics.breakdown import BreakdownCollector
@@ -83,10 +91,6 @@ class _Outstanding:
     #: outcome goes here instead of the shared ``on_probe_result`` so
     #: breaker trials never pollute the controller's heartbeat signal
     on_result: Optional[Callable[[bool], None]] = None
-    #: cancellable deadline / hedge timers; retired in ``_settle`` the
-    #: moment a definitive outcome lands
-    watchdog: Optional[Event] = None
-    hedge: Optional[Event] = None
 
 
 class OffloadClient:
@@ -115,6 +119,9 @@ class OffloadClient:
         self.server = server
         self.tenant = tenant
         self.model_name = model_name
+        #: never reassigned: the deadline and hedge FIFOs stay in due
+        #: order only while every entry adds the same offset to a send
+        #: time that never decreases
         self.deadline = deadline
         self.response_bytes = response_bytes
         self.on_success = on_success
@@ -131,9 +138,17 @@ class OffloadClient:
         self.router = router
         self._outstanding: Dict[int, _Outstanding] = {}
         #: frames already counted as violations whose attribution waits
-        #: for a (late) response: frame_id -> (record, violation time,
-        #: grace timer)
+        #: for a (late) response: frame_id -> (record, violation time)
         self._late_pending: Dict[int, tuple] = {}
+        #: (due, record) of every send's deadline, and of every hedged
+        #: send's hedge point; (due, frame_id) of every attribution grace
+        self._deadlines: Deque[Tuple[float, _Outstanding]] = deque()
+        self._hedges: Deque[Tuple[float, _Outstanding]] = deque()
+        self._graces: Deque[Tuple[float, int]] = deque()
+        #: the one pending timer of each FIFO (None while it is empty)
+        self._deadline_timer: Optional[Event] = None
+        self._hedge_timer: Optional[Event] = None
+        self._grace_timer: Optional[Event] = None
         self.sent = 0
         self.probes_sent = 0
         self.successes = 0
@@ -170,9 +185,10 @@ class OffloadClient:
 
         Device-reboot semantics: the process that was waiting on these
         responses no longer exists, so the frames count as neither
-        success nor timeout.  Each record's deadline watchdog and hedge
-        timer are ``cancel()``-ed (keeping EnvStats cancel counts
-        accurate).  Responses that arrive later hit the usual
+        success nor timeout.  Every deadline and hedge entry belongs to
+        one of these frames, so both FIFOs are cleared and their timers
+        ``cancel()``-ed: a frame sent afterwards arms a fresh timer at
+        its own deadline.  Responses that arrive later hit the usual
         already-settled path and are discarded.  Returns the number of
         frames dropped.
         """
@@ -189,6 +205,12 @@ class OffloadClient:
                 now = self.env.now
                 tracer.end_offload(self.tenant, frame_id, now, "aborted")
                 tracer.finish_frame(self.tenant, frame_id, now, "aborted")
+        self._deadlines.clear()
+        self._hedges.clear()
+        for timer in (self._deadline_timer, self._hedge_timer):
+            if timer is not None:
+                timer.cancel()
+        self._deadline_timer = self._hedge_timer = None
         return dropped
 
     def send(
@@ -216,19 +238,17 @@ class OffloadClient:
             tracer.begin_offload(self.tenant, frame.frame_id, self.env.now)
         self._transmit(record, initial=True)
         env = self.env
+        now = env.now
+        due = now + self.deadline
+        self._deadlines.append((due, record))
+        if self._deadline_timer is None:
+            self._deadline_timer = env.call_at(due, self._deadline_fire)
         r = self.resilience
-        hedged = r is not None and not is_probe and r.config.max_retries > 0
-        # Both timers are retired for O(1) in _settle when the
-        # response wins.
-        record.watchdog = env.call_later(
-            self.deadline, self._watchdog_fire, value=frame.frame_id
-        )
-        if hedged:
-            record.hedge = env.call_later(
-                r.config.retry_after_frac * self.deadline,
-                self._hedge_fire,
-                value=frame.frame_id,
-            )
+        if r is not None and not is_probe and r.config.max_retries > 0:
+            due = now + r.config.retry_after_frac * self.deadline
+            self._hedges.append((due, record))
+            if self._hedge_timer is None:
+                self._hedge_timer = env.call_at(due, self._hedge_fire)
 
     def _transmit(
         self,
@@ -343,15 +363,22 @@ class OffloadClient:
     # deadline-budgeted retransmission
     # ------------------------------------------------------------------
     def _hedge_fire(self, event: Event) -> None:
-        """Hedge: re-send once ``retry_after_frac`` of the budget is gone."""
-        record = self._outstanding.get(event.value)
-        if record is None or record.settled:
-            return
-        if self.resilience.retry(
-            self.env.now, record.retries, record.sent_at + self.deadline, self.deadline
-        ):
-            self._spend_retry(record)
-            self._transmit(record)
+        """Hedge: re-send each frame once ``retry_after_frac`` of its
+        budget is gone."""
+        hedges = self._hedges
+        now = self.env.now
+        while hedges and hedges[0][0] <= now:
+            record = hedges.popleft()[1]
+            if not record.settled and self.resilience.retry(
+                now, record.retries, record.sent_at + self.deadline, self.deadline
+            ):
+                self._spend_retry(record)
+                self._transmit(record)
+        while hedges and hedges[0][1].settled:
+            hedges.popleft()
+        self._hedge_timer = (
+            self.env.call_at(hedges[0][0], self._hedge_fire) if hedges else None
+        )
 
     def _spend_retry(self, record: _Outstanding) -> None:
         record.retries += 1
@@ -417,11 +444,19 @@ class OffloadClient:
             self.rejections += 1
             self._fail(record, "rejected")
 
-    def _watchdog_fire(self, event: Event) -> None:
-        """The deadline passed with no definitive outcome."""
-        record = self._outstanding.get(event.value)
-        if record is not None and not record.settled:
-            self._fail(record, "deadline")
+    def _deadline_fire(self, event: Event) -> None:
+        """Deadlines passed with no definitive outcome: fail those frames."""
+        deadlines = self._deadlines
+        now = self.env.now
+        while deadlines and deadlines[0][0] <= now:
+            record = deadlines.popleft()[1]
+            if not record.settled:
+                self._fail(record, "deadline")
+        while deadlines and deadlines[0][1].settled:
+            deadlines.popleft()
+        self._deadline_timer = (
+            self.env.call_at(deadlines[0][0], self._deadline_fire) if deadlines else None
+        )
 
     def _fail(self, record: _Outstanding, cause: str, retry_after: Optional[float] = None) -> None:
         """Settle ``record`` as failed by ``cause`` (a ``_FAILURES`` key).
@@ -450,27 +485,35 @@ class OffloadClient:
         if breakdown is not None and cause == "deadline":
             # Attribution is deferred: a late response (if one ever
             # comes) tells us whether network or server ate the budget;
-            # true silence is a network loss.  A late response cancels
-            # the grace timer, so it never lingers in the heap.
-            grace = self.env.call_later(
-                max(4.0 * self.deadline, 1.0), self._grace_expired, value=frame_id
-            )
-            self._late_pending[frame_id] = (record, now, grace)
+            # true silence is a network loss.  A late response only
+            # forgets the pending entry; the grace FIFO skips it.
+            self._late_pending[frame_id] = (record, now)
+            due = now + max(4.0 * self.deadline, 1.0)
+            self._graces.append((due, frame_id))
+            if self._grace_timer is None:
+                self._grace_timer = self.env.call_at(due, self._grace_expired)
 
     def _grace_expired(self, event: Event) -> None:
         """No response within the grace period: a network loss."""
-        pending = self._late_pending.pop(event.value, None)
-        if pending is not None:
-            _record, violated_at, _grace = pending
-            self.breakdown.record_silent_timeout(violated_at)
+        graces = self._graces
+        late = self._late_pending
+        now = self.env.now
+        while graces and graces[0][0] <= now:
+            pending = late.pop(graces.popleft()[1], None)
+            if pending is not None:
+                self.breakdown.record_silent_timeout(pending[1])
+        while graces and graces[0][1] not in late:
+            graces.popleft()
+        self._grace_timer = (
+            self.env.call_at(graces[0][0], self._grace_expired) if graces else None
+        )
 
     def _attribute_late(self, response: Response) -> None:
         """A response for a frame already counted as violated."""
         pending = self._late_pending.pop(response.frame_id, None)
         if pending is None or self.breakdown is None:
             return
-        record, violated_at, grace = pending
-        grace.cancel()
+        record, violated_at = pending
         if response.ok:
             self._record_breakdown(record, response, ok=False, at=violated_at)
         else:
@@ -490,16 +533,9 @@ class OffloadClient:
         )
 
     def _settle(self, record: _Outstanding, frame_id: int) -> None:
+        # the deadline and hedge FIFOs skip the record from now on
         record.settled = True
         self._outstanding.pop(frame_id, None)
-        # Retire the frame's timers; cancel() is a no-op (False) for the
-        # timer whose own firing brought us here.
-        if record.watchdog is not None:
-            record.watchdog.cancel()
-            record.watchdog = None
-        if record.hedge is not None:
-            record.hedge.cancel()
-            record.hedge = None
 
     def _book(self, record: _Outstanding, kind: Optional[FailureKind],
               retry_after: Optional[float] = None) -> None:

@@ -144,8 +144,8 @@ class DeviceReboot(FaultInjector):
     """Reboot the whole device: camera, control loop, in-flight frames.
 
     The camera and measurement loop are killed and every outstanding
-    offload is aborted (their deadline watchdog/hedge timers are
-    cancelled — a rebooted device has no one waiting for those
+    offload is aborted (the offload client's deadline and hedge timers
+    are cancelled — a rebooted device has no one waiting for those
     responses, and they must count as neither success nor timeout).
     On exit the camera resumes the stream where it stopped and the
     controller restarts per the supervisor's policy.

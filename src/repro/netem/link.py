@@ -114,11 +114,16 @@ class ConditionBox:
 class LinkStats:
     """Counters exposed for tests and reports.
 
-    ``packets_sent`` (every transmission attempt) and ``retransmissions``
-    are credited when a frame *starts* serializing, since the link
-    resolves all of a frame's attempts at once: a run cut mid-frame
-    already counts that frame's attempts.  The frame outcome counters
-    move at the instant the frame finishes or is abandoned.
+    When each counter moves:
+
+    * ``frames_sent`` and ``frames_dropped_overflow``: in :meth:`Link.send`;
+    * ``packets_sent`` (every transmission attempt), ``retransmissions``,
+      ``frames_delivered`` and ``bytes_delivered``: when the frame
+      *starts* serializing, since the link resolves all of a frame's
+      attempts and its fate at once (a run cut mid-frame already counts
+      that frame, and a delivered frame counts before it arrives);
+    * ``frames_dropped_loss``: at the instant the ARQ abandons the
+      frame, the end of its last attempt.
     """
 
     frames_sent: int = 0
@@ -128,10 +133,6 @@ class LinkStats:
     packets_sent: int = 0
     retransmissions: int = 0
     bytes_delivered: int = 0
-
-    @property
-    def frames_in_flight_or_lost(self) -> int:
-        return self.frames_sent - self.frames_delivered - self.dropped
 
     @property
     def dropped(self) -> int:
@@ -147,10 +148,13 @@ class Link:
     turns silence into timeouts.
 
     The serializer is not a process.  A frame starts the instant the
-    link is free — inside :meth:`send` on an idle link, at the previous
+    link is free — inside :meth:`send` on a free link, at the previous
     frame's end otherwise — and :meth:`_transmit` resolves all of its
-    packet attempts there.  One timer at the frame's end then settles
-    it, so a frame costs that timer plus its delivery.
+    packet attempts there, its jitter draw too.  A delivered frame then
+    costs one timer, its delivery; an abandoned one a timer at its end,
+    where the drop is counted.  Frames that wait share one timer at the
+    instant the wire frees, which starts the head frame and re-arms
+    while frames still wait.
     """
 
     #: per-packet transmission attempts before the frame is abandoned
@@ -175,8 +179,8 @@ class Link:
         #: frames waiting behind the one on the wire
         self._queue: Deque[Tuple[int, Any, Callable[[Any], None]]] = deque()
         self._queued_bytes = 0
-        #: a frame is on the wire (its end-of-frame timer is pending)
-        self._busy = False
+        #: the end of the last frame started: the wire is busy before it
+        self._free_at = float("-inf")
         self._ge_chain = GilbertElliottChain()
 
     # ------------------------------------------------------------------
@@ -197,7 +201,8 @@ class Link:
 
         Returns False (tail drop) when the queue byte cap would be
         exceeded.  On delivery, ``deliver(payload)`` is invoked at the
-        arrival instant.  A payload sent to an idle link starts
+        arrival instant.  A payload sent to a free link (one whose last
+        frame ends at or before now, with none waiting) starts
         serializing at once.
         """
         if nbytes < 0:
@@ -215,8 +220,12 @@ class Link:
             _span, deliver = tracer.link_send(
                 self.name, payload, self.env.now, nbytes, deliver, self.env
             )
-        if self._busy:
-            self._queue.append((nbytes, payload, deliver))
+        queue = self._queue
+        if queue or self.env.now < self._free_at:
+            if not queue:
+                # the one timer of the waiting frames
+                self.env.call_at(self._free_at, self._next)
+            queue.append((nbytes, payload, deliver))
             self._queued_bytes += nbytes
         else:
             self._start(nbytes, payload, deliver)
@@ -224,39 +233,44 @@ class Link:
 
     # ------------------------------------------------------------------
     def _start(self, nbytes: int, payload: Any, deliver: Callable[[Any], None]) -> None:
-        """Put one frame on the wire and arm the timer at its end."""
-        self._busy = True
-        cond = self.box._conditions
-        end, delivered = self._transmit(self.env.now, nbytes, cond)
-        self.env.call_at(
-            end, self._frame_end, value=(nbytes, payload, deliver, cond, delivered)
-        )
+        """Put one frame on the wire and settle its fate.
 
-    def _frame_end(self, event: Event) -> None:
-        """The frame's last attempt ended: settle it, start the next one."""
-        nbytes, payload, deliver, cond, delivered = event.value
+        The link's stream is drawn in frame order: the frame's packet
+        fates, then (if delivered) its jitter, then the next frame's.
+        """
         env = self.env
-        stats = self.stats
+        cond = self.box._conditions
+        end, delivered = self._transmit(env.now, nbytes, cond)
+        self._free_at = end
         if delivered:
+            stats = self.stats
             stats.frames_delivered += 1
             stats.bytes_delivered += nbytes
-            # Propagation is pipelined: the delivery is its own timer,
-            # so the next frame starts serializing right away.
+            # Propagation is pipelined: it does not occupy the wire.
             delay = cond.propagation_delay
             if cond.jitter_sigma > 0:
-                delay = max(0.0, delay + self.rng.normal(0.0, cond.jitter_sigma))
-            env.call_later(delay, self._deliver, value=(payload, deliver))
+                delay = delay + self.rng.normal(0.0, cond.jitter_sigma)
+                if delay < 0.0:
+                    delay = 0.0
+            env.call_at(end + delay, self._deliver, value=(payload, deliver))
         else:
-            stats.frames_dropped_loss += 1
-            if env.tracer is not None:
-                env.tracer.link_drop(payload, env.now, "loss")
+            env.call_at(end, self._drop, value=payload)
+
+    def _next(self, event: Event) -> None:
+        """The wire freed: start the head frame, re-arm while frames wait."""
         queue = self._queue
+        nbytes, payload, deliver = queue.popleft()
+        self._queued_bytes -= nbytes
+        self._start(nbytes, payload, deliver)
         if queue:
-            nbytes, payload, deliver = queue.popleft()
-            self._queued_bytes -= nbytes
-            self._start(nbytes, payload, deliver)
-        else:
-            self._busy = False
+            self.env.call_at(self._free_at, self._next)
+
+    def _drop(self, event: Event) -> None:
+        """The ARQ gave the frame up at the end of its last attempt."""
+        self.stats.frames_dropped_loss += 1
+        tracer = self.env.tracer
+        if tracer is not None:
+            tracer.link_drop(event.value, self.env.now, "loss")
 
     def _transmit(
         self, start: float, nbytes: int, cond: LinkConditions

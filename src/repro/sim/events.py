@@ -52,7 +52,7 @@ class Event:
     A *scheduled* event may be :meth:`cancel`\\ led instead: it stays in
     the heap as a dead entry that the kernel skips (and eventually
     compacts away) without running callbacks — the cheap way to retire
-    the deadline watchdogs and hedge timers that usually never fire.
+    a timer whose guarded outcome settled first.
     """
 
     __slots__ = ("env", "callbacks", "value", "_scheduled", "_cancelled")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.metrics import EventCounter, TimeSeries, WindowedRate, summarize_phases
 from repro.metrics.qos import PhaseSummary, QosReport
+from repro.metrics.rtt import rtt_mean, rtt_p95
 
 
 # ----------------------------------------------------------------------
@@ -187,3 +188,25 @@ def test_qos_report_success_fraction_and_row():
 
 def test_qos_report_empty_run():
     assert QosReport(name="empty").success_fraction == 0.0
+
+
+# ----------------------------------------------------------------------
+# per-period RTT statistics (pure Python, numpy's bits)
+# ----------------------------------------------------------------------
+def _rtt_lists():
+    rng = np.random.default_rng(11)
+    # every branch of numpy's pairwise sum: sequential (< 8), one block
+    # of 8 accumulators (<= 128) with and without a tail, and split
+    sizes = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257]
+    sizes += [int(n) for n in rng.integers(1, 301, size=60)]
+    for n in sizes:
+        yield rng.lognormal(-3.0, 1.0, size=n).tolist()
+        # repeated values: ties in the sort and zero-width lerps
+        yield rng.choice([0.05, 0.1, 0.1, 0.25, 1 / 3], size=n).tolist()
+
+
+def test_rtt_mean_and_p95_equal_numpy_bit_for_bit():
+    for values in _rtt_lists():
+        arr = np.asarray(values)
+        assert rtt_mean(values) == float(arr.mean()), len(values)
+        assert rtt_p95(values) == float(np.percentile(arr, 95)), len(values)

@@ -194,6 +194,51 @@ def test_condition_change_applies_to_next_frame():
     assert times["b"] - 2.0 < times["a"] / 2
 
 
+def test_condition_change_while_a_frame_waits_applies_at_its_start():
+    """Conditions are read when a frame starts, not when it is sent: a
+    frame queued behind a slow one goes out at the new bandwidth."""
+    env = Environment()
+    slow = LinkConditions(bandwidth=1.0, jitter_sigma=0.0)
+    fast = LinkConditions(bandwidth=10.0, jitter_sigma=0.0)
+    link, box = make_link(env, slow)
+    times = {}
+    link.send(11_700, "a", lambda p: times.setdefault("a", env.now))
+    link.send(11_700, "b", lambda p: times.setdefault("b", env.now))
+    assert link.queue_length == 1
+    env.call_at(0.1, lambda _ev: box.set(fast))
+    env.run(until=5.0)
+    serialization = {
+        cond: sum(
+            cond.packet_time(min(PACKET_PAYLOAD_BYTES, 11_700 - i * PACKET_PAYLOAD_BYTES))
+            for i in range(packets_for(11_700))
+        )
+        for cond in (slow, fast)
+    }
+    assert times["a"] == pytest.approx(serialization[slow] + slow.propagation_delay)
+    assert times["b"] == pytest.approx(serialization[slow] + serialization[fast]
+                                       + fast.propagation_delay)
+
+
+def test_send_at_the_instant_the_wire_frees_starts_at_once():
+    env = Environment()
+    stats = env.enable_stats()
+    link, _ = make_link(env, LinkConditions(jitter_sigma=0.0))
+    arrivals = []
+    link.send(11_700, "a", lambda p: arrivals.append(p))
+    free_at = link._free_at
+    queued = []
+
+    def send_b(_ev):
+        link.send(11_700, "b", lambda p: arrivals.append(p))
+        queued.append(link.queue_length)
+
+    env.call_at(free_at, send_b)
+    env.run(until=5.0)
+    assert queued == [0]  # "b" never waited
+    assert arrivals == ["a", "b"]
+    assert stats.events_by_process["link:uplink"] == 2  # the two deliveries
+
+
 def test_negative_payload_rejected():
     env = Environment()
     link, _ = make_link(env)
@@ -497,20 +542,34 @@ def test_oracle_examples_exercise_their_case(initial, change, exercised):
 # ----------------------------------------------------------------------
 # event budget
 # ----------------------------------------------------------------------
-def test_uplink_schedules_at_most_two_events_per_frame():
-    """One end-of-frame timer plus one delivery timer per frame.
+def test_links_arm_one_timer_per_delivered_frame(monkeypatch):
+    """One delivery timer per delivered frame, one end timer per frame
+    the ARQ abandons, and at most one start timer per frame that waited
+    behind another.
 
     A fig3-style run (Table V's phases, ten times shorter) with every
     frame offloaded, budgeted over the uplink and the downlink that
     carries the responses.  ``EnvStats`` counts every timer a link arms
-    under the link's name, so a return to a serializer process or to
-    per-packet wakeups breaks the budget.
+    under the link's name, so a return to a serializer process, to an
+    end-of-frame timer per frame or to per-packet wakeups breaks the
+    budget.
     """
     from repro.control.baselines import AlwaysOffloadController
     from repro.device.config import DeviceConfig
     from repro.experiments.scenario import Scenario, build_runtime
     from repro.netem.schedule import NetworkSchedule
 
+    waited = []
+    send = Link.send
+
+    def counting_send(link, nbytes, payload, deliver):
+        before = link.queue_length
+        accepted = send(link, nbytes, payload, deliver)
+        if accepted and link.queue_length > before:
+            waited.append(link.name)
+        return accepted
+
+    monkeypatch.setattr(Link, "send", counting_send)
     schedule = NetworkSchedule.from_rows(
         [(0.0, 10.0, 0.0), (3.0, 4.0, 0.0), (4.5, 1.0, 0.0),
          (6.0, 10.0, 0.0), (9.0, 10.0, 7.0), (10.5, 4.0, 7.0)]
@@ -528,8 +587,11 @@ def test_uplink_schedules_at_most_two_events_per_frame():
     runtime.run()
     link_events = stats.events_by_process["link:uplink"] + stats.events_by_process["link:downlink"]
     uplink = runtime.uplink.stats
-    frames = uplink.frames_sent + runtime.downlink.stats.frames_sent
+    downlink = runtime.downlink.stats
+    delivered = uplink.frames_delivered + downlink.frames_delivered
+    abandoned = uplink.frames_dropped_loss + downlink.frames_dropped_loss
     assert uplink.frames_sent > 300
     assert uplink.retransmissions > 0
     assert uplink.packets_sent > 5 * uplink.frames_sent
-    assert frames < link_events <= 2 * frames
+    assert waited  # the bw=1 phase queues frames behind each other
+    assert 0 < delivered <= link_events <= delivered + len(waited) + abandoned

@@ -244,6 +244,83 @@ def test_attribution_grace_still_times_out_on_true_silence():
 
 
 # ----------------------------------------------------------------------
+# the client's deadline, hedge and grace timers: one per queue
+# ----------------------------------------------------------------------
+DEAD = LinkConditions(propagation_delay=9.0, jitter_sigma=0.0)
+
+
+def _timeout_times(h):
+    times = []
+    h.client.on_timeout = lambda f, why: times.append((f.frame_id, why, h.env.now))
+    return times
+
+
+def test_send_after_abort_still_fails_at_its_own_deadline():
+    h = Harness(conditions=DEAD)
+    times = _timeout_times(h)
+    h.send(frame_id=0)
+    h.env.run(until=0.1)
+    assert h.client.abort_inflight() == 1
+    h.send(frame_id=1)
+    h.env.run(until=2.0)
+    assert times == [(1, "deadline", 0.1 + 0.25)]
+
+
+def test_frames_sent_in_one_instant_fail_in_send_order():
+    h = Harness(conditions=DEAD)
+    times = _timeout_times(h)
+    for frame_id in (5, 3, 4):
+        h.send(frame_id=frame_id)
+    h.env.run(until=2.0)
+    assert times == [(5, "deadline", 0.25), (3, "deadline", 0.25), (4, "deadline", 0.25)]
+
+
+def test_late_response_leaves_no_silent_timeout_behind():
+    """Frame 0's response is late (slow server); frame 1 is lost in a
+    9 s propagation hole.  Frame 0's grace entry, answered, is skipped;
+    frame 1's expires into a network loss."""
+    h = Harness(
+        gpu=GpuBatchModel(base_latency=0.5, per_item=0.0, jitter_sigma=0.0),
+        breakdown=True,
+    )
+
+    def lose_frame_1(_ev):
+        h.box.set(DEAD)
+        h.send(frame_id=1)
+        h.box.set(LinkConditions(jitter_sigma=0.0))
+
+    h.send(frame_id=0)
+    h.env.call_at(0.1, lose_frame_1)  # the uplink is free again by then
+    h.env.run(until=0.9)
+    assert list(h.client._late_pending) == [1]  # frame 0 answered late
+    h.env.run(until=30.0)
+    assert h.client._late_pending == {}
+    assert h.breakdown.cause_counts() == {
+        TimeoutCause.NETWORK: 1,
+        TimeoutCause.LOAD: 1,
+    }
+    assert sorted(t for t, _cause in h.breakdown.violations) == [0.25, 0.1 + 0.25]
+
+
+def test_each_in_flight_frame_hedges_at_its_own_point():
+    h = Harness(conditions=DEAD, resilience=ResilienceConfig())
+    sends = []
+    send = h.uplink.send
+
+    def record_send(nbytes, payload, deliver):
+        sends.append((payload.frame_id, h.env.now))
+        return send(nbytes, payload, deliver)
+
+    h.uplink.send = record_send
+    every(h.env, 0.03, lambda i: h.send(frame_id=i), count=3)
+    h.env.run(until=1.0)
+    first = {fid: t for fid, t in sends[:3]}
+    hedge = 0.5 * 0.25
+    assert sends[3:] == [(fid, first[fid] + hedge) for fid in range(3)]
+    assert h.client.retries == 3
+
+
+# ----------------------------------------------------------------------
 # device-level: breaker under a server blackout
 # ----------------------------------------------------------------------
 OUTAGE = (20.0, 25.0)  # total-failure window [20, 45)
