@@ -40,6 +40,8 @@ class LocalPipeline:
         self.on_complete = on_complete
         #: the device whose frame spans a completion closes
         self.tenant = tenant
+        #: EnvStats counts the inference timers under this name
+        self.event_owner = f"{tenant}:local"
         self.busy = False
         self.completed = 0
         self.skipped = 0

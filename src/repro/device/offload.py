@@ -118,6 +118,9 @@ class OffloadClient:
         self.downlink = downlink
         self.server = server
         self.tenant = tenant
+        #: EnvStats counts the deadline, hedge, grace and resend timers
+        #: under this name
+        self.event_owner = f"{tenant}:offload"
         self.model_name = model_name
         #: never reassigned: the deadline and hedge FIFOs stay in due
         #: order only while every entry adds the same offset to a send

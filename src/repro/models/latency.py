@@ -21,7 +21,7 @@ Both are calibrated stochastic cost models:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 from repro.models.device_profiles import DeviceProfile, local_rate
 from repro.models.zoo import ModelSpec
@@ -54,13 +54,14 @@ class LocalLatencyModel:
         return self.mean_latency * _lognormal_factor(rng, self.jitter_sigma)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuBatchModel:
     """Affine GPU batch latency ``t(n) = base + per_item_cost(model) * n``.
 
     ``per_item`` is the per-frame cost for a ``gpu_cost == 1`` model
     (MobileNetV3Small); heavier models scale it by their
-    :attr:`~repro.models.zoo.ModelSpec.gpu_cost`.
+    :attr:`~repro.models.zoo.ModelSpec.gpu_cost`.  Frozen: the server
+    core draws its jitter factors ahead with this σ.
     """
 
     base_latency: float = 0.022
@@ -82,6 +83,12 @@ class GpuBatchModel:
         return self.batch_latency(model, batch_size) * _lognormal_factor(
             rng, self.jitter_sigma
         )
+
+    def jitter_factors(self, rng: np.random.Generator, size: int) -> List[float]:
+        """The next ``size`` jitter factors :meth:`sample` would draw from
+        ``rng``, in order, in one call (``jitter_sigma`` must be > 0)."""
+        sigma = self.jitter_sigma
+        return rng.lognormal(-0.5 * sigma * sigma, sigma, size).tolist()
 
     def saturation_rate(self, model: ModelSpec, batch_limit: int) -> float:
         """Max sustainable throughput (frames/s) at the batch cap."""

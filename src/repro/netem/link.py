@@ -305,14 +305,63 @@ class Link:
             stats.packets_sent += n
             return t + last, True
 
-        rng = self.rng
-        iid = cond.loss_burst <= 1.0
-        if iid:
-            draw = rng.random
-        else:
-            params = GilbertElliottParams.from_average(loss, cond.loss_burst)
-            step = self._ge_chain.step
         rto = self._rto(cond)
+        if cond.loss_burst > 1.0:
+            return self._transmit_ge(t, n, full, last, rto, cond)
+        rng = self.rng
+        max_attempts = self.MAX_ATTEMPTS
+        # i.i.d. fates come in blocks of ``rng.random(m)``: the same
+        # doubles, from the same stream positions, as m scalar draws.
+        # ``m`` is the fewest draws the attempt loop is sure to make from
+        # here (every packet left gets through, or the current one fails
+        # all its attempts left), so a block never reads past where the
+        # scalar loop would stop and the jitter normal that follows on
+        # this stream is the same draw.
+        sent = retransmissions = 0
+        i = 0  # the packet being sent
+        attempts = 1  # its attempt about to be drawn
+        while True:
+            left = n - i
+            m = max_attempts + 1 - attempts
+            for u in rng.random(left if left < m else m).tolist():
+                sent += 1
+                t = t + (full if i < n - 1 else last)
+                if u < loss:
+                    attempts += 1
+                    retransmissions += 1
+                    if attempts > max_attempts:
+                        stats.packets_sent += sent
+                        stats.retransmissions += retransmissions
+                        return t, False
+                    # Loss detection stall before the retry occupies
+                    # the channel (wireless MAC behaviour).
+                    t = t + rto
+                else:
+                    i += 1
+                    attempts = 1
+            if i == n:
+                stats.packets_sent += sent
+                stats.retransmissions += retransmissions
+                return t, True
+
+    def _transmit_ge(
+        self,
+        t: float,
+        n: int,
+        full: float,
+        last: float,
+        rto: float,
+        cond: LinkConditions,
+    ) -> Tuple[float, bool]:
+        """:meth:`_transmit`'s attempt loop under Gilbert–Elliott loss.
+
+        One chain step, and one scalar draw, per attempt, through the
+        chain's own :meth:`~repro.netem.loss.GilbertElliottChain.step`:
+        neither fig3 nor the seed-0 tournament sets ``loss_burst > 1``.
+        """
+        rng = self.rng
+        params = GilbertElliottParams.from_average(cond.loss, cond.loss_burst)
+        step = self._ge_chain.step
         sent = retransmissions = 0
         delivered = True
         for i in range(n):
@@ -321,18 +370,17 @@ class Link:
             while True:
                 sent += 1
                 t = t + pkt_time
-                if not (draw() < loss if iid else step(params, rng)):
+                if not step(params, rng):
                     break  # got through
                 attempts += 1
                 retransmissions += 1
                 if attempts > self.MAX_ATTEMPTS:
                     delivered = False
                     break
-                # Loss detection stall before the retry occupies the
-                # channel (wireless MAC behaviour).
                 t = t + rto
             if not delivered:
                 break
+        stats = self.stats
         stats.packets_sent += sent
         stats.retransmissions += retransmissions
         return t, delivered

@@ -27,6 +27,8 @@ from repro.server.requests import InferenceRequest, RequestOutcome
 Reply = Tuple[InferenceRequest, RequestOutcome, Optional[float]]
 #: a formed batch: its requests, the replies shed forming it, GPU seconds
 Started = Tuple[List[InferenceRequest], List[Reply], float]
+#: GPU jitter factors drawn per ``lognormal`` call
+JITTER_BLOCK = 256
 
 
 class ServerCore:
@@ -36,7 +38,10 @@ class ServerCore:
     ``OVERLOADED`` with a retry-after hint instead of ``REJECTED``, and
     :meth:`submit` sheds ``OVERLOADED`` once a model's queue holds
     ``admission_limit`` requests (default ``4 * batch_limit``).  ``rng``
-    draws the GPU jitter; without jitter it may be None.
+    draws the GPU jitter, :data:`JITTER_BLOCK` factors at a time, so it
+    must feed nothing else; without jitter it may be None.  The cost
+    model is frozen and never replaced, so the factors drawn ahead keep
+    its σ.
     """
 
     def __init__(
@@ -68,7 +73,12 @@ class ServerCore:
         self.batches_run = 0
         self.frames_run = 0
         self._batchers: Dict[str, AdaptiveBatcher] = {}
+        #: ``_batchers.items()`` as a list, the sweep order; replaced,
+        #: never appended to, so a sweep under way keeps its own
+        self._order: List[Tuple[str, AdaptiveBatcher]] = []
         self._models: Dict[str, ModelSpec] = {}
+        #: GPU jitter factors drawn ahead (see :meth:`_form`)
+        self._jitter: Iterator[float] = iter(())
         #: models the current sweep has still to visit (None: no sweep)
         self._sweep: Optional[Iterator[Tuple[str, AdaptiveBatcher]]] = None
         self._swept_any = False
@@ -90,6 +100,7 @@ class ServerCore:
         if batcher is None:
             batcher = AdaptiveBatcher(self.batch_limit, self.policy, self.queue_limit)
             self._batchers[name] = batcher
+            self._order = list(self._batchers.items())
             self._models[name] = get_model(name)
         if self.pushback and batcher.pending >= self.admission_limit:
             self._settled += 1
@@ -121,7 +132,7 @@ class ServerCore:
             if self._sweep is None:
                 if now < self.paused_until:
                     return None
-                self._sweep = iter(list(self._batchers.items()))
+                self._sweep = iter(self._order)
                 self._swept_any = False
             for name, batcher in self._sweep:
                 if batcher._queue:
@@ -146,6 +157,7 @@ class ServerCore:
         for batcher in self._batchers.values():
             drained.extend(batcher.drain())
         self._batchers = {}
+        self._order = []
         self._sweep = None
         self._settled += len(drained)
         return drained
@@ -188,7 +200,18 @@ class ServerCore:
         self._settled += len(replies)
         seconds = 0.0
         if batch:
-            seconds = self.cost_model.sample(spec, len(batch), self.rng) * self.slowdown
+            # GpuBatchModel.sample, with its factor taken from a block:
+            # the ``rng`` stream feeds the GPU jitter only, so drawing
+            # ahead changes no value
+            model = self.cost_model
+            seconds = model.batch_latency(spec, len(batch))
+            if model.jitter_sigma > 0:
+                factor = next(self._jitter, None)
+                if factor is None:
+                    self._jitter = iter(model.jitter_factors(self.rng, JITTER_BLOCK))
+                    factor = next(self._jitter)
+                seconds = seconds * factor
+            seconds = seconds * self.slowdown
         self._batch, self._batch_seconds = batch, seconds
         return batch, replies, seconds
 

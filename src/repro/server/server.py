@@ -243,17 +243,22 @@ class EdgeServer:
             table = stats.per_tenant_rejected
         table[req.tenant] = table.get(req.tenant, 0) + 1
         arrived = req.arrived_at if req.arrived_at is not None else now
+        wait = now - arrived
+        request_id = req.request_id
+        # one per request, so positional (keywords cost more): request_id,
+        # frame_id, tenant, outcome, completed_at, batch_size, queue_wait
+        # (max(0.0, wait) without the call), arrived_at, label, retry_after
         response = Response(
-            request_id=req.request_id,
-            frame_id=req.frame_id,
-            tenant=req.tenant,
-            outcome=outcome,
-            completed_at=now,
-            batch_size=batch_size,
-            queue_wait=max(0.0, now - arrived),
-            arrived_at=arrived,
-            label=req.request_id % 1000,
-            retry_after=retry_after,
+            request_id,
+            req.frame_id,
+            req.tenant,
+            outcome,
+            now,
+            batch_size,
+            wait if wait > 0.0 else 0.0,
+            arrived,
+            request_id % 1000,
+            retry_after,
         )
         tracer = self.env.tracer
         if tracer is not None:

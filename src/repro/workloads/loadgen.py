@@ -14,6 +14,7 @@ per model, so we hit both model types", §IV-C.2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterator, List, Sequence
@@ -77,15 +78,20 @@ class LoadSchedule:
         return max(p.rate for p in self.phases)
 
 
+#: standard exponentials drawn per ``standard_exponential`` call
+DRAW_BLOCK = 128
+
+
 class BackgroundLoad:
     """Poisson background request stream driven by a :class:`LoadSchedule`.
 
     Each request is one ``call_at`` timer at its delivery to the server
     (arrival + :attr:`NETWORK_DELAY`), armed when the previous one is
     delivered, so a request costs one event and the load nothing else.
-    Arrival times are drawn lazily from the load's own rng stream;
-    since nothing else draws from it, drawing ahead (see :attr:`sent`)
-    changes no outcome.
+    Arrival times are drawn lazily from the load's own rng stream,
+    :data:`DRAW_BLOCK` gaps at a time; since nothing else draws from
+    it, drawing ahead (the blocks, and :attr:`sent`) changes no
+    outcome.
     """
 
     #: fixed one-way delay of the (unshaped) background tenants' network
@@ -121,6 +127,9 @@ class BackgroundLoad:
         self._counter = 0
         #: arrival times drawn but not yet delivered, oldest first
         self._ahead: Deque[float] = deque()
+        # the schedule's phases, for bisection
+        self._starts = [phase.start for phase in schedule.phases]
+        self._rates = [phase.rate for phase in schedule.phases]
         self._arrivals = self._arrival_times(env.now)
         self._arm_next()
 
@@ -151,22 +160,44 @@ class BackgroundLoad:
         at the boundary's new rate yields an exact piecewise-Poisson
         process.  ``t`` advances by the same float additions a timer
         chain waiting from arrival to arrival would make.
+
+        Each gap is ``(1 / rate) * e``, with ``e`` from a block of
+        ``standard_exponential`` draws: ``exponential(1 / rate)`` makes
+        that same product of the same draw, and nothing else reads this
+        stream.  The phase and the next boundary are looked up again
+        only once ``t`` reaches the end of the phase, or the boundary
+        comes within the ``1e-12`` that makes it count as passed.
         """
-        rng = self.rng
+        starts, rates = self._starts, self._rates
+        last = len(starts) - 1
+        inf = float("inf")
+        draw_block = self.rng.standard_exponential
+        draws: Iterator[float] = iter(())
         while True:
-            rate = self.schedule.rate_at(t)
-            next_change = self._next_change_after(t)
+            k = bisect_right(starts, t, 1) - 1  # the phase of t (phase 0 before it)
+            rate = rates[k]
+            rate_end = starts[k + 1] if k < last else inf
+            j = bisect_right(starts, t + 1e-12)
+            next_change = starts[j] if j <= last else inf
             if rate <= 0:
-                if next_change == float("inf"):
+                if next_change == inf:
                     return  # schedule ended at rate 0: nothing left to do
                 t = t + (next_change - t)
                 continue
-            gap = rng.exponential(1.0 / rate)
-            if t + gap >= next_change:
-                t = t + (next_change - t)
-                continue
-            t = t + gap
-            yield t
+            scale = 1.0 / rate
+            while True:
+                e = next(draws, None)
+                if e is None:
+                    draws = iter(draw_block(DRAW_BLOCK).tolist())
+                    e = next(draws)
+                gap = scale * e
+                if t + gap >= next_change:
+                    t = t + (next_change - t)
+                    break
+                t = t + gap
+                yield t
+                if t >= rate_end or t + 1e-12 >= next_change:
+                    break
 
     def _arm_next(self) -> None:
         """Arm the timer at the oldest undelivered request's delivery."""
@@ -182,24 +213,18 @@ class BackgroundLoad:
         self._submit_one(self._ahead.popleft())
         self._arm_next()
 
-    def _next_change_after(self, now: float) -> float:
-        for t in self.schedule.change_times:
-            if t > now + 1e-12:
-                return t
-        return float("inf")
-
     def _submit_one(self, sent_at: float) -> None:
-        self._counter += 1
-        model = self.model_names[self._counter % len(self.model_names)]
-        tenant = self.tenants[self._counter % len(self.tenants)]
+        self._counter = counter = self._counter + 1
+        # one per request, so positional (keywords cost more): tenant,
+        # model_name, sent_at, payload_bytes, respond, frame_id
         self.server.submit(
             InferenceRequest(
-                tenant=tenant,
-                model_name=model,
-                sent_at=sent_at,
-                payload_bytes=self.payload_bytes,
-                respond=self._on_response,
-                frame_id=self._counter,
+                self.tenants[counter % len(self.tenants)],
+                self.model_names[counter % len(self.model_names)],
+                sent_at,
+                self.payload_bytes,
+                self._on_response,
+                counter,
             )
         )
 

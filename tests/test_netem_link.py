@@ -595,3 +595,90 @@ def test_links_arm_one_timer_per_delivered_frame(monkeypatch):
     assert uplink.packets_sent > 5 * uplink.frames_sent
     assert waited  # the bw=1 phase queues frames behind each other
     assert 0 < delivered <= link_events <= delivered + len(waited) + abandoned
+
+
+# ----------------------------------------------------------------------
+# block draws
+# ----------------------------------------------------------------------
+def scalar_transmit(rng, start, nbytes, cond, max_attempts=7):
+    """Reference i.i.d. ARQ: one scalar ``rng.random()`` per attempt.
+
+    Returns ``(end, delivered, attempts, retransmissions)``, the times
+    summed one packet or stall at a time as :meth:`Link._transmit` does.
+    """
+    n = packets_for(nbytes)
+    rto = max(0.05, 2.0 * cond.propagation_delay + 0.02)
+    t = start
+    sent = retransmissions = 0
+    for i in range(n):
+        size = PACKET_PAYLOAD_BYTES if i < n - 1 else max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1)
+        for attempt in range(1, max_attempts + 1):
+            sent += 1
+            t = t + cond.packet_time(size)
+            if not rng.random() < cond.loss:
+                break
+            retransmissions += 1
+            if attempt == max_attempts:
+                return t, False, sent, retransmissions
+            t = t + rto
+    return t, True, sent, retransmissions
+
+
+def compare_block_and_scalar_fates(frames, seed):
+    """Send ``frames`` ((nbytes, loss, bandwidth)) back to back through
+    :meth:`Link._transmit` and :func:`scalar_transmit` on twin streams;
+    return how many frames the ARQ abandoned."""
+    env = Environment()
+    link = Link(env, np.random.default_rng(seed), ConditionBox(LinkConditions()))
+    twin = np.random.default_rng(seed)
+    start = 0.0
+    abandoned = 0
+    for nbytes, loss, bandwidth in frames:
+        cond = LinkConditions(bandwidth=bandwidth, loss=loss)
+        before = (link.stats.packets_sent, link.stats.retransmissions)
+        end, delivered = link._transmit(start, nbytes, cond)
+        expected = scalar_transmit(twin, start, nbytes, cond, Link.MAX_ATTEMPTS)
+        counted = (
+            link.stats.packets_sent - before[0],
+            link.stats.retransmissions - before[1],
+        )
+        assert (end, delivered, *counted) == expected
+        # the draw that follows on this stream (a delivered frame's
+        # jitter) is the same number on both
+        assert link.rng.normal(0.0, 0.003) == twin.normal(0.0, 0.003)
+        abandoned += not delivered
+        start = end
+    assert link.rng.bit_generator.state == twin.bit_generator.state
+    return abandoned
+
+
+_ABANDONING = [(40_000, 0.95, 10.0)] * 4 + [(11_700, 0.05, 4.0)]
+
+
+@given(
+    frames=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0, 1, PACKET_PAYLOAD_BYTES, 11_700]),
+                st.integers(min_value=0, max_value=40_000),
+            ),
+            st.sampled_from([0.05, 0.3, 0.6, 0.8, 0.9, 0.95]),
+            st.sampled_from([1.0, 4.0, 10.0]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(frames=_ABANDONING, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_block_packet_fates_match_scalar_draws(frames, seed):
+    """:meth:`Link._transmit` draws its i.i.d. fates in blocks, and must
+    give what one scalar draw per attempt gives: the same end instant and
+    fate, the same counters, and the stream left where the scalar loop
+    leaves it.  Loss reaches 0.95, where the ARQ abandons frames."""
+    compare_block_and_scalar_fates(frames, seed)
+
+
+def test_block_fates_example_abandons_frames():
+    assert compare_block_and_scalar_fates(_ABANDONING, 0) > 0

@@ -8,14 +8,17 @@ wall-clock gateway make from their timers.
 
 import heapq
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.models.latency import GpuBatchModel
 from repro.models.zoo import get_model
 from repro.realtime import protocol
 from repro.realtime.gateway import GatewayConfig, InferenceGateway
 from repro.server.batching import BatchPolicy
-from repro.server.core import ServerCore
+from repro.server.core import JITTER_BLOCK, ServerCore
 from repro.server.requests import InferenceRequest, RequestOutcome
 
 SMALL = "mobilenet_v3_small"
@@ -144,6 +147,20 @@ def test_round_robin_sweep_and_pause_between_sweeps():
     c.finish()
     assert c.start_batch(0.1) is None  # a new sweep would begin paused
     assert c.start_batch(1.0)[0] == [more_small]
+
+
+def test_a_model_first_seen_mid_sweep_waits_for_the_next_sweep():
+    c = core()
+    first = arrive(c, 0.0)[0]
+    assert c.start_batch(0.0)[0] == [first]
+    big = arrive(c, 0.01, model="efficientnet_b0")[0]
+    small = arrive(c, 0.02)[0]
+    c.finish()
+    # the sweep under way knew only the small model: it ends, and the
+    # next one visits the models in first-arrival order
+    assert c.start_batch(0.05)[0] == [small]
+    c.finish()
+    assert c.start_batch(0.1)[0] == [big]
 
 
 def test_drain_takes_back_the_gpu_batch_and_the_queue():
@@ -299,3 +316,44 @@ def test_gateway_keeps_one_gpu_when_an_expiry_reply_resubmits():
     ]
     assert gateway.stats.batches == 3
     assert gateway.stats.accounting_closed
+
+
+# ----------------------------------------------------------------------
+# GPU jitter drawn in blocks
+# ----------------------------------------------------------------------
+_batches = st.lists(
+    st.tuples(
+        st.integers(min_value=1, max_value=15),
+        st.sampled_from([SMALL, "efficientnet_b0", "efficientnet_b4"]),
+        st.sampled_from([1.0, 1.0, 2.5]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(
+    batches=_batches,
+    repeat=st.integers(min_value=1, max_value=30),
+    sigma=st.sampled_from([0.0, 0.06, 0.5]),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(batches=[(15, SMALL, 1.0), (3, "efficientnet_b4", 2.5)], repeat=JITTER_BLOCK, sigma=0.06, seed=0)
+@settings(max_examples=40, deadline=None)
+def test_core_jitter_equals_scalar_sample_on_a_twin_stream(batches, repeat, sigma, seed):
+    """The core takes its lognormal factors from blocks; every batch's
+    GPU seconds must equal ``GpuBatchModel.sample`` (one scalar draw per
+    batch) on a twin generator, times the slowdown, across refills."""
+    model = GpuBatchModel(jitter_sigma=sigma)
+    c = ServerCore(cost_model=model, rng=np.random.default_rng(seed))
+    twin = np.random.default_rng(seed)
+    now = 0.0
+    for size, name, slowdown in batches * repeat:
+        c.set_slowdown(slowdown)
+        for _ in range(size):
+            arrive(c, now, model=name)
+        batch, shed, seconds = c.start_batch(now)
+        assert (len(batch), shed) == (size, [])
+        assert seconds == model.sample(get_model(name), size, twin) * slowdown
+        c.finish()
+        now += seconds

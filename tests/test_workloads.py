@@ -198,9 +198,16 @@ class PerRequestLoad:
             self.rejected += 1
 
 
-def drive_load(load_cls, rows, horizon, seed, policy):
-    """Run one background load to ``horizon``; returns what the server saw."""
+def drive_load(load_cls, rows, horizon, seed, policy, peeks=(), rng=None):
+    """Run one background load to ``horizon``; returns what the server saw.
+
+    ``sent`` is also read at each instant of ``peeks``, from a timer
+    armed before the load exists; ``rng`` replaces the seeded stream.
+    """
     env = Environment()
+    peeked = []
+    for at in peeks:
+        env.call_at(at, lambda _ev: peeked.append(load.sent))
     server = EdgeServer(
         env, np.random.default_rng(1), cost_model=GpuBatchModel(), batch_policy=policy
     )
@@ -216,12 +223,16 @@ def drive_load(load_cls, rows, horizon, seed, policy):
 
     server.submit = recording_submit
     load = load_cls(
-        env, server, LoadSchedule.from_rows(rows), np.random.default_rng(seed)
+        env,
+        server,
+        LoadSchedule.from_rows(rows),
+        rng if rng is not None else np.random.default_rng(seed),
     )
     env.run(until=horizon)
     record = {
         "arrivals": arrivals,
         "sent": load.sent,
+        "peeked": peeked,
         "completed": load.completed,
         "rejected": load.rejected,
     }
@@ -273,6 +284,70 @@ def test_background_load_matches_per_request_reference(
     assert actual == expected
     if inside_delay and expected["arrivals"]:
         assert expected["sent"] > len(expected["arrivals"])
+
+
+@given(
+    rows=_load_rows,
+    peeks=st.lists(st.integers(min_value=0, max_value=2_500), max_size=12),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(
+    # > DRAW_BLOCK gaps at 400/s, a zero-rate gap and a zero-rate tail
+    rows=[(0.0, 400.0), (0.6, 0.0), (0.9, 400.0), (1.7, 0.0)],
+    peeks=[0, 300, 601, 899, 1_200, 2_000],
+    seed=7,
+)
+@settings(max_examples=40, deadline=None)
+def test_block_drawn_arrivals_match_the_reference_under_sent_peeks(rows, peeks, seed):
+    """Arrival gaps come from ``standard_exponential`` blocks and ``sent``
+    draws ahead when it is read; neither may move an arrival.  ``sent``
+    read at instants along the run (ms) must agree too."""
+    peeks = sorted(p / 1000.0 for p in peeks)
+    expected = drive_load(PerRequestLoad, rows, 2.5, seed, BatchPolicy.FIFO, peeks)
+    actual = drive_load(BackgroundLoad, rows, 2.5, seed, BatchPolicy.FIFO, peeks)
+    assert actual == expected
+
+
+class ScriptedExponentials:
+    """A stream of chosen standard exponentials, served either way the
+    loads ask: ``exponential(scale)`` or ``standard_exponential(size)``
+    (the unscripted rest is 1.0)."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def _next(self):
+        return self.values.pop(0) if self.values else 1.0
+
+    def exponential(self, scale):
+        return scale * self._next()
+
+    def standard_exponential(self, size):
+        return np.array([self._next() for _ in range(size)])
+
+
+def test_arrival_within_1e12_of_a_boundary_keeps_the_old_phase():
+    """A schedule boundary less than 1e-12 after ``t`` counts as passed
+    when the next boundary is sought, but not yet when the rate is: the
+    arrival process keeps the old rate up to the boundary after.  The
+    block-drawn arrivals must keep that rule."""
+    rows = [(0.0, 1.0), (1.0, 50.0), (3.0, 0.0)]
+    script = [1.0 - 5e-13, 0.5, 0.25]
+    expected = drive_load(
+        PerRequestLoad, rows, 4.0, 0, BatchPolicy.FIFO,
+        rng=ScriptedExponentials(script),
+    )
+    actual = drive_load(
+        BackgroundLoad, rows, 4.0, 0, BatchPolicy.FIFO,
+        rng=ScriptedExponentials(script),
+    )
+    assert actual == expected
+    # the gap after the first arrival is still drawn at rate 1 (and
+    # crosses the boundary); the next one at rate 50
+    t0 = 0.0 + 1.0 * script[0]
+    t1 = t0 + 1.0 * script[1]
+    t2 = t1 + (1.0 / 50.0) * script[2]
+    assert [a[4] for a in expected["arrivals"]][:3] == [t0, t1, t2]
 
 
 def test_background_load_costs_one_event_per_request():
