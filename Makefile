@@ -1,6 +1,6 @@
 # Convenience targets; everything also works as plain pytest/pip.
 
-.PHONY: install test test-fast bench examples paper clean
+.PHONY: install test test-fast examples paper clean
 
 install:
 	pip install -e .
@@ -11,10 +11,6 @@ test:
 test-fast:
 	pytest tests/ -m "not slow" -x -q
 
-# kernel microbenches (the paper's claims run under `make validate`)
-bench:
-	pytest benchmarks/bench_kernel.py --benchmark-only
-
 examples:
 	python examples/quickstart.py
 	python examples/surveillance_camera.py
@@ -24,6 +20,8 @@ examples:
 	python examples/capacity_planning.py
 	python examples/day_in_the_life.py
 	python examples/controller_tuning.py
+	python examples/chaos_fleet.py
+	python examples/chaos_supervision.py
 
 # wall-clock demos (take real seconds, use asyncio/sockets)
 examples-realtime:
@@ -39,5 +37,5 @@ validate:
 	framefeedback validate
 
 clean:
-	rm -rf .pytest_cache .benchmarks build dist src/*.egg-info
+	rm -rf .pytest_cache build dist src/*.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -1,15 +1,15 @@
-"""The paper's standard controller lineup (§IV-B) as factories."""
+"""The paper's standard controller lineup (§IV-B) and its extensions, as factories.
+
+The device-local factories come from :func:`repro.control.zoo.zoo_controllers`;
+this module adds the two that need the scenario context (Reservation, Oracle)
+and FrameFeedback with non-default settings.
+"""
 
 from __future__ import annotations
 
 from typing import Callable, Dict
 
 from repro.control.base import Controller
-from repro.control.baselines import (
-    AllOrNothingController,
-    AlwaysOffloadController,
-    LocalOnlyController,
-)
 from repro.control.framefeedback import (
     FrameFeedbackController,
     FrameFeedbackSettings,
@@ -17,6 +17,11 @@ from repro.control.framefeedback import (
 from repro.device.config import DeviceConfig
 
 ControllerFactory = Callable[[DeviceConfig], Controller]
+
+#: the §IV-B lineup, in report order
+STANDARD = ("FrameFeedback", "LocalOnly", "AlwaysOffload", "AllOrNothing")
+#: the extension lineup, in report order; the rest of the zoo follows
+EXTENDED = STANDARD + ("AIMD", "Reservation", "Headroom", "FrameFeedback+Q", "Oracle")
 
 
 def framefeedback_factory(
@@ -32,19 +37,10 @@ def framefeedback_factory(
 
 def standard_controllers() -> Dict[str, ControllerFactory]:
     """All four §IV controllers keyed by their report names."""
-    return {
-        "FrameFeedback": framefeedback_factory(),
-        "LocalOnly": lambda config: LocalOnlyController(),
-        "AlwaysOffload": lambda config: AlwaysOffloadController(),
-        "AllOrNothing": lambda config: AllOrNothingController(),
-    }
+    from repro.control.zoo import zoo_controllers
 
-
-def aimd_factory() -> ControllerFactory:
-    """TCP-style AIMD extension baseline."""
-    from repro.control.aimd import AimdController
-
-    return lambda config: AimdController(config.frame_rate)
+    zoo = zoo_controllers()
+    return {name: zoo[name] for name in STANDARD}
 
 
 def oracle_factory():
@@ -77,36 +73,20 @@ def reservation_factory():
     return make
 
 
-def headroom_factory() -> ControllerFactory:
-    """Latency-predictive FrameFeedback variant."""
-    from repro.control.headroom import HeadroomController
-
-    return lambda config: HeadroomController(config.frame_rate, config.deadline)
-
-
-def adaptive_quality_factory() -> ControllerFactory:
-    """FrameFeedback + the §II-D JPEG-quality ladder."""
-    from repro.control.quality import AdaptiveQualityController
-
-    return lambda config: AdaptiveQualityController(config.frame_rate)
-
-
 def extended_controllers() -> Dict[str, ControllerFactory]:
     """Standard lineup plus the extension controllers and the zoo.
 
     Every device-local :func:`repro.control.zoo.zoo_controllers` member
-    resolves here too (``setdefault`` keeps the canonical factories for
-    names both registries know), so scenario configs, the sweep pool
-    and the tournament can address the whole zoo by name.
+    resolves here (those outside :data:`EXTENDED` after it, in registry
+    order), next to the two that need the scenario context, so scenario
+    configs, the sweep pool and the tournament can address the whole zoo
+    by name.
     """
     from repro.control.zoo import zoo_controllers
 
-    out = standard_controllers()
-    out["AIMD"] = aimd_factory()
-    out["Reservation"] = reservation_factory()
-    out["Headroom"] = headroom_factory()
-    out["FrameFeedback+Q"] = adaptive_quality_factory()
-    out["Oracle"] = oracle_factory()
-    for name, factory in zoo_controllers().items():
+    zoo = zoo_controllers()
+    context = {"Reservation": reservation_factory(), "Oracle": oracle_factory()}
+    out = {name: context[name] if name in context else zoo[name] for name in EXTENDED}
+    for name, factory in zoo.items():
         out.setdefault(name, factory)
     return out

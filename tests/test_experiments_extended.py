@@ -8,11 +8,8 @@ import pytest
 
 from repro.device.config import DeviceConfig
 from repro.experiments.scenario import Scenario, run_scenario
-from repro.experiments.standard import (
-    aimd_factory,
-    oracle_factory,
-    reservation_factory,
-)
+from repro.control.zoo import zoo_controllers
+from repro.experiments.standard import oracle_factory, reservation_factory
 from repro.netem.profiles import CONGESTED, IDEAL
 from repro.workloads.schedules import steady_schedule, table_vi_schedule
 
@@ -31,7 +28,7 @@ def run(factory, network=None, load=None, seconds=40, seed=0):
 
 
 def test_aimd_tracks_capacity_roughly():
-    r = run(aimd_factory(), network=steady_schedule(CONGESTED), seconds=60)
+    r = run(zoo_controllers()["AIMD"], network=steady_schedule(CONGESTED), seconds=60)
     # ends up near the link's ~13 fps capacity region (sawtooth around it)
     tail = r.traces.offload_target.values[-20:]
     assert 6.0 < tail.mean() < 18.0

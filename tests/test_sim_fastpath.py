@@ -2,8 +2,9 @@
 
 These pin the kernel optimizations' *semantics*; the determinism of
 whole runs is pinned separately in ``test_sim_determinism.py``, and
-throughput in ``BENCH_kernel.json``.  The "slow path" here is the
-accounted one every timer takes while EnvStats is on.
+their timer counts in the cost ledger ``BENCH_counts.json``
+(``test_call_budget.py``).  The "slow path" here is the accounted one
+every timer takes while EnvStats is on.
 """
 
 import random
