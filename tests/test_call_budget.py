@@ -11,7 +11,10 @@ background load and lossy links draw most; ``round_trip`` and
 directly and through a one-server fleet ``Router``, so their difference
 is the router's cost.  A new per-frame timer or draw, or a renamed
 ``event_owner``, fails here, naming the field; a change that moves a
-count on purpose pastes the fresh entry the failure prints.
+count on purpose pastes the fresh entry the failure prints.  Timers
+and draws per captured frame also keep the bounds they had before the
+ledger, so a change that moves an exact count can still be read as a
+per-frame cost.
 
 cProfile cannot see random draws: a ``numpy.random.Generator`` method is
 a Cython builtin, neither listed nor counted in ``total_calls``, yet a
@@ -44,6 +47,19 @@ from repro.sim.rng import RngRegistry
 LEDGER = json.loads(
     (Path(__file__).resolve().parent.parent / "BENCH_counts.json").read_text()
 )
+
+#: kernel timers allowed per captured frame of the warm fig3 run.  The
+#: ledger holds the exact count (3.51 per frame: the camera tick, the
+#: server's batches, one uplink and one downlink delivery per frame, and
+#: the few that queues share; 4.53 with an end-of-frame link timer and a
+#: deadline watchdog per frame); this bound says what a frame may cost.
+MAX_TIMERS_PER_FRAME = 3.55
+
+#: ``Generator`` method calls allowed per captured frame.  Exact counts
+#: are in the ledger: 1.32 for fig3 (2.31 with a scalar draw per packet
+#: attempt and per GPU batch) and 2.10 for the seed-0 tournament (5.58
+#: with scalar packet fates, GPU jitter and background arrival gaps).
+MAX_DRAWS_PER_FRAME = {"fig3": 1.4, "tournament": 2.2}
 
 
 class _CountingStream:
@@ -261,6 +277,25 @@ def test_fig3_stays_within_its_per_frame_call_budget(profiled):
     assert calls / frames <= bound, (
         f"{calls} calls for {frames} frames = {calls / frames:.1f} per frame"
         f" (bound {bound})"
+    )
+
+
+def test_fig3_stays_within_its_per_frame_timer_budget(accounted):
+    entry = accounted("fig3")
+    timers, frames = entry["events_scheduled"], entry["frames"]
+    assert frames == LEDGER["fig3"]["frames"]
+    assert timers / frames <= MAX_TIMERS_PER_FRAME, (
+        f"{timers} timers for {frames} frames = {timers / frames:.2f} per frame"
+    )
+
+
+@pytest.mark.parametrize("workload", ["fig3", "tournament"])
+def test_random_draws_stay_within_their_per_frame_budget(workload, accounted):
+    entry = accounted(workload)
+    draws, frames = entry["draws"], entry["frames"]
+    assert frames > 0
+    assert draws / frames <= MAX_DRAWS_PER_FRAME[workload], (
+        f"{draws} draws for {frames} frames = {draws / frames:.2f} per frame"
     )
 
 
