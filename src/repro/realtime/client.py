@@ -86,13 +86,14 @@ class _Wake:
             future.set_result(None)
 
 
-class _ClientConnection(asyncio.Protocol):
+class _ClientConnection(asyncio.BufferedProtocol):
     """One pooled socket with at most one request in flight.
 
     :meth:`send` writes a request and returns the future its reply
     resolves; the connection goes back to its pool the moment the reply
     is read, and the waiting frame's wake-up is called right there, in
-    the read callback.
+    the read callback.  Replies are read into the connection's own small
+    buffer, so a read allocates nothing.
     """
 
     def __init__(self, owner: "AsyncSocketRemote") -> None:
@@ -101,7 +102,11 @@ class _ClientConnection(asyncio.Protocol):
         self.waiter: Optional["asyncio.Future[protocol.Reply]"] = None
         #: called once :attr:`waiter` is resolved
         self.wake: Optional[_Wake] = None
+        #: the start of a reply that arrived split
         self.buffer = b""
+        #: room for a reply and then some: more bytes than a reply in
+        #: one read show the stream is out of step
+        self.read_buffer = memoryview(bytearray(8 * protocol.REPLY_SIZE))
         self.idle_since = 0.0
         #: why the connection went, for a send after it did
         self.lost: Optional[BaseException] = None
@@ -121,11 +126,15 @@ class _ClientConnection(asyncio.Protocol):
             self.transport.write(data)
         return waiter
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        data = self.read_buffer[:nbytes]
         if self.buffer:
             data = self.buffer + data
         if len(data) < protocol.REPLY_SIZE:
-            self.buffer = data
+            self.buffer = bytes(data)
             return
         self.buffer = b""
         waiter, self.waiter = self.waiter, None
@@ -207,7 +216,7 @@ class AsyncSocketRemote:
                 loop.create_connection(lambda: _ClientConnection(self), *self.address),
                 timeout=self.connect_timeout,
             )
-        reply = conn.send(protocol.encode_request(self.tenant, self._payload, deadline))
+        reply = conn.send(self.encode(deadline))
         try:
             return await reply
         except BaseException:
@@ -215,25 +224,30 @@ class AsyncSocketRemote:
                 conn.close()  # its reply is still owed: never reuse it
             raise
 
+    def encode(self, deadline: Optional[float]) -> bytes:
+        """This client's request frame with ``deadline`` left."""
+        return protocol.encode_request(self.tenant, self._payload, deadline)
+
     def launch(
         self, loop: asyncio.AbstractEventLoop, now: float,
-        deadline: Optional[float], wake: _Wake,
+        deadline: Optional[float], wake: _Wake, request: Optional[bytes] = None,
     ) -> "Tuple[asyncio.Future[protocol.Reply], Optional[_ClientConnection]]":
         """Start one round trip without waiting for it; ``wake`` is
         called once its reply future is resolved.
 
-        On a pooled connection this is a plain write returning the reply
-        future and the connection it is owed on; otherwise it is an
-        :meth:`exchange` Task that connects first (connection None).
-        Abandon an unfinished one with :meth:`abandon`.
+        On a pooled connection this is a plain write of ``request`` (the
+        frame :meth:`encode` makes for ``deadline``, encoded here when
+        not given) returning the reply future and the connection it is
+        owed on; otherwise it is an :meth:`exchange` Task that connects
+        first (connection None).  Abandon an unfinished one with
+        :meth:`abandon`.
         """
         conn = self._acquire(loop, now)
         if conn is None:
             task = asyncio.ensure_future(self.exchange(deadline))
             task.add_done_callback(wake)
             return task, None
-        request = protocol.encode_request(self.tenant, self._payload, deadline)
-        return conn.send(request, wake), conn
+        return conn.send(request or self.encode(deadline), wake), conn
 
     @staticmethod
     def abandon(reply: "asyncio.Future[protocol.Reply]",
@@ -297,6 +311,8 @@ class ResilientSocketRemote:
             frame_bytes=frame_bytes,
             connect_timeout=connect_timeout or max(0.2 * deadline, 0.05),
         )
+        #: every frame's first copy: tenant, payload and budget never change
+        self._first_copy = self.remote.encode(deadline)
         self.submitted = 0
         self.counts: Dict[FrameOutcome, int] = {o: 0 for o in FrameOutcome}
         self._next_probe_at = 0.0
@@ -385,7 +401,7 @@ class ResilientSocketRemote:
         resend_at = None
         retries = 0
         wake = _Wake(loop.create_future())
-        attempts = [self.remote.launch(loop, now, budget, wake)]
+        attempts = [self.remote.launch(loop, now, budget, wake, self._first_copy)]
         try:
             while True:
                 when = deadline_at if hedge_at is None else hedge_at
@@ -416,6 +432,8 @@ class ResilientSocketRemote:
                         retries += 1
                         resend_at = now + (reply.retry_after or 0.0)
                     elif v is not LATE:
+                        if len(attempts) == 1:
+                            attempts = []  # a lone copy, answered: none to abandon
                         outcome, kind = _SETTLES[reply.status]
                         return outcome, kind, reply.retry_after, now
                 attempts = live
@@ -425,7 +443,12 @@ class ResilientSocketRemote:
                     wake.future = loop.create_future()
                 if resend_at is not None and now >= resend_at:
                     resend_at = None
-                    attempts.append(self.remote.launch(loop, now, deadline_at - now, wake))
+                    # a re-send woken at its deadline is not sent: the
+                    # deadline settles the frame
+                    if now < deadline_at:
+                        attempts.append(
+                            self.remote.launch(loop, now, deadline_at - now, wake)
+                        )
                 if hedge_at is not None and now >= hedge_at:
                     hedge_at = None
                     if layer.retry(now, retries, deadline_at, budget):

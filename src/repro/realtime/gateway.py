@@ -60,6 +60,12 @@ _SHED: Dict[RequestOutcome, Tuple[str, bytes]] = {
     RequestOutcome.OVERLOADED: ("overloaded", protocol.STATUS_OVERLOADED),
     RequestOutcome.REJECTED: ("expired", protocol.STATUS_EXPIRED),
 }
+_STATUS_OK = protocol.STATUS_OK
+#: the reply every completed frame gets: its bytes never change
+_OK_REPLY = protocol.encode_reply(_STATUS_OK)
+#: bytes one read may take; a frame longer than this is decoded over
+#: several reads
+_READ_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,7 @@ class GatewayStats:
         }
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One client connection: decode, serve one request at a time, reply.
 
     Requests are decoded as bytes arrive but served strictly one after
@@ -154,7 +160,8 @@ class _Connection(asyncio.Protocol):
     (and the transport is not paused), so replies leave in request
     order.  Reading is bounded by one lazily re-armed timer per
     connection; writing by a timer armed only while the transport is
-    paused.
+    paused.  Bytes are read into the connection's own buffer, which the
+    decoder keeps no reference into, so a read allocates nothing.
     """
 
     def __init__(self, gateway: "InferenceGateway") -> None:
@@ -162,6 +169,7 @@ class _Connection(asyncio.Protocol):
         self.loop = gateway._loop
         self.transport: Optional[asyncio.Transport] = None
         self.decoder = protocol.RequestDecoder()
+        self.read_buffer = memoryview(bytearray(_READ_SIZE))
         #: decoded requests not yet served
         self.backlog: Deque[protocol.Request] = deque()
         #: a request is in the gateway's queue or GPU, reply owed
@@ -198,11 +206,14 @@ class _Connection(asyncio.Protocol):
         gateway._connections.add(self)
         self.advance()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         if self.broken:
             return
         try:
-            self.decoder.feed(data, self.backlog)
+            self.decoder.feed(self.read_buffer[:nbytes], self.backlog)
         except protocol.ProtocolError:
             # answer what came before the bad frame, then drop the line
             self.broken = True
@@ -244,55 +255,54 @@ class _Connection(asyncio.Protocol):
         if self.serving:
             return  # a reply settled mid-serve: the running loop goes on
         self.serving = True
+        gateway = self.gateway
         try:
-            self._serve()
+            while (
+                self.transport is not None
+                and not self.inflight
+                and not self.paused
+                and self.stall is None
+            ):
+                if gateway._stopping:
+                    self.close()
+                    return
+                if gateway.read_stall > 0.0 and not self.stalled:
+                    self.read_since = None
+                    self.stall = self.loop.call_later(gateway.read_stall, self._stall_done)
+                    return
+                if not self.backlog:
+                    if self.broken:
+                        gateway.stats.protocol_errors += 1
+                        self.close()
+                    elif self.eof:
+                        self.close()
+                    elif self.read_since is None:
+                        self.read_since = self.loop.time()
+                        if self.read_timer is None:
+                            self.read_timer = self.loop.call_at(
+                                self.read_since + gateway.config.read_timeout,
+                                self._read_timer_fired,
+                            )
+                    return
+                self.stalled = False
+                self.read_since = None
+                # in flight before it is queued: a queue shed may settle
+                # it (through reply) before _submit returns
+                self.inflight = True
+                answer = gateway._submit(self.backlog.popleft(), self)
+                if answer is not None:
+                    self.inflight = False
+                    self.transport.write(protocol.encode_reply(*answer))
         finally:
             self.serving = False
-
-    def _serve(self) -> None:
-        gateway = self.gateway
-        while (
-            self.transport is not None
-            and not self.inflight
-            and not self.paused
-            and self.stall is None
-        ):
-            if gateway._stopping:
-                self.close()
-                return
-            if gateway.read_stall > 0.0 and not self.stalled:
-                self.read_since = None
-                self.stall = self.loop.call_later(gateway.read_stall, self._stall_done)
-                return
-            if not self.backlog:
-                if self.broken:
-                    gateway.stats.protocol_errors += 1
-                    self.close()
-                elif self.eof:
-                    self.close()
-                elif self.read_since is None:
-                    self.read_since = self.loop.time()
-                    if self.read_timer is None:
-                        self.read_timer = self.loop.call_at(
-                            self.read_since + gateway.config.read_timeout,
-                            self._read_timer_fired,
-                        )
-                return
-            self.stalled = False
-            self.read_since = None
-            # in flight before it is queued: a queue shed may settle it
-            # (through reply) before _submit returns
-            self.inflight = True
-            answer = gateway._submit(self.backlog.popleft(), self)
-            if answer is not None:
-                self.inflight = False
-                self.transport.write(protocol.encode_reply(*answer))
 
     def reply(self, status: bytes, hint: Optional[float]) -> None:
         """Settle callback: write the owed reply, then serve on."""
         self.inflight = False
         if self.transport is not None:
-            self.transport.write(protocol.encode_reply(status, hint))
+            self.transport.write(
+                _OK_REPLY if status is _STATUS_OK else protocol.encode_reply(status, hint)
+            )
             self.advance()
 
     def close(self) -> None:
@@ -483,9 +493,11 @@ class InferenceGateway:
     def _finish_batch(self) -> None:
         self._gpu = None
         batch = self._core.finish()
-        self.stats.batches += 1
+        stats = self.stats
+        stats.batches += 1
+        stats.completed += len(batch)
         for req in batch:
-            self._settle(req, "completed", protocol.STATUS_OK)
+            req.respond(_STATUS_OK, None)
         if self._gpu is None and self._core.queue_depth(_MODEL):
             self._start_batch()
 

@@ -34,8 +34,7 @@ connection; the gateway answers each exactly once, in order.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 #: protocol discriminator byte opening every v2 request
 MAGIC = 0xF2
@@ -70,8 +69,7 @@ class ProtocolError(ValueError):
     """A malformed v2 frame (bad magic, oversized field, short read)."""
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One decoded request frame (payload bytes are not retained)."""
 
     tenant: str
@@ -80,8 +78,7 @@ class Request:
     deadline: Optional[float]
 
 
-@dataclass(frozen=True)
-class Reply:
+class Reply(NamedTuple):
     """One decoded response frame."""
 
     status: bytes
@@ -130,11 +127,24 @@ def decode_reply(raw: bytes) -> Reply:
     status, retry_us = _RESP.unpack(raw)
     if status not in ALL_STATUSES:
         raise ProtocolError(f"unknown status byte {status!r}")
-    return Reply(status=status, retry_after=retry_us / _US if retry_us else None)
+    return Reply(status, retry_us / _US if retry_us else None)
 
 
 REPLY_SIZE = _RESP.size
 REQUEST_HEAD_SIZE = _REQ_HEAD.size
+
+
+def _head_error(magic: int, tenant_len: int, length: int) -> ProtocolError:
+    """The error a header with these fields is rejected with."""
+    if magic != MAGIC:
+        return ProtocolError(f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x})")
+    if not 1 <= tenant_len <= MAX_TENANT:
+        return ProtocolError(f"bad tenant length {tenant_len}")
+    return ProtocolError(f"payload {length} exceeds MAX_PAYLOAD {MAX_PAYLOAD}")
+
+
+def _tenant_error(raw_tenant: bytes) -> ProtocolError:
+    return ProtocolError(f"non-ASCII tenant id {bytes(raw_tenant)!r}")
 
 
 class RequestDecoder:
@@ -144,6 +154,8 @@ class RequestDecoder:
     payload is counted off as it streams past and never buffered, since
     only its size carries information.  Validation is the same as for a
     whole frame: the header is checked as soon as its 10 bytes are in.
+    A frame whose header and tenant arrive in one chunk, the usual case,
+    is decoded in place; only a frame split inside them is copied.
     """
 
     __slots__ = ("_head", "_tenant_len", "_deadline_us", "_length", "_skip", "_request")
@@ -163,7 +175,7 @@ class RequestDecoder:
         """True while part of a frame has arrived but not all of it."""
         return bool(self._head) or self._skip > 0
 
-    def feed(self, data: bytes, out: Optional[list] = None) -> list:
+    def feed(self, data: Union[bytes, memoryview], out: Optional[list] = None) -> list:
         """Decode ``data``, appending each completed :class:`Request`.
 
         Returns ``out`` (a new list when not given).  Raises
@@ -182,6 +194,30 @@ class RequestDecoder:
                 if not self._skip:
                     out.append(self._request)
                     self._request = None
+                continue
+            if not head and end - pos >= REQUEST_HEAD_SIZE:
+                # a whole header in this chunk: check it in place
+                magic, tenant_len, deadline_us, length = _REQ_HEAD.unpack_from(data, pos)
+                if magic != MAGIC or not 1 <= tenant_len <= MAX_TENANT or length > MAX_PAYLOAD:
+                    raise _head_error(magic, tenant_len, length)
+                start = pos + REQUEST_HEAD_SIZE
+                stop = start + tenant_len
+                if stop > end:
+                    # the tenant runs on into the next chunk
+                    self._tenant_len, self._deadline_us, self._length = (
+                        tenant_len, deadline_us, length)
+                    head += data[pos:end]
+                    break
+                try:
+                    tenant = str(data[start:stop], "ascii")
+                except UnicodeDecodeError:
+                    raise _tenant_error(data[start:stop])
+                request = Request(tenant, length, deadline_us / _US if deadline_us else None)
+                pos = stop + length
+                if pos > end:
+                    self._skip, self._request = pos - end, request
+                    break
+                out.append(request)
                 continue
             if len(head) < REQUEST_HEAD_SIZE:
                 take = min(REQUEST_HEAD_SIZE - len(head), end - pos)
@@ -209,12 +245,8 @@ class RequestDecoder:
 
     def _check_head(self) -> None:
         magic, tenant_len, deadline_us, length = _REQ_HEAD.unpack(self._head)
-        if magic != MAGIC:
-            raise ProtocolError(f"bad magic byte 0x{magic:02x} (expected 0x{MAGIC:02x})")
-        if not 1 <= tenant_len <= MAX_TENANT:
-            raise ProtocolError(f"bad tenant length {tenant_len}")
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"payload {length} exceeds MAX_PAYLOAD {MAX_PAYLOAD}")
+        if magic != MAGIC or not 1 <= tenant_len <= MAX_TENANT or length > MAX_PAYLOAD:
+            raise _head_error(magic, tenant_len, length)
         self._tenant_len, self._deadline_us, self._length = tenant_len, deadline_us, length
 
     def _finish_head(self) -> Request:
@@ -223,10 +255,6 @@ class RequestDecoder:
         try:
             tenant = raw_tenant.decode("ascii")
         except UnicodeDecodeError:
-            raise ProtocolError(f"non-ASCII tenant id {raw_tenant!r}")
+            raise _tenant_error(raw_tenant)
         deadline_us = self._deadline_us
-        return Request(
-            tenant=tenant,
-            payload_bytes=self._length,
-            deadline=deadline_us / _US if deadline_us else None,
-        )
+        return Request(tenant, self._length, deadline_us / _US if deadline_us else None)

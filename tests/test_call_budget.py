@@ -24,11 +24,14 @@ once, like the one call it is.
 
 Python calls are counted with cProfile, and that count depends on the
 interpreter (an Enum member read runs Python code on 3.11, not on
-3.12), so the ledger keeps two bounds instead: fig3's calls per frame,
-and the calls per frame the router adds to the round trip.  An untraced
-run must also call no function of the tracing package.
+3.12), so the ledger keeps bounds instead: fig3's calls per frame, the
+calls per frame the router adds to the round trip, and the gateway's
+calls per frame, both ends of the socket in one event loop (asyncio's
+own Python code included).  An untraced run must also call no function
+of the tracing package.
 """
 
+import asyncio
 import cProfile
 import json
 import os
@@ -296,6 +299,43 @@ def test_random_draws_stay_within_their_per_frame_budget(workload, accounted):
     assert frames > 0
     assert draws / frames <= MAX_DRAWS_PER_FRAME[workload], (
         f"{draws} draws for {frames} frames = {draws / frames:.2f} per frame"
+    )
+
+
+def _gateway_calls(frames: int) -> int:
+    """cProfile calls of ``frames`` warm frames from one
+    ``ResilientSocketRemote`` to an ``InferenceGateway`` on the same
+    loop, set up as perfbench's gateway workload (zero GPU cost,
+    admission on but never denying, one frame in flight)."""
+    from repro.realtime.client import FrameOutcome, ResilientSocketRemote
+    from repro.realtime.gateway import GatewayConfig, InferenceGateway
+
+    async def scenario():
+        config = GatewayConfig(base_latency=0.0, per_item=0.0, tenant_rate=1e7)
+        async with InferenceGateway(config) as gateway:
+            remote = ResilientSocketRemote(gateway.address, deadline=5.0, frame_bytes=11_700)
+            for _ in range(200):  # connect, fill the pool, warm the codec
+                assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            profile = cProfile.Profile()
+            profile.enable()
+            try:
+                for _ in range(frames):
+                    assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            finally:
+                profile.disable()
+            await remote.close()
+        return pstats.Stats(profile).total_calls
+
+    return asyncio.run(scenario())
+
+
+def test_the_gateway_stays_within_its_per_frame_call_budget():
+    frames = 4_000
+    calls = _gateway_calls(frames)
+    bound = LEDGER["bounds"]["gateway_calls_per_frame"]
+    assert calls / frames <= bound, (
+        f"{calls} calls for {frames} gateway frames = {calls / frames:.1f} per frame"
+        f" (bound {bound})"
     )
 
 

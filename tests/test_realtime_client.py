@@ -8,6 +8,7 @@ breaker trip/fallback/re-close, and shared taxonomy counters.
 
 import asyncio
 import socket
+import time
 
 import pytest
 
@@ -113,6 +114,47 @@ def test_overload_with_a_short_hint_is_resent_and_completes():
             assert taxonomy[FailureKind.RETRY_SENT.value] == 1
             assert remote.counts[FrameOutcome.OVERLOADED] == 0
             assert remote.accounting_closed
+        assert gateway.stats.accounting_closed
+
+    run(scenario())
+
+
+def test_a_resend_woken_past_its_deadline_times_out_unsent():
+    """A granted pushback re-send whose wake-up comes only after the
+    frame's deadline (the loop was stalled) is not sent: the frame
+    settles TIMEOUT and the client's accounting stays closed."""
+
+    async def scenario():
+        gw_config = GatewayConfig(
+            base_latency=0.0, per_item=0.0, tenant_rate=10.0, tenant_burst=1.0
+        )
+        async with InferenceGateway(gw_config) as gateway:
+            remote = ResilientSocketRemote(
+                gateway.address, deadline=0.3, tenant="greedy", frame_bytes=64
+            )
+            assert await remote.submit_frame() is FrameOutcome.COMPLETED
+            # the bucket is empty: pushback with a ~0.1 s hint, granted a
+            # re-send; once the frame sleeps until it, the loop stalls
+            # past the frame's 0.3 s deadline
+            sleep_until = remote._sleep_until
+
+            def stall_once_the_resend_is_granted(loop, wake, when):
+                sleep_until(loop, wake, when)
+                if remote.taxonomy.as_dict()[FailureKind.RETRY_SENT.value] and not stalled:
+                    stalled.append(when)
+                    loop.call_soon(time.sleep, 0.35)
+
+            stalled = []
+            remote._sleep_until = stall_once_the_resend_is_granted
+            assert await remote.submit_frame() is FrameOutcome.TIMEOUT
+            assert len(stalled) == 1
+            await remote.close()
+            taxonomy = remote.taxonomy.as_dict()
+            assert taxonomy[FailureKind.RETRY_SENT.value] == 1
+            assert taxonomy[FailureKind.SILENT_TIMEOUT.value] == 1
+            assert remote.submitted == 2
+            assert remote.accounting_closed
+        assert gateway.stats.received == 2
         assert gateway.stats.accounting_closed
 
     run(scenario())

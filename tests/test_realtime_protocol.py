@@ -133,6 +133,67 @@ def test_any_chunking_decodes_the_same_requests(frames, cuts):
     assert chunked == whole
 
 
+def _corrupted(kind: str, byte: int) -> bytes:
+    """A request frame made malformed in one field, ``byte`` choosing
+    the bad value."""
+    raw = bytearray(protocol.encode_request("bad", b"\x07" * 8, 0.1))
+    if kind == "magic":
+        raw[0] = byte if byte != protocol.MAGIC else 0x00
+    elif kind == "tenant_length":
+        raw[1] = 0 if byte <= protocol.MAX_TENANT else byte
+    elif kind == "oversize":
+        raw[6:10] = (protocol.MAX_PAYLOAD + 1 + byte).to_bytes(4, "big")
+    else:  # a non-ASCII tenant byte
+        raw[protocol.REQUEST_HEAD_SIZE + 1] = 0x80 | byte
+    return bytes(raw)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=_requests,
+    bad_at=st.integers(min_value=0),
+    kind=st.sampled_from(["magic", "tenant_length", "oversize", "non_ascii"]),
+    byte=st.integers(min_value=0, max_value=255),
+    cuts=st.lists(st.integers(min_value=0), max_size=12),
+    spill=st.integers(min_value=1, max_value=2 * protocol.REQUEST_HEAD_SIZE),
+)
+def test_any_chunking_stops_at_the_same_bad_frame(frames, bad_at, kind, byte, cuts, spill):
+    """One malformed frame anywhere in a stream: under every chunking,
+    the same requests come out before the same :class:`ProtocolError`,
+    whether the decoder meets the bad header whole or in pieces.  The
+    chunks are memoryviews, as the gateway's reads are."""
+    encoded = [
+        protocol.encode_request(tenant, b"\x07" * size, deadline)
+        for tenant, size, deadline in frames
+    ]
+    bad_at %= len(encoded) + 1
+    encoded.insert(bad_at, _corrupted(kind, byte))
+    stream = b"".join(encoded)
+    starts = [0]
+    for frame in encoded:
+        starts.append(starts[-1] + len(frame))
+    chunkings = [
+        [0, len(stream)],
+        sorted({cut % (len(stream) + 1) for cut in cuts} | {0, len(stream)}),
+        # each chunk holds the rest of one frame and ``spill`` bytes of
+        # the next: the first holds a whole frame and part of the next
+        sorted({min(start + spill, len(stream)) for start in starts[1:]}
+               | {0, len(stream)}),
+    ]
+    expected = [(tenant, size) for tenant, size, _deadline in frames[:bad_at]]
+    errors = set()
+    view = memoryview(stream)
+    for points in chunkings:
+        decoder = protocol.RequestDecoder()
+        out = []
+        with pytest.raises(protocol.ProtocolError) as raised:
+            for lo, hi in zip(points, points[1:]):
+                decoder.feed(view[lo:hi], out)
+        assert [(r.tenant, r.payload_bytes) for r in out] == expected
+        errors.add(str(raised.value))
+    assert len(errors) == 1, errors
+
+
 def test_encode_validates_inputs():
     with pytest.raises(protocol.ProtocolError):
         protocol.encode_request("x" * (protocol.MAX_TENANT + 1), b"x", None)
